@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ValidationError
-from .paths import LatticePath
-from .rationals import parse_rat, to_string
+from .paths import LatticePath, _chain_twice_area
+from .rationals import _exact_rat, parse_rat, to_string
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,9 @@ def validate_profile(vertices) -> ToricProfile:
     the quadrant, slopes strictly decreasing) are enforced.
     """
     try:
-        pts = []
-        for x, y in vertices:
-            if isinstance(x, float) or isinstance(y, float):
-                raise ValidationError("profile vertices must be exact; floats are rejected")
-            pts.append((Fraction(x), Fraction(y)))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        pts = [(_exact_rat(x, "profile vertex"), _exact_rat(y, "profile vertex"))
+               for x, y in vertices]
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"profile vertices must be rational pairs: {vertices!r}") from exc
     if len(pts) < 2:
         raise ValidationError("profile needs at least two vertices")
@@ -202,11 +199,7 @@ def norm_floor(profile: ToricProfile) -> Fraction:
 
 def profile_area(profile: ToricProfile) -> Fraction:
     """Area of the moment region bounded by the profile and the axes."""
-    verts = [(Fraction(0), Fraction(0))] + list(profile.vertices) + [(Fraction(0), Fraction(0))]
-    s = Fraction(0)
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        s += x0 * y1 - x1 * y0
-    return abs(s) / 2
+    return Fraction(_chain_twice_area(profile.vertices), 2)
 
 
 def contact_volume(domain: Domain) -> Fraction:

@@ -22,14 +22,13 @@ from .errors import (
     ValidationError,
 )
 from .paths import LatticePath, _twice_area
+from .rationals import _exact_rat, _positive_axes
 from .spectra import count_action_pairs
 
 
 def ellipsoid_index(a: Fraction, b: Fraction, m1: int, m2: int) -> int:
     """Closed form: 2 (m1 + m2 + m1 m2 + sum floor(j a / b) + sum floor(j b / a))."""
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValidationError("axes must be positive")
+    a, b = _positive_axes(a, b)
     if m1 < 0 or m2 < 0:
         raise ValidationError("multiplicities must be nonnegative")
     s1 = sum(floor(j * a / b) for j in range(1, m1 + 1))
@@ -38,7 +37,7 @@ def ellipsoid_index(a: Fraction, b: Fraction, m1: int, m2: int) -> int:
 
 
 def ellipsoid_action(a: Fraction, b: Fraction, m1: int, m2: int) -> Fraction:
-    return Fraction(a) * m1 + Fraction(b) * m2
+    return _exact_rat(a, "axis") * m1 + _exact_rat(b, "axis") * m2
 
 
 def cz_from_rotation(rot: Fraction, *, elliptic: bool = False) -> int:
@@ -48,7 +47,7 @@ def cz_from_rotation(rot: Fraction, *, elliptic: bool = False) -> int:
     contradicts the nondegeneracy the formula assumes; that input is
     refused rather than silently evaluated.
     """
-    rot = Fraction(rot)
+    rot = _exact_rat(rot, "rotation number")
     if elliptic and rot.denominator == 1:
         raise DegenerateRotationError(
             f"elliptic rotation number {rot} is an integer; orbit would be degenerate")
@@ -78,7 +77,7 @@ class OrbitRecord:
     def cz(self, j: int) -> int:
         try:
             value = self.cz_of_cover(j)
-        except Exception as exc:
+        except LookupError as exc:
             raise MissingCoverError(
                 f"orbit {self.label!r} has no index data for cover {j}") from exc
         if not isinstance(value, int):
@@ -134,9 +133,7 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
     generator and 2 floor(j b / a) + 1 for the long one. Multiplicity-zero
     generators are omitted from the set.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValidationError("axes must be positive")
+    a, b = _positive_axes(a, b)
     if m1 < 0 or m2 < 0 or m1 + m2 == 0:
         raise ValidationError("need nonnegative multiplicities, not both zero")
 
@@ -245,9 +242,7 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
     m_max, and all actions up to (a + b) m_max must be pairwise distinct.
     Violations raise PreconditionError naming the collision.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValidationError("axes must be positive")
+    a, b = _positive_axes(a, b)
     if m_max < 0:
         raise ValidationError("m_max must be nonnegative")
     for j in range(1, m_max + 1):

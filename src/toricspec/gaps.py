@@ -16,6 +16,7 @@ from math import ceil, floor
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, PreconditionError, ValidationError
+from .rationals import _exact_rat, _positive_axes
 from .spectra import EllipsoidSpectrum, Spectrum
 from .domains import Ellipsoid
 
@@ -37,7 +38,7 @@ def spectral_gap(spectrum: Spectrum, cutoff: Fraction) -> GapReport:
     Ties in the spectrum give gap 0. achieving_k is the smallest k
     realizing the minimum. Infinite when c_1 > cutoff.
     """
-    cutoff = Fraction(cutoff)
+    cutoff = _exact_rat(cutoff, "cutoff")
     if spectrum.value(1) > cutoff:
         return GapReport(cutoff, None, None)
     best: Optional[Fraction] = None
@@ -122,9 +123,8 @@ def best_approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant
 
 
 def _check_close_inputs(a, b, cutoff) -> tuple[Fraction, Fraction, Fraction]:
-    a, b, cutoff = Fraction(a), Fraction(b), Fraction(cutoff)
-    if a <= 0 or b <= 0:
-        raise ValidationError("axes must be positive")
+    a, b = _positive_axes(a, b)
+    cutoff = _exact_rat(cutoff, "cutoff")
     if cutoff < max(a, b):
         raise PreconditionError(
             f"cutoff {cutoff} is below max(a, b) = {max(a, b)}; no approximant exists")
@@ -150,11 +150,11 @@ def close_gap_consistency(a: Fraction, b: Fraction,
     Returns rows (cutoff, close, gap, margin). An infinite gap satisfies
     the inequality vacuously and is reported with gap None.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _positive_axes(a, b)
     spectrum = EllipsoidSpectrum(Ellipsoid(a, b))
     rows = []
     for cutoff in cutoffs:
-        cutoff = Fraction(cutoff)
+        cutoff = _exact_rat(cutoff, "cutoff")
         close = ellipsoid_close(a, b, cutoff)
         report = spectral_gap(spectrum, cutoff)
         if report.gap is not None and close > report.gap:
@@ -176,8 +176,8 @@ def gap_asymptotics(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[dic
     """
     base = []
     for cutoff in cutoffs:
-        cutoff = Fraction(cutoff)
         report = spectral_gap(spectrum, cutoff)
+        cutoff = report.cutoff
         scaled = None if report.gap is None else cutoff * report.gap
         base.append({"cutoff": cutoff, "gap": report.gap, "scaled": scaled,
                      "infinite": report.is_infinite})

@@ -15,11 +15,11 @@ import os
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import __version__
 from .errors import ValidationError
 from .paths import LatticePath
-from .rationals import approx_string, to_string
+from .rationals import to_string
 
-PACKAGE_VERSION = "0.1.0"
 CACHE_ENV = "TORICSPEC_CACHE_DIR"
 
 
@@ -83,10 +83,6 @@ def render_json(command: str, params: dict, columns: Sequence[str],
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def approx_of(value: Optional[Fraction]) -> Optional[str]:
-    return None if value is None else approx_string(value)
-
-
 def domain_digest(domain_jsonable: Optional[dict]) -> Optional[str]:
     if domain_jsonable is None:
         return None
@@ -98,7 +94,7 @@ def write_manifest(path: str, argv: Sequence[str], domain_jsonable: Optional[dic
                    columns: Sequence[str], rows: Sequence[dict]) -> None:
     payload = {
         "argv": list(argv),
-        "version": PACKAGE_VERSION,
+        "version": __version__,
         "domain": domain_jsonable,
         "domain_digest": domain_digest(domain_jsonable),
         "columns": list(columns),

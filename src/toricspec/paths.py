@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
+from .rationals import _scaled
 
 # ((dx, dy), multiplicity): dx >= 0, dy <= 0, gcd(dx, -dy) == 1, multiplicity >= 1
 Edge = tuple[tuple[int, int], int]
@@ -136,13 +137,14 @@ class LatticePath:
         return cls.from_edges(edges)
 
 
+def _chain_twice_area(vertices: Sequence[tuple]) -> int | Fraction:
+    """Twice the area between a vertex chain from the y-axis to the x-axis and
+    the axes, by the shoelace formula; the closing edges via the origin add 0."""
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])))
+
+
 def _twice_area(path: LatticePath) -> int:
-    # shoelace of the closed polygon (0,0) -> (0,b) -> ... -> (a,0) -> (0,0)
-    verts = [(0, 0)] + path.vertices() + [(0, 0)]
-    s = 0
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        s += x0 * y1 - x1 * y0
-    return abs(s)
+    return _chain_twice_area(path.vertices())
 
 
 def enclosed_area(path: LatticePath) -> Fraction:
@@ -229,6 +231,11 @@ def _scan_paths(
     yield from walk(0, 0, 0, 0, 0, 0, 0, 0)
 
 
+def _stack_path(stack: Sequence[Sequence[int]]) -> LatticePath:
+    """The path held by a _scan_paths stack of [p, q, mult] entries."""
+    return LatticePath(tuple(((p, -q), m) for p, q, m in stack))
+
+
 def direction_table(
     max_length: Fraction,
     rho: Fraction,
@@ -255,9 +262,8 @@ def direction_table(
             if w < max_length or (inclusive and w == max_length):
                 raw.append((_direction_key(p, -q), p, q, w))
     raw.sort(key=lambda r: r[0])
-    den = lcm(max_length.denominator, *(r[3].denominator for r in raw)) if raw else max_length.denominator
-    dirs = [(p, q, int(w * den)) for _k, p, q, w in raw]
-    bound = int(max_length * den)
+    bound, *costs, _den = _scaled(max_length, *(w for _k, _p, _q, w in raw))
+    dirs = [(p, q, cost) for (_k, p, q, _w), cost in zip(raw, costs)]
     return dirs, bound, cap
 
 
@@ -288,4 +294,4 @@ def enumerate_paths(
         bound -= 1  # integer budgets make strict < equivalent to <= bound-1
     stack: list[list[int]] = []
     for _state in _scan_paths(dirs, bound, cap, cap, stack):
-        yield LatticePath(tuple(((p, -q), m) for p, q, m in stack))
+        yield _stack_path(stack)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import lcm
 
 from .errors import ValidationError
 
@@ -31,6 +32,36 @@ def parse_rat(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational literal: {text!r}") from exc
+
+
+def _exact_rat(x: object, what: str) -> Fraction:
+    """Coerce an exact input (Fraction, int, or rational literal) to a Fraction.
+
+    Floats are refused: binary rounding would silently poison exact results.
+    """
+    if isinstance(x, float):
+        raise ValidationError(f"{what} must be exact; floats are rejected: {x!r}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{what} must be rational: {x!r}") from exc
+
+
+def _positive_axes(a: object, b: object) -> tuple[Fraction, Fraction]:
+    """Exact ellipsoid axes (a, b), both positive."""
+    a, b = _exact_rat(a, "axis"), _exact_rat(b, "axis")
+    if a <= 0 or b <= 0:
+        raise ValidationError("axes must be positive")
+    return a, b
+
+
+def _scaled(*values: Fraction) -> tuple[int, ...]:
+    """The values' numerators over their least common denominator d, then d.
+
+    Lets hot loops compare and add exact rationals as plain integers.
+    """
+    d = lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (d // v.denominator) for v in values), d)
 
 
 def rat_cmp(x: Fraction, y: Fraction) -> int:

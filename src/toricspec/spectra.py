@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Optional, Sequence
 
 from .domains import (
@@ -33,17 +33,11 @@ from .paths import (
     LatticePath,
     _count_from_invariants,
     _scan_paths,
+    _stack_path,
     direction_table,
     lattice_count_pick,
 )
-from .rationals import Rat
-
-
-def _check_axes(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValidationError("axes must be positive rationals")
-    return a, b
+from .rationals import Rat, _exact_rat, _positive_axes, _scaled
 
 
 def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tuple[int, int]]]:
@@ -52,26 +46,11 @@ def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tu
     Returned with witnesses (m, n); ties are emitted in lexicographic
     (m, n) order. Entry k is the k-th spectral invariant of E(a, b).
     """
-    a, b = _check_axes(a, b)
+    a, b = _positive_axes(a, b)
     if k_max < 0:
         raise ValidationError("k_max must be nonnegative")
-    heap: list[tuple[Fraction, int, int]] = [(Fraction(0), 0, 0)]
-    seen = {(0, 0)}
-    out: list[tuple[Fraction, tuple[int, int]]] = []
-    while len(out) <= k_max:
-        val, m, n = heapq.heappop(heap)
-        out.append((val, (m, n)))
-        for m2, n2 in ((m + 1, n), (m, n + 1)):
-            if (m2, n2) not in seen:
-                seen.add((m2, n2))
-                heapq.heappush(heap, (a * m2 + b * n2, m2, n2))
-    return out
-
-
-def _scaled_pair(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    # represent a = an/d, b = bn/d over a common denominator
-    d = lcm(a.denominator, b.denominator)
-    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+    return [(val, (wit["m"], wit["n"]))
+            for val, wit in EllipsoidSpectrum(Ellipsoid(a, b)).entries(k_max)]
 
 
 def count_action_pairs(a: Fraction, b: Fraction, limit: Fraction, *, strict: bool = False) -> int:
@@ -80,12 +59,11 @@ def count_action_pairs(a: Fraction, b: Fraction, limit: Fraction, *, strict: boo
     With strict=True the inequality is strict. Pure integer row scan over
     the variable with the larger coefficient, so the row count is minimal.
     """
-    a, b = _check_axes(a, b)
-    limit = Fraction(limit)
+    a, b = _positive_axes(a, b)
+    limit = _exact_rat(limit, "limit")
     if limit < 0:
         return 0
-    d = lcm(a.denominator, b.denominator, limit.denominator)
-    an, bn, ln = int(a * d), int(b * d), int(limit * d)
+    an, bn, ln, _d = _scaled(a, b, limit)
     if strict:
         ln -= 1  # integer actions: strict < ln+1 equals <= ln
     return _count_scaled(an, bn, ln)
@@ -94,28 +72,26 @@ def count_action_pairs(a: Fraction, b: Fraction, limit: Fraction, *, strict: boo
 def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
     """Entry k of the ellipsoid sequence by counting inversion.
 
-    Independent of the heap route: the k-th value is the least L in the
-    value grid with at least k + 1 pairs of action <= L. k = 0 returns 0
-    by that same convention (the empty pair has action 0).
+    Independent of the heap route: the k-th value is the least level L
+    with at least k + 1 pairs of action <= L. The pair count only steps
+    up at action values, so bisecting over integer levels (in units of
+    the axes' common denominator) lands on one. k = 0 returns 0 by that
+    same convention (the empty pair has action 0).
     """
-    a, b = _check_axes(a, b)
+    a, b = _positive_axes(a, b)
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    an, bn, d = _scaled_pair(a, b)
-    hi = max(an, bn)
+    an, bn, d = _scaled(a, b)
+    lo, hi = 0, max(an, bn)
     while _count_scaled(an, bn, hi) < k + 1:
-        hi *= 2
-    values = sorted({an * m + bn * n
-                     for m in range(hi // an + 1)
-                     for n in range((hi - an * m) // bn + 1)})
-    lo_idx, hi_idx = 0, len(values) - 1
-    while lo_idx < hi_idx:
-        mid = (lo_idx + hi_idx) // 2
-        if _count_scaled(an, bn, values[mid]) >= k + 1:
-            hi_idx = mid
+        lo, hi = hi + 1, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _count_scaled(an, bn, mid) >= k + 1:
+            hi = mid
         else:
-            lo_idx = mid + 1
-    return Fraction(values[lo_idx], d)
+            lo = mid + 1
+    return Fraction(lo, d)
 
 
 def _count_scaled(an: int, bn: int, ln: int) -> int:
@@ -134,7 +110,7 @@ def _count_scaled(an: int, bn: int, ln: int) -> int:
 def ball_capacity(a: Fraction, k: int) -> tuple[Fraction, dict]:
     """Closed form for the ball: value d a, where d is the unique
     nonnegative integer with d^2 + d <= 2k <= d^2 + 3d."""
-    a = Fraction(a)
+    a = _exact_rat(a, "ball parameter")
     if a <= 0:
         raise ValidationError("ball parameter must be positive")
     if k < 0:
@@ -162,9 +138,7 @@ def _greedy_feasible_path(profile: ToricProfile, k: int) -> LatticePath:
     # hull of {(x, y) >= 0 : b x + a y <= N_k(a, b)} encloses >= k+1 points,
     # where a, b are the intercepts; its boundary is a feasible path
     a_int, b_int = profile.x_intercept, profile.y_intercept
-    level = nk_via_lattice(a_int, b_int, k)
-    d = lcm(a_int.denominator, b_int.denominator, level.denominator)
-    an, bn, ln = int(a_int * d), int(b_int * d), int(level * d)
+    an, bn, ln, _d = _scaled(a_int, b_int, nk_via_lattice(a_int, b_int, k))
     xmax = ln // bn
     pts = [(x, (ln - bn * x) // an) for x in range(xmax + 1)]
     hull: list[tuple[int, int]] = []
@@ -209,16 +183,16 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     rho = norm_floor(profile)
     dirs, bound_int, cap = direction_table(bound, rho, lambda p: omega_length(profile, p), True)
     stack: list[list[int]] = []
-    best_ge: Optional[tuple[int, tuple]] = None
-    best_eq: Optional[tuple[int, tuple]] = None
+    best_ge: Optional[tuple[int, LatticePath]] = None
+    best_eq: Optional[tuple[int, LatticePath]] = None
     scanned = 0
     for ln, a, b, msum, cross in _scan_paths(dirs, bound_int, cap, cap, stack):
         scanned += 1
         count = _count_from_invariants(a, b, msum, cross)
         if count >= need and (best_ge is None or ln < best_ge[0]):
-            best_ge = (ln, tuple((p, q, m) for p, q, m in stack))
+            best_ge = (ln, _stack_path(stack))
         if count == need and (best_eq is None or ln < best_eq[0]):
-            best_eq = (ln, tuple((p, q, m) for p, q, m in stack))
+            best_eq = (ln, _stack_path(stack))
     if best_ge is None or best_eq is None:
         raise AssertionError("enumeration missed the greedy feasible path")
     scale = Fraction(bound_int) / bound  # the common denominator used by the scan
@@ -227,9 +201,7 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     if val_ge != val_eq:
         raise AssertionError(
             f"corner rounding failed: min over >= is {val_ge}, min over == is {val_eq}")
-    path_eq = LatticePath(tuple(((p, -q), m) for p, q, m in best_eq[1]))
-    path_ge = LatticePath(tuple(((p, -q), m) for p, q, m in best_ge[1]))
-    return ToricCapacityResult(val_eq, path_eq, val_ge, val_eq, path_ge, bound, scanned)
+    return ToricCapacityResult(val_eq, best_eq[1], val_ge, val_eq, best_ge[1], bound, scanned)
 
 
 def toric_capacity(profile: ToricProfile, k: int) -> tuple[Fraction, LatticePath]:
@@ -292,28 +264,25 @@ class EllipsoidSpectrum(Spectrum):
         if not isinstance(ellipsoid, Ellipsoid):
             raise ValidationError("EllipsoidSpectrum needs an Ellipsoid")
         self._ellipsoid = ellipsoid
-        self._heap: list[tuple[Fraction, int, int]] = []
-        self._seen = {(0, 0)}
+        self._an, self._bn, self._d = _scaled(ellipsoid.a, ellipsoid.b)
+        # integer entries (v, m, n) with action v / d; the cached k = 0 entry
+        # (0, 0) is the root of the generation tree, so start from its children
+        self._heap: list[tuple[int, int, int]] = sorted([(self._an, 1, 0), (self._bn, 0, 1)])
         super().__init__()
-        self._expand(0, 0)  # k = 0 is the cached (0, 0) entry; seed its successors
-
-    def _push(self, m: int, n: int) -> None:
-        e = self._ellipsoid
-        heapq.heappush(self._heap, (e.a * m + e.b * n, m, n))
-
-    def _expand(self, m: int, n: int) -> None:
-        for m2, n2 in ((m + 1, n), (m, n + 1)):
-            if (m2, n2) not in self._seen:
-                self._seen.add((m2, n2))
-                self._push(m2, n2)
 
     def _zero_witness(self) -> object:
         return {"m": 0, "n": 0}
 
     def _compute(self, k: int) -> tuple[Fraction, object]:
-        val, m, n = heapq.heappop(self._heap)
-        self._expand(m, n)
-        return val, {"m": m, "n": n}
+        # Canonical generation tree: (m + 1, 0) only from (m, 0), (m, n + 1)
+        # from every entry, so each pair is pushed once. A child's action
+        # exceeds its parent's, so all pairs of one action are in the heap
+        # before the first of them pops and ties leave in (m, n) order.
+        v, m, n = heapq.heappop(self._heap)
+        if n == 0:
+            heapq.heappush(self._heap, (v + self._an, m + 1, 0))
+        heapq.heappush(self._heap, (v + self._bn, m, n + 1))
+        return Fraction(v, self._d), {"m": m, "n": n}
 
     def domain(self) -> Domain:
         return self._ellipsoid
@@ -456,7 +425,7 @@ def spectrum_for(domain: Domain) -> Spectrum:
 
 def conformal_scale(spectrum: Spectrum, r: Fraction) -> Spectrum:
     """Spectrum of the domain dilated by r; values scale linearly in r."""
-    r = Fraction(r)
+    r = _exact_rat(r, "scale factor")
     if r <= 0:
         raise ValidationError("scale factor must be positive")
     return spectrum.scaled(r)

@@ -126,6 +126,12 @@ class TestOrbitSets:
         with pytest.raises(MissingCoverError):
             star_shaped_index(OrbitSet((fractional,), ((0,),)))
 
+    def test_unrelated_cover_error_propagates(self):
+        # only a missing cover (a lookup failure) becomes MissingCoverError
+        broken = OrbitRecord("z", 1, -1, lambda j: j // 0, 1)
+        with pytest.raises(ZeroDivisionError):
+            star_shaped_index(OrbitSet((broken,), ((0,),)))
+
 
 class TestOrbitJson:
     def ellipsoid_mirror(self):

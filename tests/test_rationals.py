@@ -2,7 +2,33 @@ from fractions import Fraction
 
 import pytest
 
-from toricspec import ValidationError, approx_string, parse_rat, rat_cmp, to_string
+from toricspec import (
+    Ellipsoid,
+    EllipsoidSpectrum,
+    ValidationError,
+    approx_string,
+    ball_capacity,
+    best_approx_above,
+    best_approx_below,
+    close_gap_consistency,
+    conformal_scale,
+    count_action_pairs,
+    cz_from_rotation,
+    ellipsoid_action,
+    ellipsoid_close,
+    ellipsoid_index,
+    ellipsoid_orbit_set,
+    gap_asymptotics,
+    index_action_scan,
+    nk_sequence,
+    nk_via_lattice,
+    parse_rat,
+    rat_cmp,
+    spectral_gap,
+    to_string,
+)
+
+F = Fraction
 
 
 def test_parse_forms():
@@ -57,3 +83,32 @@ def test_approx_comes_from_exact_value():
     assert approx_string(Fraction(1, 3), digits=3) == "0.333"
     with pytest.raises(ValidationError):
         approx_string(Fraction(1), digits=0)
+
+
+@pytest.mark.parametrize("call, args", [
+    (nk_sequence, (0.1, 1, 3)),
+    (nk_sequence, (1, 1.5, 3)),
+    (nk_via_lattice, (0.5, F(2), 4)),
+    (nk_via_lattice, (F(1), 2.0, 4)),
+    (count_action_pairs, (1.5, F(1), F(3))),
+    (count_action_pairs, (F(1), F(3, 2), 3.0)),
+    (ball_capacity, (1.5, 3)),
+    (best_approx_below, (1.0, F(89, 55), F(100))),
+    (best_approx_below, (F(1), F(89, 55), 100.0)),
+    (best_approx_above, (F(1), 1.618, F(100))),
+    (best_approx_above, (F(1), F(89, 55), 100.0)),
+    (ellipsoid_close, (F(1), 1.618, F(100))),
+    (ellipsoid_close, (F(1), F(89, 55), 100.0)),
+    (ellipsoid_index, (0.7, F(1), 2, 3)),
+    (ellipsoid_orbit_set, (F(2), 3.0, 1, 1)),
+    (index_action_scan, (1.0007, F(1), 3)),
+    (ellipsoid_action, (F(2), 3.5, 1, 1)),
+    (cz_from_rotation, (1.5,)),
+    (close_gap_consistency, (F(1), F(89, 55), [F(10), 20.0])),
+    (spectral_gap, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), 10.0)),
+    (gap_asymptotics, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), [F(5), 10.0])),
+    (conformal_scale, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), 1.5)),
+])
+def test_library_entry_points_refuse_floats(call, args):
+    with pytest.raises(ValidationError, match="float"):
+        call(*args)

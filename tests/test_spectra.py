@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricspec import (
     Ball,
@@ -71,6 +72,27 @@ class TestEllipsoidSequence:
             nk_sequence(F(1), F(1), -1)
         with pytest.raises(ValidationError):
             nk_via_lattice(F(1), F(1), -2)
+
+
+# small or near-10^6 denominators; equal axes and integer ratios give ties
+_axis = st.builds(F, st.one_of(st.integers(1, 20), st.integers(1, 3 * 10**6)),
+                  st.one_of(st.integers(1, 12), st.integers(10**6 - 20, 10**6 + 20)))
+_axes = st.one_of(st.tuples(_axis, _axis), _axis.map(lambda x: (x, x)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(axes=_axes, k_max=st.integers(0, 30))
+def test_heap_matches_brute_force_and_counting_inversion(axes, k_max):
+    a, b = axes
+    # the first k_max + 1 entries have m, n <= k_max: each (m', n) with
+    # m' < m, or (m, n') with n' < n, has strictly smaller action
+    brute = sorted((a * m + b * n, m, n)
+                   for m in range(k_max + 1) for n in range(k_max + 1))[: k_max + 1]
+    expected = [(v, (m, n)) for v, m, n in brute]
+    assert nk_sequence(a, b, k_max) == expected
+    entries = EllipsoidSpectrum(Ellipsoid(a, b)).entries(k_max)
+    assert [(v, (w["m"], w["n"])) for v, w in entries] == expected
+    assert [nk_via_lattice(a, b, k) for k in range(k_max + 1)] == [v for v, _w in expected]
 
 
 class TestCountActionPairs:
