@@ -136,12 +136,9 @@ def _spectrum_rows(domain: Domain, k_max: int) -> list[dict]:
     cached = cache.load(key)
     if cached is not None:
         return cached
-    spec = spectrum_for(domain)
-    rows = []
-    for k in range(k_max + 1):
-        value, witness = spec.entry(k)
-        rows.append({"k": k, "exact": to_string(value), "approx": approx_string(value),
-                     "witness": jsonable_witness(witness)})
+    rows = [{"k": k, "exact": to_string(value), "approx": approx_string(value),
+             "witness": jsonable_witness(witness)}
+            for k, (value, witness) in enumerate(spectrum_for(domain).entries(k_max))]
     cache.store(key, rows)
     return rows
 

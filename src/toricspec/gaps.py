@@ -36,7 +36,10 @@ def spectral_gap(spectrum: Spectrum, cutoff: Fraction) -> GapReport:
     """Least c_{k+1} - c_k over all k with c_{k+1} <= cutoff.
 
     Ties in the spectrum give gap 0. achieving_k is the smallest k
-    realizing the minimum. Infinite when c_1 > cutoff.
+    realizing the minimum. Infinite when c_1 > cutoff. The scan extends
+    the spectrum in batches of about an eighth of the prefix read so far:
+    O(log k) provider passes instead of one per entry, at the cost of at
+    most about k / 8 entries computed past the cutoff.
     """
     cutoff = _exact_rat(cutoff, "cutoff")
     if spectrum.value(1) > cutoff:
@@ -44,13 +47,19 @@ def spectral_gap(spectrum: Spectrum, cutoff: Fraction) -> GapReport:
     best: Optional[Fraction] = None
     best_k: Optional[int] = None
     k = 0
+    reach = 2  # entries 0..reach-1 are cached
+    prev = spectrum.value(0)
     while True:
+        if k + 1 == reach:
+            reach = k + 2 + k // 8
+            spectrum.entry(reach - 1)
         nxt = spectrum.value(k + 1)
         if nxt > cutoff:
             break
-        diff = nxt - spectrum.value(k)
+        diff = nxt - prev
         if best is None or diff < best:
             best, best_k = diff, k
+        prev = nxt
         k += 1
     return GapReport(cutoff, best, best_k)
 
@@ -104,7 +113,17 @@ def _best_frac_le(x: Fraction, max_den: int) -> tuple[int, int]:
 
 def best_approx_below(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
     """Coprime (m, n), m >= 1, maximizing n/m subject to n/m <= a/b, a m <= cutoff."""
-    a, b, cutoff = _check_close_inputs(a, b, cutoff)
+    return _approx_below(*_check_close_inputs(a, b, cutoff))
+
+
+def best_approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
+    """Coprime (m, n), n >= 1, maximizing m/n subject to m/n <= b/a, b n <= cutoff."""
+    return _approx_above(*_check_close_inputs(a, b, cutoff))
+
+
+# The private helpers below take inputs already passed through _check_close_inputs.
+
+def _approx_below(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
     m_cap = floor(cutoff / a)
     n, m = _best_frac_le(a / b, m_cap)
     if n == 0:
@@ -112,9 +131,7 @@ def best_approx_below(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant
     return Approximant("below", m, n)
 
 
-def best_approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
-    """Coprime (m, n), n >= 1, maximizing m/n subject to m/n <= b/a, b n <= cutoff."""
-    a, b, cutoff = _check_close_inputs(a, b, cutoff)
+def _approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
     n_cap = floor(cutoff / b)
     m, n = _best_frac_le(b / a, n_cap)
     if m == 0:
@@ -124,18 +141,25 @@ def best_approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant
 
 def _check_close_inputs(a, b, cutoff) -> tuple[Fraction, Fraction, Fraction]:
     a, b = _positive_axes(a, b)
+    return a, b, _check_cutoff(a, b, cutoff)
+
+
+def _check_cutoff(a: Fraction, b: Fraction, cutoff) -> Fraction:
     cutoff = _exact_rat(cutoff, "cutoff")
     if cutoff < max(a, b):
         raise PreconditionError(
             f"cutoff {cutoff} is below max(a, b) = {max(a, b)}; no approximant exists")
-    return a, b, cutoff
+    return cutoff
 
 
 def ellipsoid_close(a: Fraction, b: Fraction, cutoff: Fraction) -> Fraction:
     """Closing bound min(a m- - b n-, b n+ - a m+) from the two approximants."""
-    below = best_approx_below(a, b, cutoff)
-    above = best_approx_above(a, b, cutoff)
-    a, b, cutoff = _check_close_inputs(a, b, cutoff)
+    return _close(*_check_close_inputs(a, b, cutoff))
+
+
+def _close(a: Fraction, b: Fraction, cutoff: Fraction) -> Fraction:
+    below = _approx_below(a, b, cutoff)
+    above = _approx_above(a, b, cutoff)
     d_below = a * below.m - b * below.n
     d_above = b * above.n - a * above.m
     if d_below < 0 or d_above < 0:
@@ -154,8 +178,8 @@ def close_gap_consistency(a: Fraction, b: Fraction,
     spectrum = EllipsoidSpectrum(Ellipsoid(a, b))
     rows = []
     for cutoff in cutoffs:
-        cutoff = _exact_rat(cutoff, "cutoff")
-        close = ellipsoid_close(a, b, cutoff)
+        cutoff = _check_cutoff(a, b, cutoff)
+        close = _close(a, b, cutoff)
         report = spectral_gap(spectrum, cutoff)
         if report.gap is not None and close > report.gap:
             raise ConsistencyError(

@@ -157,6 +157,17 @@ def _greedy_feasible_path(profile: ToricProfile, k: int) -> LatticePath:
     return LatticePath.from_vertex_chain(hull)
 
 
+def _greedy_scan_table(profile: ToricProfile, k: int) -> tuple[Fraction, list, int, int]:
+    """(bound, dirs, scaled bound, extent cap) for an inclusive path scan at
+    the length of the greedy feasible path for k, which bounds c_k above."""
+    greedy = _greedy_feasible_path(profile, k)
+    if lattice_count_pick(greedy) < k + 1:
+        raise AssertionError("greedy path must be feasible")
+    bound = omega_length(profile, greedy)
+    rho = norm_floor(profile)
+    return (bound, *direction_table(bound, rho, lambda p: omega_length(profile, p), True))
+
+
 def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     """Minimal path length with at least k + 1 enclosed lattice points.
 
@@ -175,13 +186,8 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
         empty = LatticePath.empty()
         return ToricCapacityResult(Fraction(0), empty, Fraction(0), Fraction(0), empty,
                                    Fraction(0), 1)
-    greedy = _greedy_feasible_path(profile, k)
-    bound = omega_length(profile, greedy)
+    bound, dirs, bound_int, cap = _greedy_scan_table(profile, k)
     need = k + 1
-    if lattice_count_pick(greedy) < need:
-        raise AssertionError("greedy path must be feasible")
-    rho = norm_floor(profile)
-    dirs, bound_int, cap = direction_table(bound, rho, lambda p: omega_length(profile, p), True)
     stack: list[list[int]] = []
     best_ge: Optional[tuple[int, LatticePath]] = None
     best_eq: Optional[tuple[int, LatticePath]] = None
@@ -211,7 +217,12 @@ def toric_capacity(profile: ToricProfile, k: int) -> tuple[Fraction, LatticePath
 
 
 class Spectrum:
-    """Nondecreasing sequence c_0 = 0 <= c_1 <= ... with witnesses, lazily extended."""
+    """Nondecreasing sequence c_0 = 0 <= c_1 <= ... with witnesses, lazily extended.
+
+    A provider implements one batch hook, _extend(k_max), which returns the
+    entries len(cache)..k_max in order; this class checks them and caches
+    them, so a request for k_max costs one provider pass.
+    """
 
     kind = "abstract"
 
@@ -221,19 +232,22 @@ class Spectrum:
     def _zero_witness(self) -> object:
         return None
 
-    def _compute(self, k: int) -> tuple[Fraction, object]:
-        raise NotImplementedError
+    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
+        raise UnavailableError(f"no rule extends a {self.kind} spectrum past k = 0")
 
     def entry(self, k: int) -> tuple[Fraction, object]:
         if k < 0:
             raise ValidationError("k must be nonnegative")
-        while len(self._cache) <= k:
-            j = len(self._cache)
-            val, wit = self._compute(j)
-            if val < self._cache[-1][0]:
-                raise AssertionError(f"spectrum not nondecreasing at k={j}")
-            self._cache.append((val, wit))
-        return self._cache[k]
+        cache = self._cache
+        if k >= len(cache):
+            new = self._extend(k)
+            prev = cache[-1][0]
+            for j, (val, _wit) in enumerate(new, len(cache)):
+                if val < prev:
+                    raise AssertionError(f"spectrum not nondecreasing at k={j}")
+                prev = val
+            cache += new
+        return cache[k]
 
     def value(self, k: int) -> Fraction:
         return self.entry(k)[0]
@@ -273,16 +287,20 @@ class EllipsoidSpectrum(Spectrum):
     def _zero_witness(self) -> object:
         return {"m": 0, "n": 0}
 
-    def _compute(self, k: int) -> tuple[Fraction, object]:
+    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
         # Canonical generation tree: (m + 1, 0) only from (m, 0), (m, n + 1)
         # from every entry, so each pair is pushed once. A child's action
         # exceeds its parent's, so all pairs of one action are in the heap
         # before the first of them pops and ties leave in (m, n) order.
-        v, m, n = heapq.heappop(self._heap)
-        if n == 0:
-            heapq.heappush(self._heap, (v + self._an, m + 1, 0))
-        heapq.heappush(self._heap, (v + self._bn, m, n + 1))
-        return Fraction(v, self._d), {"m": m, "n": n}
+        heap, an, bn, d = self._heap, self._an, self._bn, self._d
+        out = []
+        for _ in range(len(self._cache), k_max + 1):
+            v, m, n = heapq.heappop(heap)
+            if n == 0:
+                heapq.heappush(heap, (v + an, m + 1, 0))
+            heapq.heappush(heap, (v + bn, m, n + 1))
+            out.append((Fraction(v, d), {"m": m, "n": n}))
+        return out
 
     def domain(self) -> Domain:
         return self._ellipsoid
@@ -305,8 +323,8 @@ class BallSpectrum(Spectrum):
     def _zero_witness(self) -> object:
         return {"d": 0}
 
-    def _compute(self, k: int) -> tuple[Fraction, object]:
-        return ball_capacity(self._ball.a, k)
+    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
+        return [ball_capacity(self._ball.a, k) for k in range(len(self._cache), k_max + 1)]
 
     def domain(self) -> Domain:
         return self._ball
@@ -329,8 +347,37 @@ class ToricSpectrum(Spectrum):
     def _zero_witness(self) -> object:
         return LatticePath.empty()
 
-    def _compute(self, k: int) -> tuple[Fraction, object]:
-        return toric_capacity(self._profile, k)
+    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
+        """Every c_k up to k_max from one inclusive scan at the greedy bound for k_max.
+
+        Each k <= k_max has c_k <= c_{k_max} <= that bound, and the scan
+        meets paths in an order that does not depend on the bound, so the
+        first minimal path per exact enclosed count is the witness the per-k
+        route toric_capacity_detail returns. The minimum over "at least
+        k + 1" is a suffix minimum over the counts; it must equal the
+        minimum over "exactly k + 1" (corner rounding).
+        """
+        start = len(self._cache)
+        bound, dirs, bound_int, cap = _greedy_scan_table(self._profile, k_max)
+        over = k_max + 1  # one bucket for every path enclosing more than k_max + 1 points
+        lens = [bound_int + 1] * (over + 1)  # least scaled length per bucket, or past the bound
+        paths: list[Optional[LatticePath]] = [None] * (over + 1)
+        stack: list[list[int]] = []
+        for ln, a, b, msum, cross in _scan_paths(dirs, bound_int, cap, cap, stack):
+            i = min(_count_from_invariants(a, b, msum, cross), over + 1) - 1
+            if ln < lens[i]:
+                lens[i], paths[i] = ln, _stack_path(stack)
+        if min(lens[k_max:]) > bound_int:
+            raise AssertionError("enumeration missed the greedy feasible path")
+        scale = Fraction(bound_int) / bound  # the common denominator used by the scan
+        at_least = lens[over]
+        for k in range(k_max, start - 1, -1):
+            at_least = min(at_least, lens[k])
+            if lens[k] != at_least:
+                raise AssertionError(
+                    f"corner rounding failed at k={k}: min over >= is {at_least / scale}, "
+                    f"min over == is {lens[k] / scale}")
+        return [(lens[k] / scale, paths[k]) for k in range(start, over)]
 
     def domain(self) -> Domain:
         return self._profile
@@ -355,41 +402,43 @@ class UnionSpectrum(Spectrum):
         return {"partition": [0] * len(self._parts),
                 "parts": [p._zero_witness() for p in self._parts]}
 
-    def _compute(self, k: int) -> tuple[Fraction, object]:
-        values: list[list[Fraction]] = []
+    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
+        entries: list[list[tuple[Fraction, object]]] = []
         for idx, p in enumerate(self._parts):
             try:
-                values.append(p.values(k))
+                entries.append(p.entries(k_max))
             except UnavailableError as exc:
                 raise UnavailableError(f"union part {idx} ({p.kind}): {exc}") from exc
-        # dp[j] = best total over the first i parts at budget j
-        dp = list(values[0][: k + 1])
-        back: list[list[int]] = [[j for j in range(k + 1)]]
-        for vals in values[1:]:
-            nxt: list[Fraction] = []
+        # one convolution up to k_max, over the values scaled to a common denominator
+        n = k_max + 1
+        *flat, d = _scaled(*(v for part in entries for v, _w in part))
+        dp = flat[:n]  # dp[j] = best total over the parts so far at budget j
+        back: list[list[int]] = []  # back[i - 1][j]: share of parts 0..i-1 when 0..i share j
+        for i in range(1, len(entries)):
+            vals = flat[i * n:(i + 1) * n]
+            nxt: list[int] = []
             arg: list[int] = []
-            for j in range(k + 1):
-                best = None
-                bt = 0
-                for t in range(j + 1):
-                    cand = dp[t] + vals[j - t]
-                    if best is None or cand > best:
-                        best, bt = cand, t
+            for j in range(n):
+                row = [dp[t] + vals[j - t] for t in range(j + 1)]
+                best = max(row)
                 nxt.append(best)
-                arg.append(bt)
+                arg.append(row.index(best))  # the smallest t on ties
             dp = nxt
             back.append(arg)
-        parts_k: list[int] = []
-        j = k
-        for i in range(len(self._parts) - 1, 0, -1):
-            t = back[i][j]
-            parts_k.append(j - t)
-            j = t
-        parts_k.append(j)
-        parts_k.reverse()
-        witness = {"partition": parts_k,
-                   "parts": [p.entry(ki)[1] for p, ki in zip(self._parts, parts_k)]}
-        return dp[k], witness
+        out = []
+        for k in range(len(self._cache), n):
+            partition = []
+            j = k
+            for arg in reversed(back):
+                t = arg[j]
+                partition.append(j - t)
+                j = t
+            partition.append(j)
+            partition.reverse()
+            out.append((Fraction(dp[k], d),
+                        {"partition": partition,
+                         "parts": [part[ki][1] for part, ki in zip(entries, partition)]}))
+        return out
 
     def domain(self) -> Domain:
         return DisjointUnion(tuple(p.domain() for p in self._parts))

@@ -4,9 +4,12 @@ from fractions import Fraction
 from math import floor, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricspec import (
     Approximant,
+    Ball,
+    DisjointUnion,
     Ellipsoid,
     EllipsoidSpectrum,
     PreconditionError,
@@ -18,6 +21,8 @@ from toricspec import (
     gap_asymptotics,
     nk_sequence,
     spectral_gap,
+    spectrum_for,
+    validate_profile,
 )
 
 F = Fraction
@@ -193,3 +198,30 @@ class TestAsymptoticRows:
             tail = [r["scaled"] for r in rows[i:] if r["scaled"] is not None]
             assert row["suffix_sup"] == max(tail)
             assert row["scaled"] == row["cutoff"] * row["gap"]
+
+
+def _entrywise_gap(spectrum, cutoff):
+    """(gap, achieving_k) from single-entry reads, the smallest k on ties."""
+    best = best_k = None
+    k = 0
+    while spectrum.value(k + 1) <= cutoff:
+        diff = spectrum.value(k + 1) - spectrum.value(k)
+        if best is None or diff < best:
+            best, best_k = diff, k
+        k += 1
+    return best, best_k
+
+
+_gap_domains = st.one_of(
+    st.builds(Ellipsoid, st.sampled_from([F(1), F(3, 2), F(2), GOLDEN]),
+              st.sampled_from([F(1), F(5, 3), F(3)])),
+    st.builds(Ball, st.sampled_from([F(1), F(3, 2)])),
+    st.just(validate_profile([(0, 3), (1, 2), (2, 0)])),
+    st.just(DisjointUnion((Ball(F(1)), validate_profile([(0, 2), (1, 1), (2, 0)])))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(domain=_gap_domains, cutoff=st.builds(F, st.integers(0, 12), st.integers(1, 3)))
+def test_batched_gap_scan_matches_entrywise_scan(domain, cutoff):
+    report = spectral_gap(spectrum_for(domain), cutoff)
+    assert (report.gap, report.achieving_k) == _entrywise_gap(spectrum_for(domain), cutoff)

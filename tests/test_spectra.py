@@ -115,7 +115,9 @@ class TestCountActionPairs:
             a = F(rng.randint(1, 9), rng.randint(1, 4))
             b = F(rng.randint(1, 9), rng.randint(1, 4))
             lim = F(rng.randint(0, 40), rng.randint(1, 4))
-            naive = sum(1 for m in range(200) for n in range(200)
+            # a m <= lim and b n <= lim bound the box; no pair outside it counts
+            naive = sum(1 for m in range(min(200, int(lim / a) + 1))
+                        for n in range(min(200, int(lim / b) + 1))
                         if a * m + b * n <= lim and a * m <= lim and b * n <= lim)
             assert count_action_pairs(a, b, lim) == naive
 
@@ -326,3 +328,110 @@ class TestWeyl:
         devs = [abs(r["deviation"]) for r in rows]
         assert devs == sorted(devs, reverse=True)
         assert devs[-1] < F(1, 20)
+
+
+# convex profiles: up to three edges of strictly decreasing slope from a short
+# list (0 allowed first), then an optional vertical edge; heights kept positive
+_slopes = st.lists(st.sampled_from([F(0), F(-1, 3), F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3)]),
+                   min_size=1, max_size=3, unique=True).map(lambda s: sorted(s, reverse=True))
+
+
+@st.composite
+def _profiles(draw):
+    slopes = draw(_slopes)
+    dxs = [draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)])) for _ in slopes]
+    drop = draw(st.sampled_from([F(0), F(1, 2), F(1)]))
+    if drop == 0 and slopes == [0]:
+        drop = F(1)
+    y = drop - sum(s * dx for s, dx in zip(slopes, dxs))
+    x = F(0)
+    verts = [(x, y)]
+    for s, dx in zip(slopes, dxs):
+        x, y = x + dx, y + s * dx
+        verts.append((x, y))
+    if drop:
+        verts.append((x, F(0)))
+    return validate_profile(verts)
+
+
+_triangles = st.builds(triangle_profile,
+                       st.sampled_from([F(1), F(3, 2), F(2), F(5, 2), F(3)]),
+                       st.sampled_from([F(1), F(4, 3), F(2), F(3)]))
+_toric_profiles = st.one_of(_profiles(), _triangles)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prof=_toric_profiles, k_max=st.integers(1, 10))
+def test_toric_sweep_matches_per_k_route(prof, k_max):
+    entries = ToricSpectrum(prof).entries(k_max)
+    assert len(entries) == k_max + 1
+    for k, (val, wit) in enumerate(entries):
+        res = toric_capacity_detail(prof, k)
+        assert (val, wit) == (res.value, res.witness), k
+
+
+_small_domains = st.one_of(
+    st.builds(Ball, st.sampled_from([F(1), F(3, 2), F(2)])),
+    st.builds(Ellipsoid, st.sampled_from([F(1), F(2), F(5, 3)]),
+              st.sampled_from([F(1), F(3), F(7, 4)])),
+    _toric_profiles)
+
+
+def _brute_union(parts, k):
+    """Best partition of k by exhaustion; ties go to the reversed partition that
+    is largest, which is the one the union backtrack picks."""
+    lists = [p.entries(k) for p in parts]
+    split = max((s for s in product(range(k + 1), repeat=len(parts)) if sum(s) == k),
+                key=lambda s: (sum(l[ki][0] for l, ki in zip(lists, s)), s[::-1]))
+    value = sum(l[ki][0] for l, ki in zip(lists, split))
+    return value, {"partition": list(split), "parts": [l[ki][1] for l, ki in zip(lists, split)]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(toric=_toric_profiles, others=st.lists(_small_domains, min_size=0, max_size=2),
+       k_max=st.integers(0, 6), data=st.data())
+def test_union_matches_brute_force_partitions(toric, others, k_max, data):
+    domains = data.draw(st.permutations([toric] + others))
+    parts = [spectrum_for(d) for d in domains]
+    entries = UnionSpectrum(parts).entries(k_max)
+    assert entries == [_brute_union(parts, k) for k in range(k_max + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(domain=st.one_of(_small_domains,
+                        st.lists(_small_domains, min_size=1, max_size=3)
+                        .map(lambda ps: DisjointUnion(tuple(ps)))),
+       k1=st.integers(0, 7), k2=st.integers(0, 7))
+def test_extending_a_prefix_matches_a_fresh_sweep(domain, k1, k2):
+    spec = spectrum_for(domain)
+    first = spec.entries(k1)
+    assert spec.entries(k2) == spectrum_for(domain).entries(k2)
+    assert spec.entries(k1) == first
+
+
+def test_provider_without_a_rule_is_unavailable():
+    class _Bare(Spectrum):
+        kind = "bare"
+
+        def domain(self):
+            return Ball(F(1))
+
+    spec = _Bare()
+    assert spec.entries(0) == [(0, None)]
+    with pytest.raises(UnavailableError, match="bare"):
+        spec.entry(1)
+
+
+def test_unavailable_batch_extension_is_named_in_a_union():
+    class _Opaque(Spectrum):
+        kind = "opaque"
+
+        def _extend(self, k_max):
+            raise UnavailableError("no rule for this shape")
+
+        def domain(self):
+            return Ball(F(1))
+
+    union = UnionSpectrum([BallSpectrum(Ball(F(1))), _Opaque()])
+    with pytest.raises(UnavailableError, match=r"part 1 \(opaque\): no rule for this shape"):
+        union.entries(3)
