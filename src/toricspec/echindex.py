@@ -22,8 +22,8 @@ from .errors import (
     ValidationError,
 )
 from .paths import LatticePath, _twice_area
-from .rationals import _exact_rat, _positive_axes
-from .spectra import count_action_pairs
+from .rationals import _exact_rat, _positive_axes, _scaled, floor_sum
+from .spectra import _count_scaled
 
 
 def ellipsoid_index(a: Fraction, b: Fraction, m1: int, m2: int) -> int:
@@ -31,8 +31,13 @@ def ellipsoid_index(a: Fraction, b: Fraction, m1: int, m2: int) -> int:
     a, b = _positive_axes(a, b)
     if m1 < 0 or m2 < 0:
         raise ValidationError("multiplicities must be nonnegative")
-    s1 = sum(floor(j * a / b) for j in range(1, m1 + 1))
-    s2 = sum(floor(j * b / a) for j in range(1, m2 + 1))
+    return _index_pq(*(a / b).as_integer_ratio(), m1, m2)
+
+
+def _index_pq(p: int, q: int, m1: int, m2: int) -> int:
+    # a / b = p / q in lowest terms; the sums over 1 <= j <= m start at j = 0 here
+    s1 = floor_sum(m1 + 1, q, p, 0)
+    s2 = floor_sum(m2 + 1, p, q, 0)
     return 2 * (m1 + m2 + m1 * m2 + s1 + s2)
 
 
@@ -240,44 +245,32 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
     index = 2 (count - 1). Both identities need the scanned range to be
     collision free: no j a / b or j b / a may be an integer for j up to
     m_max, and all actions up to (a + b) m_max must be pairwise distinct.
-    Violations raise PreconditionError naming the collision.
+    With a / b = p / q in lowest terms, the first collisions are j = q,
+    j = p and the pairs (0, p), (q, 0); violations raise PreconditionError
+    naming the collision. Each row's index and counts are floor sums.
     """
     a, b = _positive_axes(a, b)
     if m_max < 0:
         raise ValidationError("m_max must be nonnegative")
-    for j in range(1, m_max + 1):
-        if (j * a / b).denominator == 1:
-            raise PreconditionError(f"ratio collision: {j} * a / b = {j * a / b} is an integer")
-        if (j * b / a).denominator == 1:
-            raise PreconditionError(f"ratio collision: {j} * b / a = {j * b / a} is an integer")
-    _assert_distinct_actions(a, b, (a + b) * m_max)
+    p, q = (a / b).as_integer_ratio()
+    if q <= min(p, m_max):
+        raise PreconditionError(f"ratio collision: {q} * a / b = {q * a / b} is an integer")
+    if p <= m_max:
+        raise PreconditionError(f"ratio collision: {p} * b / a = {p * b / a} is an integer")
+    if a * q <= (a + b) * m_max:
+        raise PreconditionError(
+            f"action collision: pairs (0, {p}) and ({q}, 0) share action {a * q}")
+    an, bn, d = _scaled(a, b)
     rows = []
     for m1 in range(m_max + 1):
         for m2 in range(m_max + 1):
-            action = ellipsoid_action(a, b, m1, m2)
-            idx = ellipsoid_index(a, b, m1, m2)
-            rank = count_action_pairs(a, b, action, strict=True)
-            tangent = count_action_pairs(a, b, action)
+            v = an * m1 + bn * m2
+            idx = _index_pq(p, q, m1, m2)
+            rank = _count_scaled(an, bn, v - 1)
+            tangent = _count_scaled(an, bn, v)
             if idx != 2 * rank:
-                raise AssertionError(
-                    f"index {idx} != 2 * rank {rank} at (m1, m2) = ({m1}, {m2})")
+                raise AssertionError(f"index {idx} != 2 * rank {rank} at (m1, m2) = ({m1}, {m2})")
             if idx != 2 * (tangent - 1):
-                raise AssertionError(
-                    f"index {idx} != 2 * (tangent count - 1) at ({m1}, {m2})")
-            rows.append(IndexScanRow(m1, m2, action, idx, rank, tangent))
+                raise AssertionError(f"index {idx} != 2 * (tangent count - 1) at ({m1}, {m2})")
+            rows.append(IndexScanRow(m1, m2, Fraction(v, d), idx, rank, tangent))
     return IndexScanReport(a, b, m_max, tuple(rows))
-
-
-def _assert_distinct_actions(a: Fraction, b: Fraction, limit: Fraction) -> None:
-    seen: dict[Fraction, tuple[int, int]] = {}
-    m = 0
-    while a * m <= limit:
-        n = 0
-        while a * m + b * n <= limit:
-            v = a * m + b * n
-            if v in seen:
-                raise PreconditionError(
-                    f"action collision: pairs {seen[v]} and ({m}, {n}) share action {v}")
-            seen[v] = (m, n)
-            n += 1
-        m += 1

@@ -124,19 +124,14 @@ def best_approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant
 # The private helpers below take inputs already passed through _check_close_inputs.
 
 def _approx_below(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
-    m_cap = floor(cutoff / a)
-    n, m = _best_frac_le(a / b, m_cap)
-    if n == 0:
-        m = 1  # every 0/m is the same approximation; keep the canonical one
-    return Approximant("below", m, n)
+    n, m = _best_frac_le(a / b, floor(cutoff / a))
+    # every 0/m is the same approximation; keep the canonical 0/1
+    return Approximant("below", m if n else 1, n)
 
 
 def _approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
-    n_cap = floor(cutoff / b)
-    m, n = _best_frac_le(b / a, n_cap)
-    if m == 0:
-        n = 1
-    return Approximant("above", m, n)
+    m, n = _best_frac_le(b / a, floor(cutoff / b))
+    return Approximant("above", m, n if m else 1)
 
 
 def _check_close_inputs(a, b, cutoff) -> tuple[Fraction, Fraction, Fraction]:
@@ -154,17 +149,23 @@ def _check_cutoff(a: Fraction, b: Fraction, cutoff) -> Fraction:
 
 def ellipsoid_close(a: Fraction, b: Fraction, cutoff: Fraction) -> Fraction:
     """Closing bound min(a m- - b n-, b n+ - a m+) from the two approximants."""
+    return _close(*_check_close_inputs(a, b, cutoff))[0]
+
+
+def ellipsoid_close_detail(a: Fraction, b: Fraction,
+                           cutoff: Fraction) -> tuple[Fraction, Approximant, Approximant]:
+    """The closing bound with the below and above approximants it comes from."""
     return _close(*_check_close_inputs(a, b, cutoff))
 
 
-def _close(a: Fraction, b: Fraction, cutoff: Fraction) -> Fraction:
+def _close(a: Fraction, b: Fraction, cutoff: Fraction) -> tuple[Fraction, Approximant, Approximant]:
     below = _approx_below(a, b, cutoff)
     above = _approx_above(a, b, cutoff)
     d_below = a * below.m - b * below.n
     d_above = b * above.n - a * above.m
     if d_below < 0 or d_above < 0:
         raise AssertionError("approximant on the wrong side of the ratio")
-    return min(d_below, d_above)
+    return min(d_below, d_above), below, above
 
 
 def close_gap_consistency(a: Fraction, b: Fraction,
@@ -179,7 +180,7 @@ def close_gap_consistency(a: Fraction, b: Fraction,
     rows = []
     for cutoff in cutoffs:
         cutoff = _check_cutoff(a, b, cutoff)
-        close = _close(a, b, cutoff)
+        close = _close(a, b, cutoff)[0]
         report = spectral_gap(spectrum, cutoff)
         if report.gap is not None and close > report.gap:
             raise ConsistencyError(

@@ -83,10 +83,8 @@ class LatticePath:
     @classmethod
     def from_vertex_chain(cls, vertices: Sequence[tuple[int, int]]) -> "LatticePath":
         """Path whose vertices are the given chain from the y-axis endpoint."""
-        edges = []
-        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-            edges.append(((x1 - x0, y1 - y0), 1))
-        return cls.from_edges(edges)
+        return cls.from_edges(((x1 - x0, y1 - y0), 1)
+                              for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]))
 
     @property
     def x_extent(self) -> int:

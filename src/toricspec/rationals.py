@@ -64,6 +64,24 @@ def _scaled(*values: Fraction) -> tuple[int, ...]:
     return (*(v.numerator * (d // v.denominator) for v in values), d)
 
 
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a i + b) / m) over 0 <= i < n, for n >= 0, m >= 1 and any
+    integers a, b, in O(log m) Euclid-style steps: reduce a and b modulo m,
+    then count the lattice points under the line from the other axis."""
+    if n < 0 or m < 1:
+        raise ValidationError(f"floor_sum needs n >= 0 and m >= 1, got n={n}, m={m}")
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
 def rat_cmp(x: Fraction, y: Fraction) -> int:
     """Three-way comparison: -1, 0, or 1."""
     if x < y:

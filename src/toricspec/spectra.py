@@ -37,7 +37,7 @@ from .paths import (
     direction_table,
     lattice_count_pick,
 )
-from .rationals import Rat, _exact_rat, _positive_axes, _scaled
+from .rationals import Rat, _exact_rat, _positive_axes, _scaled, floor_sum
 
 
 def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tuple[int, int]]]:
@@ -56,14 +56,11 @@ def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tu
 def count_action_pairs(a: Fraction, b: Fraction, limit: Fraction, *, strict: bool = False) -> int:
     """Number of pairs (m, n) of nonnegative integers with a m + b n <= limit.
 
-    With strict=True the inequality is strict. Pure integer row scan over
-    the variable with the larger coefficient, so the row count is minimal.
+    With strict=True the inequality is strict. Counted over integers scaled
+    to the common denominator by one floor sum, in O(log) steps.
     """
     a, b = _positive_axes(a, b)
-    limit = _exact_rat(limit, "limit")
-    if limit < 0:
-        return 0
-    an, bn, ln, _d = _scaled(a, b, limit)
+    an, bn, ln, _d = _scaled(a, b, _exact_rat(limit, "limit"))
     if strict:
         ln -= 1  # integer actions: strict < ln+1 equals <= ln
     return _count_scaled(an, bn, ln)
@@ -82,9 +79,7 @@ def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
     if k < 0:
         raise ValidationError("k must be nonnegative")
     an, bn, d = _scaled(a, b)
-    lo, hi = 0, max(an, bn)
-    while _count_scaled(an, bn, hi) < k + 1:
-        lo, hi = hi + 1, hi * 2
+    lo, hi = 0, k * min(an, bn)  # the k + 1 multiples 0..k of the shorter axis fit
     while lo < hi:
         mid = (lo + hi) // 2
         if _count_scaled(an, bn, mid) >= k + 1:
@@ -95,16 +90,11 @@ def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
 
 
 def _count_scaled(an: int, bn: int, ln: int) -> int:
+    # pairs with an m + bn n <= ln: row m = top - i holds (an i + ln - an top) // bn + 1
     if ln < 0:
         return 0
-    if an < bn:
-        an, bn = bn, an
-    total = 0
-    r = 0
-    while an * r <= ln:
-        total += (ln - an * r) // bn + 1
-        r += 1
-    return total
+    top = ln // an
+    return top + 1 + floor_sum(top + 1, bn, an, ln - an * top)
 
 
 def ball_capacity(a: Fraction, k: int) -> tuple[Fraction, dict]:
@@ -455,9 +445,7 @@ class UnionSpectrum(Spectrum):
 
 def union_capacity(parts: Sequence[Spectrum], k: int) -> tuple[Fraction, dict]:
     """Largest sum of part values over partitions k_1 + ... + k_m = k."""
-    spec = UnionSpectrum(parts)
-    val, wit = spec.entry(k)
-    return val, wit
+    return UnionSpectrum(parts).entry(k)
 
 
 def spectrum_for(domain: Domain) -> Spectrum:

@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main()."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from toricspec import Ball, DisjointUnion, Ellipsoid, UnionSpectrum, spectrum_for
+from toricspec import gaps
 from toricspec.cli import main
 
 F = Fraction
@@ -90,6 +92,20 @@ class TestGapAndCloseCommands:
         assert r["close"] == "1/11"
         assert (r["m_minus"], r["n_minus"], r["m_plus"], r["n_plus"]) == ("5", "3", "8", "5")
 
+    def test_close_runs_each_mediant_walk_once(self, capsys, monkeypatch):
+        calls = []
+        walk = gaps._best_frac_le
+
+        def counted(x, max_den):
+            calls.append((x, max_den))
+            return walk(x, max_den)
+        monkeypatch.setattr(gaps, "_best_frac_le", counted)
+        code, out, _ = run(capsys, "close", "--a", "1", "--b", "89/55", "--L", "10000")
+        assert code == 0
+        assert out == ("cutoff,close,close_approx,m_minus,n_minus,m_plus,n_plus\n"
+                       "10000,0,0,89,55,89,55\n")
+        assert len(calls) == 2
+
     def test_close_below_max_axis_fails(self, capsys):
         code, _, err = run(capsys, "close", "--a", "1", "--b", "89/55", "--L", "1")
         assert code == 2 and "error:" in err
@@ -135,6 +151,24 @@ class TestIndexCommand:
         assert len(rows) == 9
         for r in rows:
             assert int(r["index"]) == 2 * int(r["rank"])
+
+    def test_scan_output_is_pinned(self, capsys):
+        # rows and digest recorded from the loop-form implementation
+        code, out, _ = run(capsys, "index", "--a", "10007/10000", "--b", "1", "--scan", "12")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 170
+        assert lines[:4] == ["m1,m2,action,action_approx,index,rank,tangent_count",
+                             "0,0,0,0,0,0,1", "0,1,1,1,2,1,2", "0,2,2,2,6,3,4"]
+        assert lines[13:16] == ["0,12,12,12,156,78,79", "1,0,10007/10000,1.0007,4,2,3",
+                                "1,1,20007/10000,2.0007,8,4,5"]
+        assert lines[79:82] == ["6,0,30021/5000,6.0042,54,27,28", "6,1,35021/5000,7.0042,68,34,35",
+                                "6,2,40021/5000,8.0042,84,42,43"]
+        assert lines[167:] == ["12,10,55021/2500,22.0084,530,265,266",
+                               "12,11,57521/2500,23.0084,576,288,289",
+                               "12,12,60021/2500,24.0084,624,312,313"]
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "68b84f15e251208fe4d9933cd759172462a1bc02d8a6c3568f86d2db259f1d40"
 
     def test_scan_precondition_fails(self, capsys):
         code, _, err = run(capsys, "index", "--a", "1", "--b", "1", "--scan", "2")

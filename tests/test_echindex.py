@@ -1,9 +1,12 @@
 """Index formulas: closed form vs first principles, rotation indices,
 orbit set plumbing, path bounds, the index-action scan."""
 
+import time
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricspec import (
     DegenerateRotationError,
@@ -13,6 +16,7 @@ from toricspec import (
     OrbitSet,
     PreconditionError,
     ValidationError,
+    count_action_pairs,
     cz_from_rotation,
     ellipsoid_action,
     ellipsoid_index,
@@ -215,3 +219,85 @@ class TestIndexActionScan:
             index_action_scan(F(-1), F(2), 1)
         with pytest.raises(ValidationError):
             index_action_scan(F(89), F(55), -1)
+
+
+# The loop forms the floor-sum routes replaced, kept here as the oracle.
+
+def _loop_index(a, b, m1, m2):
+    s1 = sum(floor(j * a / b) for j in range(1, m1 + 1))
+    s2 = sum(floor(j * b / a) for j in range(1, m2 + 1))
+    return 2 * (m1 + m2 + m1 * m2 + s1 + s2)
+
+
+def _loop_scan_preconditions(a, b, m_max):
+    for j in range(1, m_max + 1):
+        if (j * a / b).denominator == 1:
+            raise PreconditionError(f"ratio collision: {j} * a / b = {j * a / b} is an integer")
+        if (j * b / a).denominator == 1:
+            raise PreconditionError(f"ratio collision: {j} * b / a = {j * b / a} is an integer")
+    limit = (a + b) * m_max
+    seen = {}
+    m = 0
+    while a * m <= limit:
+        n = 0
+        while a * m + b * n <= limit:
+            v = a * m + b * n
+            if v in seen:
+                raise PreconditionError(
+                    f"action collision: pairs {seen[v]} and ({m}, {n}) share action {v}")
+            seen[v] = (m, n)
+            n += 1
+        m += 1
+
+
+_small_axis = st.builds(F, st.integers(1, 30), st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_small_axis, b=_small_axis, m1=st.integers(0, 40), m2=st.integers(0, 40))
+def test_index_matches_loop_and_first_principles(a, b, m1, m2):
+    idx = ellipsoid_index(a, b, m1, m2)
+    assert idx == _loop_index(a, b, m1, m2)
+    if m1 + m2 > 0:
+        assert idx == star_shaped_index(ellipsoid_orbit_set(a, b, m1, m2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_small_axis, b=_small_axis, m_max=st.integers(0, 14))
+def test_scan_matches_loop_preconditions(a, b, m_max):
+    try:
+        _loop_scan_preconditions(a, b, m_max)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as caught:
+            index_action_scan(a, b, m_max)
+        assert type(caught.value) is PreconditionError
+        assert str(caught.value) == str(exc)
+        return
+    report = index_action_scan(a, b, m_max)
+    assert [(r.m1, r.m2) for r in report.rows] == [
+        (m1, m2) for m1 in range(m_max + 1) for m2 in range(m_max + 1)]
+    for r in report.rows:
+        action = a * r.m1 + b * r.m2
+        assert r.action == action and r.index == _loop_index(a, b, r.m1, r.m2)
+        assert r.rank == count_action_pairs(a, b, action, strict=True)
+        assert r.tangent_count == count_action_pairs(a, b, action)
+
+
+def test_large_multiplicities_match_the_loop_quickly():
+    # the Fraction loop took about 10 s at this size; the integer loop is the oracle
+    m = 10**6
+    start = time.perf_counter()
+    idx = ellipsoid_index(F(89), F(55), m, m)
+    assert time.perf_counter() - start < 0.5
+    s1 = sum(89 * j // 55 for j in range(1, m + 1))
+    s2 = sum(55 * j // 89 for j in range(1, m + 1))
+    assert idx == 2 * (m + m + m * m + s1 + s2) == 4236163611846
+
+
+def test_index_is_twice_rank_at_large_multiplicities():
+    # generic: a / b = 1000003 / 1000000 in lowest terms, so the first equal
+    # actions, a * 1000000 = b * 1000003, lie far above every action here
+    a, b = F(1000003, 1000000), F(1)
+    for m1, m2 in [(10**5, 0), (0, 10**5), (10**5, 10**5), (99_991, 3)]:
+        action = ellipsoid_action(a, b, m1, m2)
+        assert ellipsoid_index(a, b, m1, m2) == 2 * count_action_pairs(a, b, action, strict=True)

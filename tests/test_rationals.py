@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricspec import (
     Ellipsoid,
@@ -27,6 +28,8 @@ from toricspec import (
     spectral_gap,
     to_string,
 )
+from toricspec.gaps import ellipsoid_close_detail
+from toricspec.rationals import floor_sum
 
 F = Fraction
 
@@ -99,6 +102,7 @@ def test_approx_comes_from_exact_value():
     (best_approx_above, (F(1), F(89, 55), 100.0)),
     (ellipsoid_close, (F(1), 1.618, F(100))),
     (ellipsoid_close, (F(1), F(89, 55), 100.0)),
+    (ellipsoid_close_detail, (F(1), F(89, 55), 100.0)),
     (ellipsoid_index, (0.7, F(1), 2, 3)),
     (ellipsoid_orbit_set, (F(2), 3.0, 1, 1)),
     (index_action_scan, (1.0007, F(1), 3)),
@@ -112,3 +116,25 @@ def test_approx_comes_from_exact_value():
 def test_library_entry_points_refuse_floats(call, args):
     with pytest.raises(ValidationError, match="float"):
         call(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 60), m=st.integers(1, 40),
+       a=st.integers(-200, 200), b=st.integers(-200, 200))
+def test_floor_sum_matches_brute_force(n, m, a, b):
+    # a and b range past m in both directions, so the reduction steps run
+    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_edges():
+    assert floor_sum(0, 7, 100, 100) == 0
+    assert floor_sum(1, 7, 100, 100) == 100 // 7
+    assert floor_sum(5, 1, 3, 2) == sum(3 * i + 2 for i in range(5))
+    # a long sum against the plain loop
+    assert floor_sum(10**5, 55, 89, 13) == sum((89 * i + 13) // 55 for i in range(10**5))
+
+
+@pytest.mark.parametrize("n, m", [(-1, 3), (2, 0), (2, -5)])
+def test_floor_sum_rejects_bad_ranges(n, m):
+    with pytest.raises(ValidationError, match="floor_sum"):
+        floor_sum(n, m, 1, 1)

@@ -3,6 +3,7 @@ union convolution, scaling, Weyl diagnostics."""
 
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,7 @@ from toricspec import (
     validate_profile,
     weyl_report,
 )
+from toricspec.spectra import _count_scaled
 from test_paths import naive_paths
 
 F = Fraction
@@ -120,6 +122,47 @@ class TestCountActionPairs:
                         for n in range(min(200, int(lim / b) + 1))
                         if a * m + b * n <= lim and a * m <= lim and b * n <= lim)
             assert count_action_pairs(a, b, lim) == naive
+
+
+def _row_scan_count(an, bn, ln):
+    """The pair count as a row scan over the larger coefficient (the former route)."""
+    if ln < 0:
+        return 0
+    if an < bn:
+        an, bn = bn, an
+    total = 0
+    r = 0
+    while an * r <= ln:
+        total += (ln - an * r) // bn + 1
+        r += 1
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(an=st.integers(1, 60), bn=st.integers(1, 60), ln=st.integers(-5, 3000))
+def test_floor_sum_count_matches_row_scan(an, bn, ln):
+    expected = _row_scan_count(an, bn, ln)
+    assert _count_scaled(an, bn, ln) == _count_scaled(bn, an, ln) == expected
+
+
+def _fraction_row_scan(a, b, limit, strict):
+    """Pairs with a m + b n <= limit (< with strict), one Fraction row per m."""
+    total, m = 0, 0
+    while a * m < limit or (not strict and a * m == limit):
+        rest = (limit - a * m) / b
+        total += ceil(rest) if strict else floor(rest) + 1
+        m += 1
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.builds(F, st.integers(1, 40), st.integers(1, 6)),
+       b=st.builds(F, st.integers(1, 40), st.integers(1, 6)),
+       limit=st.builds(F, st.integers(-3, 100), st.integers(1, 12)))
+def test_count_action_pairs_matches_row_scan(a, b, limit):
+    for x, y in ((a, b), (b, a)):
+        for strict in (False, True):
+            assert count_action_pairs(x, y, limit, strict=strict) == _fraction_row_scan(x, y, limit, strict)
 
 
 class TestBall:
