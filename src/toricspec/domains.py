@@ -49,9 +49,6 @@ class Ball:
         if self.a <= 0:
             raise ValidationError("ball radius parameter must be positive")
 
-    def as_ellipsoid(self) -> Ellipsoid:
-        return Ellipsoid(self.a, self.a)
-
     def profile(self) -> "ToricProfile":
         return triangle_profile(self.a, self.a)
 

@@ -2,21 +2,24 @@
 
 The gap of a spectrum below an action cutoff L is the least difference of
 consecutive entries whose upper member still fits under L; it is infinite
-when even the first positive entry exceeds L. For ellipsoids the closing
-bound has a closed form in terms of two one-sided best rational
-approximations of the axis ratio, found here by a mediant walk with
-batched steps so large denominators cost logarithmic time.
+when even the first positive entry exceeds L. One integer scan answers a
+whole grid of cutoffs. For ellipsoids the closing bound has a closed form
+in two one-sided best rational approximations of the axis ratio, found by
+a mediant walk whose batched steps are Euclid divisions on the fence
+remainders, so large denominators cost logarithmic time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from itertools import accumulate
+from math import floor
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, PreconditionError, ValidationError
-from .rationals import _exact_rat, _positive_axes
+from .rationals import _exact_rat, _positive_axes, _scaled
 from .spectra import EllipsoidSpectrum, Spectrum
 from .domains import Ellipsoid
 
@@ -36,32 +39,30 @@ def spectral_gap(spectrum: Spectrum, cutoff: Fraction) -> GapReport:
     """Least c_{k+1} - c_k over all k with c_{k+1} <= cutoff.
 
     Ties in the spectrum give gap 0. achieving_k is the smallest k
-    realizing the minimum. Infinite when c_1 > cutoff. The scan extends
-    the spectrum in batches of about an eighth of the prefix read so far:
-    O(log k) provider passes instead of one per entry, at the cost of at
-    most about k / 8 entries computed past the cutoff.
+    realizing the minimum. Infinite when c_1 > cutoff.
     """
-    cutoff = _exact_rat(cutoff, "cutoff")
-    if spectrum.value(1) > cutoff:
-        return GapReport(cutoff, None, None)
-    best: Optional[Fraction] = None
-    best_k: Optional[int] = None
-    k = 0
-    reach = 2  # entries 0..reach-1 are cached
-    prev = spectrum.value(0)
-    while True:
-        if k + 1 == reach:
-            reach = k + 2 + k // 8
-            spectrum.entry(reach - 1)
-        nxt = spectrum.value(k + 1)
-        if nxt > cutoff:
-            break
-        diff = nxt - prev
-        if best is None or diff < best:
-            best, best_k = diff, k
-        prev = nxt
-        k += 1
-    return GapReport(cutoff, best, best_k)
+    return _gap_scan(spectrum, [_exact_rat(cutoff, "cutoff")])[0]
+
+
+def _gap_scan(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport]:
+    """One GapReport per exact cutoff, in order, from one scan at the largest.
+
+    The spectrum grows in batches of about k / 8 entries (O(log k) provider
+    passes; up to about k / 8 entries past the top cutoff). Its values are
+    scaled once to integers s_k over a common denominator d; a running first
+    argmin of s_{k+1} - s_k is read at the number of s_k <= floor(cutoff d).
+    """
+    if not cutoffs:
+        return []
+    top, j = max(cutoffs), 1
+    while spectrum.value(j) <= top:
+        j += 1 + j // 8
+    *s, d = _scaled(*spectrum.values(j))
+    diffs = [y - x for x, y in zip(s, s[1:])]
+    # first[n]: the achieving k when exactly c_0..c_{n-1} fit under a cutoff
+    first = [None, None, *accumulate(range(len(diffs)), lambda i, k: k if diffs[k] < diffs[i] else i)]
+    ks = [first[bisect_right(s, floor(cutoff * d))] for cutoff in cutoffs]
+    return [GapReport(c, None if k is None else Fraction(diffs[k], d), k) for c, k in zip(cutoffs, ks)]
 
 
 @dataclass(frozen=True)
@@ -87,27 +88,29 @@ def _best_frac_le(x: Fraction, max_den: int) -> tuple[int, int]:
     Mediant walk between 0/1 and 1/0 with run-length batching: any
     fraction strictly between the walk's fences has denominator beyond
     both, so once the fence denominators exceed the cap the lower fence
-    is the answer.
+    is the answer. For x = p/q it keeps the remainders el = p ld - q ln >= 0
+    and er = q rn - p rd > 0: the mediant is <= x iff el >= er, and t steps
+    take t er from el or t el from er, Euclid's algorithm in plain integers.
     """
     if x <= 0:
         raise ValidationError("target must be positive")
     if max_den < 1:
         raise ValidationError("denominator cap must be at least 1")
-    if x.denominator <= max_den:
-        return x.numerator, x.denominator
-    ln, ld = 0, 1
-    rn, rd = 1, 0
+    el, er = x.numerator, x.denominator  # the remainders at the fences 0/1 and 1/0
+    if er <= max_den:
+        return el, er
+    ln, ld, rn, rd = 0, 1, 1, 0
     while ld + rd <= max_den:
-        if Fraction(ln + rn, ld + rd) <= x:
+        if el >= er:
             # batch steps toward the target from below
-            t = floor((x * ld - ln) / (rn - x * rd))
+            t = el // er
             if rd:
                 t = min(t, (max_den - ld) // rd)
-            ln, ld = ln + t * rn, ld + t * rd
+            ln, ld, el = ln + t * rn, ld + t * rd, el - t * er
         else:
             # batch steps tightening the upper fence
-            t = ceil((rn - x * rd) / (x * ld - ln)) - 1
-            rn, rd = rn + t * ln, rd + t * ld
+            t = (er - 1) // el
+            rn, rd, er = rn + t * ln, rd + t * ld, er - t * el
     return ln, ld
 
 
@@ -176,12 +179,10 @@ def close_gap_consistency(a: Fraction, b: Fraction,
     the inequality vacuously and is reported with gap None.
     """
     a, b = _positive_axes(a, b)
-    spectrum = EllipsoidSpectrum(Ellipsoid(a, b))
+    cutoffs = [_check_cutoff(a, b, cutoff) for cutoff in cutoffs]
     rows = []
-    for cutoff in cutoffs:
-        cutoff = _check_cutoff(a, b, cutoff)
-        close = _close(a, b, cutoff)[0]
-        report = spectral_gap(spectrum, cutoff)
+    for report in _gap_scan(EllipsoidSpectrum(Ellipsoid(a, b)), cutoffs):
+        cutoff, close = report.cutoff, _close(a, b, report.cutoff)[0]
         if report.gap is not None and close > report.gap:
             raise ConsistencyError(
                 f"close {close} exceeds gap {report.gap} at cutoff {cutoff} "
@@ -200,8 +201,7 @@ def gap_asymptotics(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[dic
     limit beyond it.
     """
     base = []
-    for cutoff in cutoffs:
-        report = spectral_gap(spectrum, cutoff)
+    for report in _gap_scan(spectrum, [_exact_rat(cutoff, "cutoff") for cutoff in cutoffs]):
         cutoff = report.cutoff
         scaled = None if report.gap is None else cutoff * report.gap
         base.append({"cutoff": cutoff, "gap": report.gap, "scaled": scaled,

@@ -110,6 +110,23 @@ class TestGapAndCloseCommands:
         code, _, err = run(capsys, "close", "--a", "1", "--b", "89/55", "--L", "1")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["close", "--a", "1", "--b", "FIB", "--L", "1e300"],
+         "351292664029ecc3e99583a2a7d3518662d4986fc25b82859da41a2246f2d093"),
+        (["gap", "--ellipsoid", "1", "89/55", "--L", "60"],
+         "00f38a832e65f28bd472d92ea4248f78985497f95ca3459c304979524741f0f1"),
+        (["gap-asymptotics", "--ellipsoid", "1", "89/55", "--L-grid", "10,20,40,80"],
+         "796011b95a0965535961032e96ad5d300aa411e8b058e3f78ea34004e65ef411"),
+    ])
+    def test_gap_and_close_output_is_pinned(self, capsys, argv, digest):
+        # digests recorded from the Fraction-loop implementation; FIB is F(1501)/F(1500)
+        fib = [0, 1]
+        while len(fib) < 1502:
+            fib.append(fib[-1] + fib[-2])
+        code, out, _ = run(capsys, *[f"{fib[1501]}/{fib[1500]}" if x == "FIB" else x for x in argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_gap_asymptotics_rows(self, capsys):
         code, out, _ = run(capsys, "gap-asymptotics", "--ellipsoid", "1", "1",
                            "--L-grid", "1/4,1/2,1,2")

@@ -1,7 +1,8 @@
 """Spectral gaps, one-sided approximants, the closing bound, asymptotic rows."""
 
+import time
 from fractions import Fraction
-from math import floor, gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from toricspec import (
     spectrum_for,
     validate_profile,
 )
+from toricspec.gaps import _best_frac_le, ellipsoid_close_detail
 
 F = Fraction
 GOLDEN = F(89, 55)
@@ -225,3 +227,169 @@ _gap_domains = st.one_of(
 def test_batched_gap_scan_matches_entrywise_scan(domain, cutoff):
     report = spectral_gap(spectrum_for(domain), cutoff)
     assert (report.gap, report.achieving_k) == _entrywise_gap(spectrum_for(domain), cutoff)
+
+
+def _fraction_walk(x, max_den):
+    """The mediant walk as it was written over Fractions, kept as the oracle."""
+    if x.denominator <= max_den:
+        return x.numerator, x.denominator
+    ln, ld = 0, 1
+    rn, rd = 1, 0
+    while ld + rd <= max_den:
+        if Fraction(ln + rn, ld + rd) <= x:
+            t = floor((x * ld - ln) / (rn - x * rd))
+            if rd:
+                t = min(t, (max_den - ld) // rd)
+            ln, ld = ln + t * rn, ld + t * rd
+        else:
+            t = ceil((rn - x * rd) / (x * ld - ln)) - 1
+            rn, rd = rn + t * ln, rd + t * ld
+    return ln, ld
+
+
+@st.composite
+def _walk_inputs(draw):
+    digits = st.one_of(st.integers(1, 100), st.integers(1, 10**60))
+    x = F(draw(digits), draw(digits))
+    q = x.denominator
+    cap = draw(st.one_of(st.just(1), st.integers(1, 10**70), st.integers(1, 1000),
+                         st.integers(max(1, q - 3), q + 3)))
+    return x, cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(_walk_inputs())
+def test_integer_walk_matches_fraction_walk(inputs):
+    x, cap = inputs
+    assert _best_frac_le(x, cap) == _fraction_walk(x, cap)
+
+
+def test_integer_walk_matches_search_over_denominators():
+    for p in range(1, 31):
+        for q in range(1, 31):
+            for cap in range(1, 36):
+                # the largest floor(p m / q) / m over m <= cap; the first m reached is reduced
+                bn, bm = 0, 1
+                for m in range(1, cap + 1):
+                    n = p * m // q
+                    if n * bm > bn * m:
+                        bn, bm = n, m
+                assert _best_frac_le(F(p, q), cap) == (bn, bm), (p, q, cap)
+
+
+def _fib(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_huge_fibonacci_close_is_fast():
+    ratio = F(_fib(1501), _fib(1500))
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        close, below, above = ellipsoid_close_detail(1, ratio, 10**300)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.040
+    assert ellipsoid_close(1, ratio, 10**300) == close
+    assert (below.m, below.n) == (_fib(1437), _fib(1436))
+    assert (above.m, above.n) == (_fib(1436), _fib(1435))
+
+
+@st.composite
+def _gap_axes(draw):
+    """Axes a, a r with r = p/q, q up to 10^6 and r within [1/20, 20], so a
+    cutoff at max(a, b) stays within a few hundred entries."""
+    a = draw(st.sampled_from([F(1), F(3, 2), F(2, 7)]))
+    q = draw(st.integers(1, 10**6))
+    return a, a * F(draw(st.integers(q // 20 + 1, 20 * q)), q)
+
+
+_sized_gap_domains = st.one_of(
+    st.tuples(_gap_axes().map(lambda ab: Ellipsoid(*ab)), st.just(80)),
+    st.tuples(st.builds(Ball, st.sampled_from([F(1), F(3, 2), F(7, 5)])), st.just(80)),
+    st.tuples(st.sampled_from([validate_profile([(0, 3), (1, 2), (2, 0)]),
+                               validate_profile([(0, 1), (1, 1), (1, 0)])]), st.just(15)),
+    st.tuples(st.just(DisjointUnion((Ball(F(1)), validate_profile([(0, 2), (1, 1), (2, 0)])))),
+              st.just(20)))
+
+
+def _cutoffs(draw, spectrum, k_top, size):
+    """Spectrum values (ties at the cutoff), midpoints between values, and
+    cutoffs below c_1, drawn from the first k_top entries."""
+    c1 = spectrum.value(1)
+    kinds = st.one_of(
+        st.integers(1, k_top).map(spectrum.value),
+        st.integers(0, k_top).map(lambda k: (spectrum.value(k) + spectrum.value(k + 1)) / 2),
+        st.sampled_from([F(0), c1 / 2, c1 - F(1, 10**9), -c1]))
+    return draw(st.lists(kinds, min_size=size, max_size=size + 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized=_sized_gap_domains, data=st.data())
+def test_gap_scan_matches_entrywise_scan_at_drawn_cutoffs(sized, data):
+    domain, k_top = sized
+    entrywise = spectrum_for(domain)
+    for cutoff in _cutoffs(data.draw, spectrum_for(domain), k_top, 1):
+        report = spectral_gap(spectrum_for(domain), cutoff)
+        assert report.cutoff == cutoff
+        assert (report.gap, report.achieving_k) == _entrywise_gap(entrywise, cutoff)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sized=_sized_gap_domains, data=st.data())
+def test_asymptotic_rows_match_per_cutoff_gaps(sized, data):
+    domain, k_top = sized
+    grid = _cutoffs(data.draw, spectrum_for(domain), k_top, 4)
+    grid = data.draw(st.permutations(grid + grid[:2]))  # unsorted, with repeats
+    rows = gap_asymptotics(spectrum_for(domain), grid)
+    assert [r["cutoff"] for r in rows] == grid
+    per_cutoff = spectrum_for(domain)
+    for i, (row, cutoff) in enumerate(zip(rows, grid)):
+        report = spectral_gap(per_cutoff, cutoff)
+        assert (row["gap"], row["infinite"]) == (report.gap, report.is_infinite)
+        assert row["scaled"] == (None if report.gap is None else cutoff * report.gap)
+        tail = [r["scaled"] for r in rows[i:] if r["scaled"] is not None]
+        assert row["suffix_sup"] == (max(tail) if tail else None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(axes=_gap_axes(), data=st.data())
+def test_consistency_rows_match_per_cutoff_close_and_gap(axes, data):
+    a, b = axes
+    spectrum = EllipsoidSpectrum(Ellipsoid(a, b))
+    grid = [max(a, b, c) for c in _cutoffs(data.draw, spectrum, 80, 4)]
+    grid = data.draw(st.permutations(grid + grid[-2:]))
+    rows = close_gap_consistency(a, b, grid)
+    assert [r["cutoff"] for r in rows] == grid
+    per_cutoff = EllipsoidSpectrum(Ellipsoid(a, b))
+    for row, cutoff in zip(rows, grid):
+        gap = spectral_gap(per_cutoff, cutoff).gap
+        close = ellipsoid_close(a, b, cutoff)
+        assert (row["close"], row["gap"]) == (close, gap)
+        assert row["margin"] == (None if gap is None else gap - close)
+
+
+def test_empty_grids_give_no_rows():
+    assert gap_asymptotics(EllipsoidSpectrum(Ellipsoid(F(1), GOLDEN)), []) == []
+    assert close_gap_consistency(F(1), GOLDEN, []) == []
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: gap_asymptotics(EllipsoidSpectrum(Ellipsoid(F(1), GOLDEN)), [F(5), F(2), 1.5, "x"]),
+     ValidationError, "cutoff must be exact; floats are rejected: 1.5"),
+    (lambda: gap_asymptotics(EllipsoidSpectrum(Ellipsoid(F(1), GOLDEN)), [F(5), "x", 1.5]),
+     ValidationError, "cutoff must be rational: 'x'"),
+    (lambda: close_gap_consistency(F(1), GOLDEN, [F(5), F(3), F(1), "x"]),
+     PreconditionError, "cutoff 1 is below max(a, b) = 89/55; no approximant exists"),
+    (lambda: close_gap_consistency(F(1), GOLDEN, [F(5), 0.5, F(1)]),
+     ValidationError, "cutoff must be exact; floats are rejected: 0.5"),
+    (lambda: close_gap_consistency(F(1), GOLDEN, [F(5), None]),
+     ValidationError, "cutoff must be rational: None"),
+])
+def test_first_bad_cutoff_in_a_grid_is_reported(call, error, text):
+    # texts recorded from the per-cutoff implementation
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == text
