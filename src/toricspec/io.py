@@ -24,7 +24,7 @@ CACHE_ENV = "TORICSPEC_CACHE_DIR"
 
 
 def jsonable_witness(witness: object) -> object:
-    """Normalize a provider witness into plain JSON data."""
+    """Normalize a provider witness or a row cell into plain JSON data."""
     if witness is None:
         return None
     if isinstance(witness, LatticePath):
@@ -55,14 +55,6 @@ def cell_text(value: object) -> str:
     return json.dumps(jsonable_witness(value), separators=(",", ":"), sort_keys=True)
 
 
-def jsonable_cell(value: object) -> object:
-    if isinstance(value, Fraction):
-        return to_string(value)
-    if value is None or isinstance(value, (int, str, bool)):
-        return value
-    return jsonable_witness(value)
-
-
 def render_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -76,9 +68,9 @@ def render_json(command: str, params: dict, columns: Sequence[str],
                 rows: Sequence[dict]) -> str:
     payload = {
         "command": command,
-        "params": {key: jsonable_cell(val) for key, val in params.items()},
+        "params": {key: jsonable_witness(val) for key, val in params.items()},
         "columns": list(columns),
-        "rows": [{col: jsonable_cell(row.get(col)) for col in columns} for row in rows],
+        "rows": [{col: jsonable_witness(row.get(col)) for col in columns} for row in rows],
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
@@ -98,7 +90,7 @@ def write_manifest(path: str, argv: Sequence[str], domain_jsonable: Optional[dic
         "domain": domain_jsonable,
         "domain_digest": domain_digest(domain_jsonable),
         "columns": list(columns),
-        "rows": [{col: jsonable_cell(row.get(col)) for col in columns} for row in rows],
+        "rows": [{col: jsonable_witness(row.get(col)) for col in columns} for row in rows],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

@@ -6,9 +6,10 @@ left to right (horizontal first, vertical last). Together with the two
 axis segments it bounds a convex region whose lattice points are what the
 capacity minimizations count.
 
-Two independent counting routes are provided: a direct column scan and
-Pick's theorem. They must always agree; tests enforce this on random
-paths.
+Three counting routes are provided: a direct column scan, Pick's
+theorem, and the running count the path scan carries from edge to edge.
+They must always agree; tests enforce this on random paths and on every
+scanned path.
 """
 
 from __future__ import annotations
@@ -170,10 +171,9 @@ def lattice_count_direct(path: LatticePath) -> int:
 def lattice_count_pick(path: LatticePath) -> int:
     """Same count via Pick's theorem: area + boundary/2 + 1.
 
-    Degenerate paths bound no area and fall back to the direct scan.
+    The identity holds for degenerate paths too: an axis segment of n
+    units bounds area 0 with boundary 2n, and the empty path encloses 1.
     """
-    if path.degenerate:
-        return lattice_count_direct(path)
     twice = _twice_area(path)
     boundary = path.x_extent + path.y_extent + path.total_multiplicity
     if (twice + boundary) % 2 != 0:
@@ -181,52 +181,45 @@ def lattice_count_pick(path: LatticePath) -> int:
     return (twice + boundary) // 2 + 1
 
 
-def _count_from_invariants(a: int, b: int, msum: int, chain_cross: int) -> int:
-    # enclosed lattice points from incremental scan state, O(1)
-    if a == 0 or b == 0:
-        return a + b + 1
-    twice = abs(chain_cross - a * b)
-    return (twice + a + b + msum) // 2 + 1
-
-
 def _scan_paths(
     dirs: Sequence[tuple[int, int, int]],
     bound: int,
-    cap_a: int,
-    cap_b: int,
+    cap: int,
     stack: list[list[int]],
-) -> Iterator[tuple[int, int, int, int, int]]:
+) -> Iterator[tuple[int, int]]:
     """Depth-first walk over all admissible paths in scaled-integer arithmetic.
 
     dirs: (p, q, unit_cost) sorted by decreasing slope of (p, -q); every
-    unit_cost is positive and <= bound. Yields (length, a, b, msum, cross)
-    once per path, parents before children; `stack` holds the live edge
-    list as [p, q, mult] entries and must be copied by the consumer if kept.
+    unit_cost is positive and <= bound; both extents stay <= cap. Yields
+    (length, count) once per path, parents before children, where count
+    is the number of enclosed lattice points: a unit of (p, -q) leaving
+    abscissa a raises the whole chain before it by q and adds its own
+    columns, q*a + (p+1)(q+1)/2 points in all (an integer, as gcd(p, q)
+    is 1). `stack` holds the live edge list as [p, q, mult] entries and
+    must be copied by the consumer if kept.
     """
     n = len(dirs)
 
-    def walk(j0: int, ln: int, a: int, b: int, ms: int, cr: int, x: int, y: int):
-        yield ln, a, b, ms, cr
+    def walk(j0: int, ln: int, a: int, b: int, count: int):
+        yield ln, count
         for j in range(j0, n):
             p, q, w = dirs[j]
-            if ln + w > bound or a + p > cap_a or b + q > cap_b:
+            if ln + w > bound or a + p > cap or b + q > cap:
                 continue
+            half = (p + 1) * (q + 1) // 2
             entry = [p, q, 0]
             stack.append(entry)
-            ln2, a2, b2, ms2, cr2, x2, y2 = ln, a, b, ms, cr, x, y
-            while ln2 + w <= bound and a2 + p <= cap_a and b2 + q <= cap_b:
+            ln2, a2, b2, count2 = ln, a, b, count
+            while ln2 + w <= bound and a2 + p <= cap and b2 + q <= cap:
                 ln2 += w
+                count2 += q * a2 + half
                 a2 += p
                 b2 += q
-                ms2 += 1
-                nx, ny = x2 + p, y2 - q
-                cr2 += x2 * ny - nx * y2
-                x2, y2 = nx, ny
                 entry[2] += 1
-                yield from walk(j + 1, ln2, a2, b2, ms2, cr2, x2, y2)
+                yield from walk(j + 1, ln2, a2, b2, count2)
             stack.pop()
 
-    yield from walk(0, 0, 0, 0, 0, 0, 0, 0)
+    yield from walk(0, 0, 0, 0, 1)
 
 
 def _stack_path(stack: Sequence[Sequence[int]]) -> LatticePath:
@@ -239,12 +232,15 @@ def direction_table(
     rho: Fraction,
     omega_length: Callable[[LatticePath], Fraction],
     inclusive: bool,
-) -> tuple[list[tuple[int, int, int]], int, int]:
+) -> tuple[list[tuple[int, int, int]], int, int, int]:
     """Admissible primitive directions with scaled unit costs.
 
-    Returns (dirs, scaled bound, extent cap). Direction (p, -q) is kept
-    when a single unit of it fits the length budget; rho must satisfy
-    omega_length >= rho * (x_extent + y_extent) so the extent cap is sound.
+    Returns (dirs, scaled bound, denominator, extent cap): the bound and
+    every unit cost are numerators over that common denominator, so a
+    scanned length ln is the exact value Fraction(ln, denominator).
+    Direction (p, -q) is kept when a single unit of it fits the length
+    budget; rho must satisfy omega_length >= rho * (x_extent + y_extent)
+    so the extent cap is sound.
     """
     if rho <= 0:
         raise ValidationError("rho must be positive")
@@ -260,9 +256,9 @@ def direction_table(
             if w < max_length or (inclusive and w == max_length):
                 raw.append((_direction_key(p, -q), p, q, w))
     raw.sort(key=lambda r: r[0])
-    bound, *costs, _den = _scaled(max_length, *(w for _k, _p, _q, w in raw))
+    bound, *costs, den = _scaled(max_length, *(w for _k, _p, _q, w in raw))
     dirs = [(p, q, cost) for (_k, p, q, _w), cost in zip(raw, costs)]
-    return dirs, bound, cap
+    return dirs, bound, den, cap
 
 
 def enumerate_paths(
@@ -287,9 +283,9 @@ def enumerate_paths(
     """
     if max_length <= 0:
         return
-    dirs, bound, cap = direction_table(max_length, rho, omega_length, inclusive)
+    dirs, bound, _den, cap = direction_table(max_length, rho, omega_length, inclusive)
     if not inclusive:
         bound -= 1  # integer budgets make strict < equivalent to <= bound-1
     stack: list[list[int]] = []
-    for _state in _scan_paths(dirs, bound, cap, cap, stack):
+    for _state in _scan_paths(dirs, bound, cap, stack):
         yield _stack_path(stack)

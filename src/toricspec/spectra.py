@@ -5,8 +5,8 @@ it: a monomial exponent pair for ellipsoids, the defining integer for
 balls, a lattice path for polygonal profiles, and a partition plus
 sub-witnesses for disjoint unions. Two independent routes exist for the
 ellipsoid sequence (a heap merge and a counting inversion) and two for
-profiles (the path minimization here against the closed forms); tests
-hold them to exact agreement.
+profiles (one path scan per sweep in ToricSpectrum, and the per-k scan
+toric_capacity_detail); tests hold them to exact agreement.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .domains import (
 from .errors import PreconditionError, UnavailableError, ValidationError
 from .paths import (
     LatticePath,
-    _count_from_invariants,
     _scan_paths,
     _stack_path,
     direction_table,
@@ -147,9 +146,10 @@ def _greedy_feasible_path(profile: ToricProfile, k: int) -> LatticePath:
     return LatticePath.from_vertex_chain(hull)
 
 
-def _greedy_scan_table(profile: ToricProfile, k: int) -> tuple[Fraction, list, int, int]:
-    """(bound, dirs, scaled bound, extent cap) for an inclusive path scan at
-    the length of the greedy feasible path for k, which bounds c_k above."""
+def _greedy_scan_table(profile: ToricProfile, k: int) -> tuple[Fraction, list, int, int, int]:
+    """(bound, dirs, scaled bound, denominator, extent cap) for an inclusive
+    path scan at the length of the greedy feasible path for k, which bounds
+    c_k above."""
     greedy = _greedy_feasible_path(profile, k)
     if lattice_count_pick(greedy) < k + 1:
         raise AssertionError("greedy path must be feasible")
@@ -172,28 +172,22 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
         raise ValidationError("toric_capacity needs a ToricProfile")
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    if k == 0:
-        empty = LatticePath.empty()
-        return ToricCapacityResult(Fraction(0), empty, Fraction(0), Fraction(0), empty,
-                                   Fraction(0), 1)
-    bound, dirs, bound_int, cap = _greedy_scan_table(profile, k)
+    bound, dirs, bound_int, den, cap = _greedy_scan_table(profile, k)
     need = k + 1
     stack: list[list[int]] = []
     best_ge: Optional[tuple[int, LatticePath]] = None
     best_eq: Optional[tuple[int, LatticePath]] = None
     scanned = 0
-    for ln, a, b, msum, cross in _scan_paths(dirs, bound_int, cap, cap, stack):
+    for ln, count in _scan_paths(dirs, bound_int, cap, stack):
         scanned += 1
-        count = _count_from_invariants(a, b, msum, cross)
         if count >= need and (best_ge is None or ln < best_ge[0]):
             best_ge = (ln, _stack_path(stack))
         if count == need and (best_eq is None or ln < best_eq[0]):
             best_eq = (ln, _stack_path(stack))
     if best_ge is None or best_eq is None:
         raise AssertionError("enumeration missed the greedy feasible path")
-    scale = Fraction(bound_int) / bound  # the common denominator used by the scan
-    val_ge = Fraction(best_ge[0]) / scale
-    val_eq = Fraction(best_eq[0]) / scale
+    val_ge = Fraction(best_ge[0], den)
+    val_eq = Fraction(best_eq[0], den)
     if val_ge != val_eq:
         raise AssertionError(
             f"corner rounding failed: min over >= is {val_ge}, min over == is {val_eq}")
@@ -348,26 +342,25 @@ class ToricSpectrum(Spectrum):
         minimum over "exactly k + 1" (corner rounding).
         """
         start = len(self._cache)
-        bound, dirs, bound_int, cap = _greedy_scan_table(self._profile, k_max)
+        _bound, dirs, bound_int, den, cap = _greedy_scan_table(self._profile, k_max)
         over = k_max + 1  # one bucket for every path enclosing more than k_max + 1 points
         lens = [bound_int + 1] * (over + 1)  # least scaled length per bucket, or past the bound
         paths: list[Optional[LatticePath]] = [None] * (over + 1)
         stack: list[list[int]] = []
-        for ln, a, b, msum, cross in _scan_paths(dirs, bound_int, cap, cap, stack):
-            i = min(_count_from_invariants(a, b, msum, cross), over + 1) - 1
+        for ln, count in _scan_paths(dirs, bound_int, cap, stack):
+            i = min(count, over + 1) - 1
             if ln < lens[i]:
                 lens[i], paths[i] = ln, _stack_path(stack)
         if min(lens[k_max:]) > bound_int:
             raise AssertionError("enumeration missed the greedy feasible path")
-        scale = Fraction(bound_int) / bound  # the common denominator used by the scan
         at_least = lens[over]
         for k in range(k_max, start - 1, -1):
             at_least = min(at_least, lens[k])
             if lens[k] != at_least:
                 raise AssertionError(
-                    f"corner rounding failed at k={k}: min over >= is {at_least / scale}, "
-                    f"min over == is {lens[k] / scale}")
-        return [(lens[k] / scale, paths[k]) for k in range(start, over)]
+                    f"corner rounding failed at k={k}: min over >= is {Fraction(at_least, den)}, "
+                    f"min over == is {Fraction(lens[k], den)}")
+        return [(Fraction(lens[k], den), paths[k]) for k in range(start, over)]
 
     def domain(self) -> Domain:
         return self._profile

@@ -371,6 +371,28 @@ def test_consistency_rows_match_per_cutoff_close_and_gap(axes, data):
         assert row["margin"] == (None if gap is None else gap - close)
 
 
+@settings(max_examples=40, deadline=None)
+@given(a=st.sampled_from([F(1), F(3, 2), F(2, 7)]), p=st.integers(1, 40), q=st.integers(1, 20),
+       data=st.data())
+def test_close_equals_gap_at_every_cutoff_from_the_larger_axis(a, p, q, data):
+    # For L >= max(a, b) the least gap between distinct values <= L is the
+    # closing bound (best one-sided approximants, three-distance setting), so
+    # the margin is exactly 0. Cutoffs run from max(a, b) to 40 max(a, b):
+    # spectrum values a m + b n (ties) and points on a grid of step max/97.
+    b = a * F(p, q)
+    top = max(a, b)
+    grid = [top]
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.booleans()):
+            m = data.draw(st.integers(0, floor(40 * top / a)))
+            n = data.draw(st.integers(0, floor((40 * top - a * m) / b)))
+            grid.append(max(top, a * m + b * n))
+        else:
+            grid.append(top * F(data.draw(st.integers(97, 40 * 97)), 97))
+    rows = close_gap_consistency(a, b, grid)
+    assert [row["margin"] for row in rows] == [0] * len(grid), (a, b, grid)
+
+
 def test_empty_grids_give_no_rows():
     assert gap_asymptotics(EllipsoidSpectrum(Ellipsoid(F(1), GOLDEN)), []) == []
     assert close_gap_consistency(F(1), GOLDEN, []) == []

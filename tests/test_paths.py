@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricspec import (
     LatticePath,
@@ -12,10 +13,14 @@ from toricspec import (
     enumerate_paths,
     lattice_count_direct,
     lattice_count_pick,
+    norm_floor,
     omega_length,
     square_profile,
+    toric_capacity_detail,
     triangle_profile,
+    validate_profile,
 )
+from toricspec.paths import _scan_paths, _stack_path, direction_table
 
 
 def random_path(rng, max_coord=6, max_mult=4):
@@ -172,3 +177,62 @@ class TestEnumeration:
         omega = lambda p: omega_length(prof, p)
         with pytest.raises(ValidationError):
             list(enumerate_paths(Fraction(1), Fraction(0), omega))
+
+
+# convex profiles: up to three edges of strictly decreasing slope from a short
+# list (0 allowed first), then an optional vertical edge; heights kept positive
+_profile_slopes = st.lists(
+    st.sampled_from([Fraction(s) for s in ("0", "-1/3", "-1/2", "-1", "-3/2", "-2", "-3")]),
+    min_size=1, max_size=3, unique=True).map(lambda s: sorted(s, reverse=True))
+
+
+@st.composite
+def convex_profiles(draw):
+    slopes = draw(_profile_slopes)
+    dxs = [draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]))
+           for _ in slopes]
+    drop = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+    if drop == 0 and slopes == [0]:
+        drop = Fraction(1)
+    y = drop - sum(s * dx for s, dx in zip(slopes, dxs))
+    x = Fraction(0)
+    verts = [(x, y)]
+    for s, dx in zip(slopes, dxs):
+        x, y = x + dx, y + s * dx
+        verts.append((x, y))
+    if drop:
+        verts.append((x, Fraction(0)))
+    return validate_profile(verts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prof=convex_profiles(),
+       budget_ratio=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4),
+                                     Fraction(6), Fraction(8)]),
+       inclusive=st.booleans())
+def test_scan_state_matches_the_slow_routes(prof, budget_ratio, inclusive):
+    # the budget scales with the shorter intercept, so a draw scans from one
+    # path up to about a thousand; each yielded state is checked against the
+    # column scan and the Fraction length of the path on the stack
+    omega = lambda p: omega_length(prof, p)
+    budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
+    dirs, bound, den, cap = direction_table(budget, norm_floor(prof), omega, inclusive)
+    if not inclusive:
+        bound -= 1
+    stack: list[list[int]] = []
+    scanned = 0
+    for length, count in _scan_paths(dirs, bound, cap, stack):
+        path = _stack_path(stack)
+        assert count == lattice_count_direct(path), path
+        assert length == omega(path) * den, path
+        scanned += 1
+    assert scanned >= 1
+
+
+def test_capacity_at_k0_is_the_empty_path_from_one_scan():
+    res = toric_capacity_detail(square_profile(Fraction(1)), 0)
+    assert res.value == 0
+    assert res.min_over_at_least == 0 and res.min_over_exact == 0
+    assert res.witness == LatticePath.empty() and res.witness_at_least == LatticePath.empty()
+    assert res.enumeration_bound == 0
+    assert res.paths_scanned == 1

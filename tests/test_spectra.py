@@ -37,7 +37,7 @@ from toricspec import (
     weyl_report,
 )
 from toricspec.spectra import _count_scaled
-from test_paths import naive_paths
+from test_paths import convex_profiles, naive_paths
 
 F = Fraction
 
@@ -373,34 +373,10 @@ class TestWeyl:
         assert devs[-1] < F(1, 20)
 
 
-# convex profiles: up to three edges of strictly decreasing slope from a short
-# list (0 allowed first), then an optional vertical edge; heights kept positive
-_slopes = st.lists(st.sampled_from([F(0), F(-1, 3), F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3)]),
-                   min_size=1, max_size=3, unique=True).map(lambda s: sorted(s, reverse=True))
-
-
-@st.composite
-def _profiles(draw):
-    slopes = draw(_slopes)
-    dxs = [draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)])) for _ in slopes]
-    drop = draw(st.sampled_from([F(0), F(1, 2), F(1)]))
-    if drop == 0 and slopes == [0]:
-        drop = F(1)
-    y = drop - sum(s * dx for s, dx in zip(slopes, dxs))
-    x = F(0)
-    verts = [(x, y)]
-    for s, dx in zip(slopes, dxs):
-        x, y = x + dx, y + s * dx
-        verts.append((x, y))
-    if drop:
-        verts.append((x, F(0)))
-    return validate_profile(verts)
-
-
 _triangles = st.builds(triangle_profile,
                        st.sampled_from([F(1), F(3, 2), F(2), F(5, 2), F(3)]),
                        st.sampled_from([F(1), F(4, 3), F(2), F(3)]))
-_toric_profiles = st.one_of(_profiles(), _triangles)
+_toric_profiles = st.one_of(convex_profiles(), _triangles)
 
 
 @settings(max_examples=40, deadline=None)
