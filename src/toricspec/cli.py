@@ -2,8 +2,10 @@
 
 Subcommands: spectrum, close, gap, weyl, gap-asymptotics, index, union,
 validate. Exit codes: 0 success, 2 validation or precondition failure,
-3 I/O failure. Output is CSV (default) or JSON with exact values in
-canonical rational text plus advisory 12-digit decimal columns.
+3 I/O failure. Each command returns exact rows: Fractions, integers,
+booleans, None and raw witnesses. The only text a command makes itself
+is an advisory 12-digit `*_approx` column and the "inf" marker; io turns
+the rest into CSV (default) or JSON.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .domains import Ball, DisjointUnion, Domain, Ellipsoid, domain_from_jsonable, load_domain
+from .domains import Ball, DisjointUnion, Domain, Ellipsoid, load_domain, read_json
 from .echindex import (
     ellipsoid_action,
     ellipsoid_index,
@@ -26,14 +28,8 @@ from .errors import ToricSpecError, ValidationError
 # perfbench's traced runs wrap best_approx_* and ellipsoid_close under these names
 from .gaps import (best_approx_above, best_approx_below, ellipsoid_close,  # noqa: F401
                    ellipsoid_close_detail, gap_asymptotics, spectral_gap)
-from .io import (
-    RowCache,
-    jsonable_witness,
-    render_csv,
-    render_json,
-    write_manifest,
-)
-from .rationals import approx_string, parse_rat, to_string
+from .io import RowCache, render_csv, render_json, write_manifest
+from .rationals import approx_string, parse_rat
 from .spectra import spectrum_for, weyl_report
 
 
@@ -44,18 +40,14 @@ def _rat_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _rat_list_arg(text: str) -> list[Fraction]:
-    try:
-        return [parse_rat(part) for part in text.split(",") if part.strip()]
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _int_list_arg(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _list_arg(parse: Callable[[str], object]) -> Callable[[str], list]:
+    """Argument type for a comma-separated list of values read by `parse`."""
+    def convert(text: str) -> list:
+        try:
+            return [parse(part) for part in text.split(",") if part.strip()]
+        except (ValidationError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _add_domain_flags(parser: argparse.ArgumentParser) -> None:
@@ -76,7 +68,10 @@ def _domain_from_args(args: argparse.Namespace) -> Domain:
         return Ellipsoid(args.ellipsoid[0], args.ellipsoid[1])
     if args.ball is not None:
         return Ball(args.ball)
-    return load_domain(args.domain)
+    domain = load_domain(args.domain)
+    if args.command == "union" and not isinstance(domain, DisjointUnion):
+        raise ValidationError("union command needs a domain file of type 'union'")
+    return domain
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,14 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl", help="growth diagnostics c_k^2 / k against twice the volume")
     _add_domain_flags(p)
-    p.add_argument("--k", type=_int_list_arg, required=True, dest="ks",
+    p.add_argument("--k", type=_list_arg(int), required=True, dest="ks",
                    metavar="K1,K2,...")
     p.add_argument("--volume", type=_rat_arg, default=None)
     _add_output_flags(p)
 
     p = sub.add_parser("gap-asymptotics", help="cutoff * gap over a cutoff grid")
     _add_domain_flags(p)
-    p.add_argument("--L-grid", type=_rat_list_arg, required=True, dest="grid",
+    p.add_argument("--L-grid", type=_list_arg(parse_rat), required=True, dest="grid",
                    metavar="L1,L2,...")
     _add_output_flags(p)
 
@@ -124,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("union", help="spectrum of a disjoint union with partitions")
     p.add_argument("--domain", required=True, metavar="FILE")
     p.add_argument("--k-max", type=int, required=True)
+    p.set_defaults(ellipsoid=None, ball=None)
     _add_output_flags(p)
 
     p = sub.add_parser("validate", help="validate a domain file and echo canonical JSON")
@@ -132,41 +128,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spectrum_rows(domain: Domain, k_max: int) -> list[dict]:
-    key = {"op": "spectrum", "domain": domain.to_jsonable(), "k_max": k_max}
-    cache = RowCache()
-    cached = cache.load(key)
-    if cached is not None:
-        return cached
-    rows = [{"k": k, "exact": to_string(value), "approx": approx_string(value),
-             "witness": jsonable_witness(witness)}
-            for k, (value, witness) in enumerate(spectrum_for(domain).entries(k_max))]
-    cache.store(key, rows)
-    return rows
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
     if args.k_max < 0:
         raise ValidationError("--k-max must be nonnegative")
     domain = _domain_from_args(args)
-    rows = _spectrum_rows(domain, args.k_max)
-    return ["k", "exact", "approx", "witness"], rows, domain.to_jsonable()
-
-
-def _cmd_union(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
-    if args.k_max < 0:
-        raise ValidationError("--k-max must be nonnegative")
-    domain = load_domain(args.domain)
-    if not isinstance(domain, DisjointUnion):
-        raise ValidationError("union command needs a domain file of type 'union'")
-    rows = _spectrum_rows(domain, args.k_max)
+    key = {"op": "spectrum", "domain": domain.to_jsonable(), "k_max": args.k_max}
+    cache = RowCache()
+    rows = cache.load(key)
+    if rows is None:
+        rows = [{"k": k, "exact": value, "approx": approx_string(value), "witness": witness}
+                for k, (value, witness) in enumerate(spectrum_for(domain).entries(args.k_max))]
+        cache.store(key, rows)
     return ["k", "exact", "approx", "witness"], rows, domain.to_jsonable()
 
 
 def _cmd_close(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
     a, b, cutoff = args.a, args.b, args.cutoff
     value, below, above = ellipsoid_close_detail(a, b, cutoff)
-    row = {"cutoff": to_string(cutoff), "close": to_string(value),
+    row = {"cutoff": cutoff, "close": value,
            "close_approx": approx_string(value),
            "m_minus": below.m, "n_minus": below.n,
            "m_plus": above.m, "n_plus": above.n}
@@ -177,8 +156,8 @@ def _cmd_close(args: argparse.Namespace) -> tuple[list[str], list[dict], Optiona
 def _cmd_gap(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
     domain = _domain_from_args(args)
     report = spectral_gap(spectrum_for(domain), args.cutoff)
-    row = {"cutoff": to_string(report.cutoff),
-           "gap": "inf" if report.is_infinite else to_string(report.gap),
+    row = {"cutoff": report.cutoff,
+           "gap": "inf" if report.is_infinite else report.gap,
            "gap_approx": None if report.is_infinite else approx_string(report.gap),
            "achieving_k": report.achieving_k}
     return ["cutoff", "gap", "gap_approx", "achieving_k"], [row], domain.to_jsonable()
@@ -186,13 +165,10 @@ def _cmd_gap(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[
 
 def _cmd_weyl(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
     domain = _domain_from_args(args)
-    rows_raw = weyl_report(spectrum_for(domain), args.ks, args.volume)
-    rows = [{"k": r["k"], "value": to_string(r["value"]),
-             "value_approx": approx_string(r["value"]),
-             "ratio": to_string(r["ratio"]), "ratio_approx": approx_string(r["ratio"]),
-             "deviation": to_string(r["deviation"]),
-             "deviation_approx": approx_string(r["deviation"])}
-            for r in rows_raw]
+    rows = weyl_report(spectrum_for(domain), args.ks, args.volume)
+    for r in rows:
+        for col in ("value", "ratio", "deviation"):
+            r[f"{col}_approx"] = approx_string(r[col])
     cols = ["k", "value", "value_approx", "ratio", "ratio_approx",
             "deviation", "deviation_approx"]
     return cols, rows, domain.to_jsonable()
@@ -200,31 +176,23 @@ def _cmd_weyl(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional
 
 def _cmd_gap_asymptotics(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
     domain = _domain_from_args(args)
-    rows_raw = gap_asymptotics(spectrum_for(domain), args.grid)
-    rows = [{"cutoff": to_string(r["cutoff"]),
-             "gap": "inf" if r["infinite"] else to_string(r["gap"]),
-             "scaled": None if r["scaled"] is None else to_string(r["scaled"]),
-             "suffix_sup": None if r["suffix_sup"] is None else to_string(r["suffix_sup"]),
-             "infinite": r["infinite"]}
-            for r in rows_raw]
+    rows = gap_asymptotics(spectrum_for(domain), args.grid)
+    for r in rows:
+        if r["infinite"]:
+            r["gap"] = "inf"
     return ["cutoff", "gap", "scaled", "suffix_sup", "infinite"], rows, domain.to_jsonable()
 
 
 def _cmd_index(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
     if args.orbit_file is not None:
-        with open(args.orbit_file, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"malformed orbit JSON: {exc}") from exc
-        orbit_set = orbit_set_from_jsonable(obj)
+        orbit_set = orbit_set_from_jsonable(read_json(args.orbit_file, "orbit JSON"))
         return ["index"], [{"index": star_shaped_index(orbit_set)}], None
     if args.a is None or args.b is None:
         raise ValidationError("index needs --a and --b unless --orbit-file is given")
     domain = Ellipsoid(args.a, args.b).to_jsonable()
     if args.scan is not None:
         report = index_action_scan(args.a, args.b, args.scan)
-        rows = [{"m1": r.m1, "m2": r.m2, "action": to_string(r.action),
+        rows = [{"m1": r.m1, "m2": r.m2, "action": r.action,
                  "action_approx": approx_string(r.action), "index": r.index,
                  "rank": r.rank, "tangent_count": r.tangent_count}
                 for r in report.rows]
@@ -233,7 +201,7 @@ def _cmd_index(args: argparse.Namespace) -> tuple[list[str], list[dict], Optiona
     if args.m1 is None or args.m2 is None:
         raise ValidationError("index needs --m1 and --m2, or --scan, or --orbit-file")
     action = ellipsoid_action(args.a, args.b, args.m1, args.m2)
-    row = {"m1": args.m1, "m2": args.m2, "action": to_string(action),
+    row = {"m1": args.m1, "m2": args.m2, "action": action,
            "action_approx": approx_string(action),
            "index": ellipsoid_index(args.a, args.b, args.m1, args.m2)}
     return ["m1", "m2", "action", "action_approx", "index"], [row], domain
@@ -252,7 +220,7 @@ _COMMANDS = {
     "weyl": _cmd_weyl,
     "gap-asymptotics": _cmd_gap_asymptotics,
     "index": _cmd_index,
-    "union": _cmd_union,
+    "union": _cmd_spectrum,
 }
 
 

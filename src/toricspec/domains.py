@@ -30,9 +30,6 @@ class Ellipsoid:
         if self.a <= 0 or self.b <= 0:
             raise ValidationError("ellipsoid axes must be positive")
 
-    def profile(self) -> "ToricProfile":
-        return triangle_profile(self.a, self.b)
-
     def to_jsonable(self) -> dict:
         return {"type": "ellipsoid", "a": to_string(self.a), "b": to_string(self.b)}
 
@@ -48,9 +45,6 @@ class Ball:
             raise ValidationError("ball radius parameter must be a Fraction")
         if self.a <= 0:
             raise ValidationError("ball radius parameter must be positive")
-
-    def profile(self) -> "ToricProfile":
-        return triangle_profile(self.a, self.a)
 
     def to_jsonable(self) -> dict:
         return {"type": "ball", "a": to_string(self.a)}
@@ -258,13 +252,17 @@ def domain_from_jsonable(obj: object) -> Domain:
     raise ValidationError(f"unknown domain type: {kind!r}")
 
 
-def load_domain(path: str) -> Domain:
+def read_json(path: str, what: str) -> object:
+    """Parse a JSON file; bad JSON or bad UTF-8 is a "malformed {what}" error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed domain JSON in {path}: {exc}") from exc
-    return domain_from_jsonable(obj)
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def load_domain(path: str) -> Domain:
+    return domain_from_jsonable(read_json(path, f"domain JSON in {path}"))
 
 
 def _require_keys(obj: dict, allowed: set) -> None:

@@ -158,7 +158,7 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
     return OrbitSet(tuple(orbits), linking)
 
 
-def _array_cover(label: str, values: list[int]) -> Callable[[int], int]:
+def _array_cover(values: list[int]) -> Callable[[int], int]:
     def cz(j: int) -> int:
         if j < 1:
             raise ValidationError(f"cover degree must be >= 1, got {j}")
@@ -194,7 +194,7 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
         if not all(isinstance(v, int) for v in cz):
             raise ValidationError(f"orbit {label!r}: cz array must hold integers")
         orbits.append(OrbitRecord(str(label), chern, self_linking,
-                                  _array_cover(str(label), cz), multiplicity))
+                                  _array_cover(cz), multiplicity))
     linking_raw = obj["linking"]
     if not isinstance(linking_raw, list):
         raise ValidationError("'linking' must be a matrix (list of lists)")

@@ -1,8 +1,11 @@
 """Row rendering, witness serialization, run manifests, and the row cache.
 
-Exact values are written as canonical rational text and advisory decimal
-columns are always derived from the exact value. Manifests contain no
-timestamps, so identical invocations produce identical bytes.
+This is the only place the exact values in command rows become text:
+commands hand over rows of Fractions, integers, booleans, None and raw
+witnesses, and every output (CSV, JSON, manifest, cache entry) writes a
+Fraction as canonical rational text. Advisory decimal columns arrive as
+text already, derived from the exact value. Manifests contain no timestamps, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,16 +30,16 @@ def jsonable_witness(witness: object) -> object:
     """Normalize a provider witness or a row cell into plain JSON data."""
     if witness is None:
         return None
+    if isinstance(witness, (int, str)):
+        return witness
+    if isinstance(witness, Fraction):
+        return to_string(witness)
     if isinstance(witness, LatticePath):
         return witness.to_jsonable()
     if isinstance(witness, dict):
         return {key: jsonable_witness(val) for key, val in witness.items()}
     if isinstance(witness, (list, tuple)):
         return [jsonable_witness(item) for item in witness]
-    if isinstance(witness, Fraction):
-        return to_string(witness)
-    if isinstance(witness, (int, str)):
-        return witness
     raise ValidationError(f"cannot serialize witness: {witness!r}")
 
 
@@ -44,15 +47,12 @@ def cell_text(value: object) -> str:
     """Render one CSV cell: exact rational text, JSON for structures."""
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return to_string(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
+    value = jsonable_witness(value)
+    if isinstance(value, (int, str)):
         return str(value)
-    if isinstance(value, str):
-        return value
-    return json.dumps(jsonable_witness(value), separators=(",", ":"), sort_keys=True)
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
 def render_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
@@ -64,22 +64,31 @@ def render_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
+def _jsonable_rows(columns: Sequence[str], rows: Sequence[dict]) -> list[dict]:
+    return [{col: jsonable_witness(row.get(col)) for col in columns} for row in rows]
+
+
 def render_json(command: str, params: dict, columns: Sequence[str],
                 rows: Sequence[dict]) -> str:
     payload = {
         "command": command,
         "params": {key: jsonable_witness(val) for key, val in params.items()},
         "columns": list(columns),
-        "rows": [{col: jsonable_witness(row.get(col)) for col in columns} for row in rows],
+        "rows": _jsonable_rows(columns, rows),
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+
+
+def _canonical_sha256(obj: object) -> str:
+    """SHA-256 of the compact, key-sorted JSON text of obj."""
+    canon = json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def domain_digest(domain_jsonable: Optional[dict]) -> Optional[str]:
     if domain_jsonable is None:
         return None
-    canon = json.dumps(domain_jsonable, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _canonical_sha256(domain_jsonable)
 
 
 def write_manifest(path: str, argv: Sequence[str], domain_jsonable: Optional[dict],
@@ -90,7 +99,7 @@ def write_manifest(path: str, argv: Sequence[str], domain_jsonable: Optional[dic
         "domain": domain_jsonable,
         "domain_digest": domain_digest(domain_jsonable),
         "columns": list(columns),
-        "rows": [{col: jsonable_witness(row.get(col)) for col in columns} for row in rows],
+        "rows": _jsonable_rows(columns, rows),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -100,24 +109,20 @@ def write_manifest(path: str, argv: Sequence[str], domain_jsonable: Optional[dic
 class RowCache:
     """Optional on-disk row cache keyed by a request digest.
 
-    Enabled by the cache directory environment variable; corrupt or
-    missing entries are treated as misses and rewritten.
+    Enabled by the cache directory environment variable; corrupt,
+    undecodable or missing entries are treated as misses and rewritten.
+    Rows are stored in their JSON form, so a cached row renders the same
+    bytes as the fresh one.
     """
 
-    def __init__(self, directory: Optional[str] = None) -> None:
-        self.directory = directory if directory is not None else os.environ.get(CACHE_ENV)
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.directory)
+    def __init__(self) -> None:
+        self.directory = os.environ.get(CACHE_ENV)
 
     def _path(self, key: dict) -> str:
-        canon = json.dumps(key, separators=(",", ":"), sort_keys=True)
-        digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-        return os.path.join(self.directory, f"{digest}.json")
+        return os.path.join(self.directory, f"{_canonical_sha256(key)}.json")
 
     def load(self, key: dict) -> Optional[list]:
-        if not self.enabled:
+        if not self.directory:
             return None
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
@@ -125,15 +130,16 @@ class RowCache:
             if payload.get("key") != key:
                 return None
             return payload["rows"]
-        except (OSError, json.JSONDecodeError, KeyError):
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError):
             return None
 
     def store(self, key: dict, rows: list) -> None:
-        if not self.enabled:
+        if not self.directory:
             return
+        payload = {"key": key, "rows": jsonable_witness(rows)}
         try:
             os.makedirs(self.directory, exist_ok=True)
             with open(self._path(key), "w", encoding="utf-8") as fh:
-                json.dump({"key": key, "rows": rows}, fh)
+                json.dump(payload, fh)
         except OSError:
             pass  # caching is advisory; never fail the run for it

@@ -28,7 +28,7 @@ from .domains import (
     omega_length,
     scale_domain,
 )
-from .errors import PreconditionError, UnavailableError, ValidationError
+from .errors import UnavailableError, ValidationError
 from .paths import (
     LatticePath,
     _scan_paths,
@@ -36,7 +36,7 @@ from .paths import (
     direction_table,
     lattice_count_pick,
 )
-from .rationals import Rat, _exact_rat, _positive_axes, _scaled, floor_sum
+from .rationals import _exact_rat, _positive_axes, _scaled, floor_sum
 
 
 def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tuple[int, int]]]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from toricspec import Ball, DisjointUnion, Ellipsoid, UnionSpectrum, spectrum_for
-from toricspec import gaps
+from toricspec import cli, gaps
 from toricspec.cli import main
 
 F = Fraction
@@ -25,6 +25,26 @@ def rows_of(out):
     reader = csv.reader(io.StringIO(out))
     header = next(reader)
     return header, [dict(zip(header, row)) for row in reader]
+
+
+PINNED_TORIC = {"type": "toric", "vertices": [["0", "2"], ["1", "3/2"], ["2", "0"]]}
+PINNED_INPUTS = {
+    "toric.json": PINNED_TORIC,
+    "union.json": {"type": "union", "parts": [{"type": "ball", "a": "1"},
+                                              {"type": "ellipsoid", "a": "2", "b": "3"},
+                                              PINNED_TORIC]},
+    "orbits.json": {"orbits": [{"label": "g1", "chern": 1, "self_linking": -1,
+                                "multiplicity": 2, "cz": [1, 3]},
+                               {"label": "g2", "chern": 1, "self_linking": -1,
+                                "multiplicity": 1, "cz": [3]}],
+                    "linking": [[0, 1], [1, 0]]},
+}
+
+
+def write_pinned_inputs(directory):
+    for name, obj in PINNED_INPUTS.items():
+        (directory / name).write_text(json.dumps(obj))
+    return directory
 
 
 class TestSpectrumCommand:
@@ -126,6 +146,49 @@ class TestGapAndCloseCommands:
         code, out, _ = run(capsys, *[f"{fib[1501]}/{fib[1500]}" if x == "FIB" else x for x in argv])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["spectrum", "--domain", "toric.json", "--k-max", "12"],
+         "b5e83a111f3ae93e3d77cf5d97e260426935ecfba02866f146e7d3c76037a7a9"),
+        (["spectrum", "--domain", "toric.json", "--k-max", "12", "--format", "json"],
+         "3c2ed51b5327fe34da8aaaafeea996618dbfc7329a732502ba27c8f8776a9ef2"),
+        (["spectrum", "--domain", "union.json", "--k-max", "10"],
+         "a0fec115e785122e4e0b97a5724dd663f52225e50b98b71fbc668778e580241b"),
+        (["spectrum", "--domain", "union.json", "--k-max", "10", "--format", "json"],
+         "3a795a86a606f4eb17eab4c1eb56c87d1e186e7141f5cd88852d72f5b98c073c"),
+        (["union", "--domain", "union.json", "--k-max", "10"],
+         "a0fec115e785122e4e0b97a5724dd663f52225e50b98b71fbc668778e580241b"),
+        (["union", "--domain", "union.json", "--k-max", "10", "--format", "json"],
+         "7c025460bb120607cdc703288883ad579af46870a0fc4d09c9470ba3f99ac4bc"),
+        (["weyl", "--ellipsoid", "2", "3", "--k", "1,10,100"],
+         "100bbe5ca7d8ed586fc72767122ce5c785146ee75f26e6d99cc44df480bb8bac"),
+        (["weyl", "--ellipsoid", "2", "3", "--k", "1,10", "--volume", "5/2"],
+         "9be68a9274a561fc0a49a0861a375bbcc23949c1d9c8bd553862d60d03b2955e"),
+        (["gap-asymptotics", "--ellipsoid", "1", "1", "--L-grid", "1/4,1,3", "--format", "json"],
+         "2347bb4c3c3e53897678898c3ff83c00b628543b7acc05ef805efa785c4671a7"),
+        (["gap-asymptotics", "--domain", "union.json", "--L-grid", "2,5,9"],
+         "3c9854534ab66a5ffa416943cd1e8088d17696b33228072968c22abfd30dc73b"),
+        (["index", "--a", "2", "--b", "3", "--m1", "4", "--m2", "7"],
+         "2a4fcdb9c1f7701fb45e5217f7e4851f58fd2c0f7fb22650d5bb9a7bcaf05a35"),
+        (["index", "--a", "89/55", "--b", "1", "--scan", "4", "--format", "json"],
+         "5285a3161e77cdaa26a046d15b6d871f5176bd5d1dfaf9a8533eb04283c984cb"),
+        (["index", "--orbit-file", "orbits.json"],
+         "2c2716c237c69a9c467720cf9c09fc4a7ee0bc51bd4636e720179d9713546f75"),
+    ])
+    def test_row_output_is_pinned(self, capsys, tmp_path, monkeypatch, argv, digest):
+        # digests recorded before rendering moved out of the commands
+        monkeypatch.chdir(write_pinned_inputs(tmp_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_manifest_is_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(write_pinned_inputs(tmp_path))
+        code, out, _ = run(capsys, "spectrum", "--domain", "toric.json", "--k-max", "6",
+                           "--manifest", "m.json")
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == \
+            "8ae2a1859250c961a3bd7e0ecde0fdddbbce34c506771b07e5481003f0bc984f"
 
     def test_gap_asymptotics_rows(self, capsys):
         code, out, _ = run(capsys, "gap-asymptotics", "--ellipsoid", "1", "1",
@@ -290,6 +353,18 @@ class TestParsingAndIo:
         code, out, _ = run(capsys, "--help")
         assert code == 0 and "usage" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--domain", "bad.json", "--k-max", "2"],
+        ["validate", "bad.json"],
+        ["index", "--orbit-file", "bad.json"],
+    ])
+    def test_undecodable_input_file(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed") and "Traceback" not in err
+
     def test_output_to_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
         code, out, _ = run(capsys, "spectrum", "--ball", "1", "--k-max", "2",
@@ -344,3 +419,29 @@ class TestRowCache:
         assert run(capsys, "spectrum", "--ball", "1", "--k-max", "4")[0] == 0
         assert run(capsys, "spectrum", "--ball", "1", "--k-max", "5")[0] == 0
         assert len(list(cache_dir.glob("*.json"))) == 2
+
+    def test_undecodable_entry_is_a_miss(self, capsys, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("TORICSPEC_CACHE_DIR", str(cache_dir))
+        args = ("spectrum", "--ellipsoid", "2", "3", "--k-max", "6")
+        first = run(capsys, *args)
+        assert first[0] == 0
+        entry = next(cache_dir.glob("*.json"))
+        entry.write_bytes(b"\xff\xfe" + entry.read_bytes())
+        assert run(capsys, *args) == first
+        assert json.loads(entry.read_text())["rows"][6]["exact"] == "6"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("domain_file", ["toric.json", "union.json"])
+    def test_warm_run_prints_the_cold_bytes(self, capsys, tmp_path, monkeypatch,
+                                            domain_file, fmt):
+        monkeypatch.chdir(write_pinned_inputs(tmp_path))
+        monkeypatch.setenv("TORICSPEC_CACHE_DIR", str(tmp_path / "cache"))
+        args = ("spectrum", "--domain", domain_file, "--k-max", "9", "--format", fmt)
+        cold = run(capsys, *args)
+        assert cold[0] == 0 and len(list((tmp_path / "cache").glob("*.json"))) == 1
+
+        def no_compute(domain):
+            raise AssertionError("a warm run must not compute the spectrum")
+        monkeypatch.setattr(cli, "spectrum_for", no_compute)
+        assert run(capsys, *args) == cold
