@@ -41,10 +41,13 @@ def _rat_arg(text: str) -> Fraction:
 
 
 def _list_arg(parse: Callable[[str], object]) -> Callable[[str], list]:
-    """Argument type for a comma-separated list of values read by `parse`."""
+    """Argument type for a nonempty comma-separated list of values read by `parse`."""
     def convert(text: str) -> list:
+        parts = [part for part in text.split(",") if part.strip()]
+        if not parts:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
         try:
-            return [parse(part) for part in text.split(",") if part.strip()]
+            return [parse(part) for part in parts]
         except (ValidationError, ValueError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return convert
@@ -239,13 +242,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text = render_json(args.command, {"argv": argv}, columns, rows)
         else:
             text = render_csv(columns, rows)
+        # the manifest first, so a run that cannot record itself delivers nothing
+        if args.manifest:
+            write_manifest(args.manifest, argv, domain_jsonable, columns, rows)
         if args.output == "-":
             sys.stdout.write(text)
         else:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        if args.manifest:
-            write_manifest(args.manifest, argv, domain_jsonable, columns, rows)
         return 0
     except ToricSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

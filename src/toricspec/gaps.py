@@ -2,11 +2,19 @@
 
 The gap of a spectrum below an action cutoff L is the least difference of
 consecutive entries whose upper member still fits under L; it is infinite
-when even the first positive entry exceeds L. One integer scan answers a
-whole grid of cutoffs. For ellipsoids the closing bound has a closed form
-in two one-sided best rational approximations of the axis ratio, found by
-a mediant walk whose batched steps are Euclid divisions on the fence
-remainders, so large denominators cost logarithmic time.
+when even the first positive entry exceeds L. For ellipsoids the closing
+bound has a closed form in two one-sided best rational approximations of
+the axis ratio, found by a mediant walk whose batched steps are Euclid
+divisions on the fence remainders, so large denominators cost logarithmic
+time.
+
+Ellipsoid and ball gaps (a ball is E(a, a)) are answered in closed form,
+in O(log) integer steps per cutoff: for L >= max(a, b) the least gap is
+the closing bound (three-distance setting: Sós, 1958; Khinchin on best
+approximations), and the first pair realizing it is read off the
+solutions of a x + b y = gap. Every other spectrum, and the second route
+for ellipsoids and balls, is one integer scan over the entries up to the
+largest cutoff, which answers a whole grid of cutoffs.
 """
 
 from __future__ import annotations
@@ -15,12 +23,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import floor
-from typing import Optional, Sequence
+from math import floor, gcd, lcm
+from typing import Callable, Optional, Sequence
 
 from .errors import ConsistencyError, PreconditionError, ValidationError
 from .rationals import _exact_rat, _positive_axes, _scaled
-from .spectra import EllipsoidSpectrum, Spectrum
+from .spectra import BallSpectrum, EllipsoidSpectrum, Spectrum
 from .domains import Ellipsoid
 
 
@@ -41,23 +49,69 @@ def spectral_gap(spectrum: Spectrum, cutoff: Fraction) -> GapReport:
     Ties in the spectrum give gap 0. achieving_k is the smallest k
     realizing the minimum. Infinite when c_1 > cutoff.
     """
-    return _gap_scan(spectrum, [_exact_rat(cutoff, "cutoff")])[0]
+    return _gaps(spectrum, [_exact_rat(cutoff, "cutoff")])[0]
+
+
+def _gaps(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport]:
+    """One GapReport per exact cutoff: in closed form for ellipsoids and
+    balls, from _gap_scan for every other spectrum."""
+    if isinstance(spectrum, EllipsoidSpectrum):
+        an, bn, d = _scaled(spectrum.domain().a, spectrum.domain().b)
+    elif isinstance(spectrum, BallSpectrum):
+        an, bn, d = _scaled(spectrum.domain().a, spectrum.domain().a)
+    else:
+        return _gap_scan(spectrum, cutoffs)
+    reports = []
+    for cutoff in cutoffs:
+        found = _ellipsoid_gap(an, bn, floor(cutoff * d), lambda v: spectrum.count_le(Fraction(v, d)))
+        gap, k = (None, None) if found is None else (Fraction(found[0], d), found[1])
+        reports.append(GapReport(cutoff, gap, k))
+    return reports
+
+
+def _ellipsoid_gap(an: int, bn: int, ln: int,
+                   count_le: Callable[[int], int]) -> Optional[tuple[int, int]]:
+    """(gap, achieving k) of E(an, bn) below the cutoff ln, all in scaled
+    integers, or None when the gap is infinite; count_le(v) is the number
+    of entries with action <= v.
+
+    For ln >= max(an, bn) the gap g is the closing bound. If g = 0 the first
+    tie is the least common multiple of the axes. Otherwise the pairs of
+    entries g apart are (m, n), (m + x, n + y) with an x + bn y = g; the
+    solutions are (x + t q, y - t p), where p, q are the axes over their
+    gcd, from the approximant that attains g. The lower entry is at least
+    v(t) = an max(0, -x) + bn max(0, -y), which is nonincreasing in t while
+    x < 0 and nondecreasing once x >= 0, so the first pair is at the sign
+    change of x.
+    """
+    lo, hi = sorted((an, bn))
+    if ln < lo:
+        return None
+    if ln < hi:
+        return lo, 0  # multiples of the shorter axis only
+    g, below, above = _close(Fraction(an), Fraction(bn), Fraction(ln))
+    if g == 0:
+        return 0, count_le(lcm(an, bn) - 1)
+    x, y = (below.m, -below.n) if an * below.m - bn * below.n == g else (-above.m, above.n)
+    p, q = an // gcd(an, bn), bn // gcd(an, bn)
+    t = -(x // q)  # the least t with x + t q >= 0
+    v = min(an * max(0, -x - s * q) + bn * max(0, s * p - y) for s in (t - 1, t))
+    if v + g > ln:
+        raise AssertionError(f"no pair {g} apart below {ln} for axes ({an}, {bn})")
+    return int(g), count_le(v) - 1
 
 
 def _gap_scan(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport]:
     """One GapReport per exact cutoff, in order, from one scan at the largest.
 
-    The spectrum grows in batches of about k / 8 entries (O(log k) provider
-    passes; up to about k / 8 entries past the top cutoff). Its values are
-    scaled once to integers s_k over a common denominator d; a running first
-    argmin of s_{k+1} - s_k is read at the number of s_k <= floor(cutoff d).
+    The spectrum is extended once, to the count_le(top) entries up to the
+    top cutoff. Its values are scaled once to integers s_k over a common
+    denominator d; a running first argmin of s_{k+1} - s_k is read at the
+    number of s_k <= floor(cutoff d).
     """
     if not cutoffs:
         return []
-    top, j = max(cutoffs), 1
-    while spectrum.value(j) <= top:
-        j += 1 + j // 8
-    *s, d = _scaled(*spectrum.values(j))
+    *s, d = _scaled(*spectrum.values(max(spectrum.count_le(max(cutoffs)) - 1, 0)))
     diffs = [y - x for x, y in zip(s, s[1:])]
     # first[n]: the achieving k when exactly c_0..c_{n-1} fit under a cutoff
     first = [None, None, *accumulate(range(len(diffs)), lambda i, k: k if diffs[k] < diffs[i] else i)]
@@ -201,7 +255,7 @@ def gap_asymptotics(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[dic
     limit beyond it.
     """
     base = []
-    for report in _gap_scan(spectrum, [_exact_rat(cutoff, "cutoff") for cutoff in cutoffs]):
+    for report in _gaps(spectrum, [_exact_rat(cutoff, "cutoff") for cutoff in cutoffs]):
         cutoff = report.cutoff
         scaled = None if report.gap is None else cutoff * report.gap
         base.append({"cutoff": cutoff, "gap": report.gap, "scaled": scaled,

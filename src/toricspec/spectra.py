@@ -4,17 +4,19 @@ Every capacity value returned here comes with a witness that reproduces
 it: a monomial exponent pair for ellipsoids, the defining integer for
 balls, a lattice path for polygonal profiles, and a partition plus
 sub-witnesses for disjoint unions. Two independent routes exist for the
-ellipsoid sequence (a heap merge and a counting inversion) and two for
-profiles (one path scan per sweep in ToricSpectrum, and the per-k scan
-toric_capacity_detail); tests hold them to exact agreement.
+ellipsoid sequence (a heap merge for swept entries, a counting inversion
+for single values past the cache) and two for profiles (one path scan per
+sweep in ToricSpectrum, and the per-k scan toric_capacity_detail); tests
+hold them to exact agreement.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 from typing import Optional, Sequence
 
 from .domains import (
@@ -78,6 +80,11 @@ def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
     if k < 0:
         raise ValidationError("k must be nonnegative")
     an, bn, d = _scaled(a, b)
+    return Fraction(_nk_scaled(an, bn, k), d)
+
+
+def _nk_scaled(an: int, bn: int, k: int) -> int:
+    # the least integer level with at least k + 1 pairs of action <= it
     lo, hi = 0, k * min(an, bn)  # the k + 1 multiples 0..k of the shorter axis fit
     while lo < hi:
         mid = (lo + hi) // 2
@@ -85,7 +92,7 @@ def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
             hi = mid
         else:
             lo = mid + 1
-    return Fraction(lo, d)
+    return lo
 
 
 def _count_scaled(an: int, bn: int, ln: int) -> int:
@@ -154,8 +161,12 @@ def _greedy_scan_table(profile: ToricProfile, k: int) -> tuple[Fraction, list, i
     if lattice_count_pick(greedy) < k + 1:
         raise AssertionError("greedy path must be feasible")
     bound = omega_length(profile, greedy)
-    rho = norm_floor(profile)
-    return (bound, *direction_table(bound, rho, lambda p: omega_length(profile, p), True))
+    return (bound, *_scan_table(profile, bound))
+
+
+def _scan_table(profile: ToricProfile, bound: Fraction) -> tuple[list, int, int, int]:
+    """(dirs, scaled bound, denominator, extent cap) for an inclusive path scan at bound."""
+    return direction_table(bound, norm_floor(profile), lambda p: omega_length(profile, p), True)
 
 
 def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
@@ -205,7 +216,9 @@ class Spectrum:
 
     A provider implements one batch hook, _extend(k_max), which returns the
     entries len(cache)..k_max in order; this class checks them and caches
-    them, so a request for k_max costs one provider pass.
+    them, so a request for k_max costs one provider pass. count_le(cutoff)
+    counts the entries <= cutoff; providers that can count without listing
+    the entries override it.
     """
 
     kind = "abstract"
@@ -243,6 +256,18 @@ class Spectrum:
     def values(self, k_max: int) -> list[Fraction]:
         return [v for v, _w in self.entries(k_max)]
 
+    def count_le(self, cutoff: Fraction) -> int:
+        """Number of entries c_k <= cutoff, c_0 included.
+
+        By default the cache grows in batches of about k / 8 entries until
+        an entry exceeds the cutoff (O(log k) provider passes).
+        """
+        cutoff = _exact_rat(cutoff, "cutoff")
+        j = 1
+        while self.value(j) <= cutoff:
+            j += 1 + j // 8
+        return bisect_right(self.values(j), cutoff)
+
     def domain(self) -> Domain:
         raise NotImplementedError
 
@@ -270,6 +295,17 @@ class EllipsoidSpectrum(Spectrum):
 
     def _zero_witness(self) -> object:
         return {"m": 0, "n": 0}
+
+    def value(self, k: int) -> Fraction:
+        """c_k; past the cache by counting inversion, which leaves the cache as it is."""
+        if 0 <= k < len(self._cache):
+            return self._cache[k][0]
+        if k < 0:
+            raise ValidationError("k must be nonnegative")
+        return Fraction(_nk_scaled(self._an, self._bn, k), self._d)
+
+    def count_le(self, cutoff: Fraction) -> int:
+        return _count_scaled(self._an, self._bn, floor(_exact_rat(cutoff, "cutoff") * self._d))
 
     def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
         # Canonical generation tree: (m + 1, 0) only from (m, 0), (m, n + 1)
@@ -306,6 +342,20 @@ class BallSpectrum(Spectrum):
 
     def _zero_witness(self) -> object:
         return {"d": 0}
+
+    def value(self, k: int) -> Fraction:
+        """c_k; past the cache by the closed form, which leaves the cache as it is."""
+        if 0 <= k < len(self._cache):
+            return self._cache[k][0]
+        return ball_capacity(self._ball.a, k)[0]
+
+    def count_le(self, cutoff: Fraction) -> int:
+        # the values d a, d = 0..D, each d + 1 times
+        cutoff = _exact_rat(cutoff, "cutoff")
+        if cutoff < 0:
+            return 0
+        top = floor(cutoff / self._ball.a)
+        return (top + 1) * (top + 2) // 2
 
     def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
         return [ball_capacity(self._ball.a, k) for k in range(len(self._cache), k_max + 1)]
@@ -361,6 +411,18 @@ class ToricSpectrum(Spectrum):
                     f"corner rounding failed at k={k}: min over >= is {Fraction(at_least, den)}, "
                     f"min over == is {Fraction(lens[k], den)}")
         return [(Fraction(lens[k], den), paths[k]) for k in range(start, over)]
+
+    def count_le(self, cutoff: Fraction) -> int:
+        """The most lattice points a path of length <= cutoff encloses.
+
+        c_k <= cutoff exactly when some such path encloses at least k + 1
+        points, so one inclusive scan at the cutoff counts the entries.
+        """
+        cutoff = _exact_rat(cutoff, "cutoff")
+        if cutoff < 0:
+            return 0
+        dirs, bound_int, _den, cap = _scan_table(self._profile, cutoff)
+        return max(count for _ln, count in _scan_paths(dirs, bound_int, cap, []))
 
     def domain(self) -> Domain:
         return self._profile

@@ -4,10 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toricspec
 from toricspec import Ball, DisjointUnion, Ellipsoid, UnionSpectrum, spectrum_for
 from toricspec import cli, gaps
 from toricspec.cli import main
@@ -189,6 +194,22 @@ class TestGapAndCloseCommands:
         assert code == 0
         assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == \
             "8ae2a1859250c961a3bd7e0ecde0fdddbbce34c506771b07e5481003f0bc984f"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["gap", "--ellipsoid", "1", "1", "--L", "1e400"], ("0", "1")),
+        (["gap", "--ball", "1", "--L", "1e400"], ("0", "1")),
+        (["gap", "--ellipsoid", "1", "89/55", "--L", "1e400"], ("0", "2519")),
+        (["weyl", "--ellipsoid", "2", "3", "--k", "1000000"], ("1000000", "3462")),
+    ])
+    def test_huge_cutoffs_and_indices_return(self, argv, expected):
+        # in a child process, so a regression to a sweep fails on the timeout
+        env = dict(os.environ, PYTHONPATH=str(Path(toricspec.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "toricspec.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0 and done.stderr == ""
+        _, rows = rows_of(done.stdout)
+        first, second = ("gap", "achieving_k") if argv[0] == "gap" else ("k", "value")
+        assert (rows[0][first], rows[0][second]) == expected
 
     def test_gap_asymptotics_rows(self, capsys):
         code, out, _ = run(capsys, "gap-asymptotics", "--ellipsoid", "1", "1",
@@ -372,6 +393,23 @@ class TestParsingAndIo:
         assert code == 0 and out == ""
         header, rows = rows_of(target.read_text())
         assert [r["exact"] for r in rows] == ["0", "1", "1"]
+
+    def test_unwritable_manifest_delivers_no_rows(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "spectrum", "--ball", "1", "--k-max", "2",
+                             "--manifest", "nodir/m.json")
+        assert (code, out) == (3, "")
+        assert err.startswith("io error:") and "nodir/m.json" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["weyl", "--ellipsoid", "2", "3", "--k", ","], "--k"),
+        (["gap-asymptotics", "--ellipsoid", "1", "1", "--L-grid", ","], "--L-grid"),
+        (["weyl", "--ellipsoid", "2", "3", "--k", " "], "--k"),
+    ])
+    def test_empty_list_is_a_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: empty list" in err
 
     def test_manifest_is_reproducible(self, capsys, tmp_path):
         manifest = tmp_path / "m.json"

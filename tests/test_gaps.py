@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from toricspec import (
     Approximant,
+    GapReport,
     Ball,
     DisjointUnion,
     Ellipsoid,
@@ -25,7 +26,7 @@ from toricspec import (
     spectrum_for,
     validate_profile,
 )
-from toricspec.gaps import _best_frac_le, ellipsoid_close_detail
+from toricspec.gaps import _best_frac_le, _gap_scan, _gaps, ellipsoid_close_detail
 
 F = Fraction
 GOLDEN = F(89, 55)
@@ -415,3 +416,55 @@ def test_first_bad_cutoff_in_a_grid_is_reported(call, error, text):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == text
+
+
+@st.composite
+def _closed_form_spectra(draw):
+    """Ellipsoids with small axis ratios p/q (early ties) or q up to 10^6, and
+    balls, each with cutoffs in all three regimes: below the shorter axis,
+    between the axes, and up to 12 max(a, b), spectrum values among them."""
+    a = draw(st.sampled_from([F(1), F(3, 2), F(2, 7)]))
+    kind = draw(st.sampled_from(["tie", "wide", "ball"]))
+    if kind == "tie":
+        b = a * F(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    elif kind == "wide":
+        q = draw(st.integers(1, 10**6))
+        b = a * F(draw(st.integers(q // 8 + 1, 8 * q)), q)
+    else:
+        b = a
+    lo, hi = min(a, b), max(a, b)
+    grid = [lo, hi, lo - F(1, 10**9), hi - F(1, 10**9)]
+    for _ in range(draw(st.integers(1, 5))):
+        regime = draw(st.sampled_from(["below", "between", "above", "value"]))
+        if regime == "below":
+            grid.append(lo * F(draw(st.integers(-97, 96)), 97))
+        elif regime == "between":
+            grid.append(lo + (hi - lo) * F(draw(st.integers(0, 96)), 97))
+        elif regime == "above":
+            grid.append(hi * F(draw(st.integers(97, 12 * 97)), 97))
+        else:
+            m = draw(st.integers(0, floor(12 * hi / a)))
+            grid.append(a * m + b * draw(st.integers(0, floor((12 * hi - a * m) / b))))
+    spectrum = (lambda: Ball(a)) if kind == "ball" else (lambda: Ellipsoid(a, b))
+    return spectrum, draw(st.permutations(grid))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_form_spectra())
+def test_closed_form_gaps_match_the_gap_scan(case):
+    domain, grid = case
+    closed = _gaps(spectrum_for(domain()), grid)
+    assert closed == _gap_scan(spectrum_for(domain()), grid)
+    assert closed == [spectral_gap(spectrum_for(domain()), cutoff) for cutoff in grid]
+
+
+def test_closed_form_gaps_at_huge_cutoffs():
+    cutoff = F(10**400)
+    for domain, k in [(Ellipsoid(F(1), F(1)), 1), (Ball(F(1)), 1), (Ellipsoid(F(2), F(3)), 5),
+                      (Ellipsoid(F(1), GOLDEN), 2519), (Ellipsoid(F(2, 7), F(3, 7)), 5)]:
+        assert spectral_gap(spectrum_for(domain), cutoff) == GapReport(cutoff, F(0), k)
+    # the gap is then the closing bound, found at its first pair
+    a, b = F(1), F(_fib(2001), _fib(2000))  # F(2000) > 10^400: no tie below the cutoff
+    report = spectral_gap(EllipsoidSpectrum(Ellipsoid(a, b)), cutoff)
+    assert report.gap == ellipsoid_close(a, b, cutoff) > 0
+    assert report.achieving_k > 10**100

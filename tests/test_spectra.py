@@ -454,3 +454,48 @@ def test_unavailable_batch_extension_is_named_in_a_union():
     union = UnionSpectrum([BallSpectrum(Ball(F(1))), _Opaque()])
     with pytest.raises(UnavailableError, match=r"part 1 \(opaque\): no rule for this shape"):
         union.entries(3)
+
+
+def _swept_count(domain, cutoff):
+    """Entries <= cutoff, counted on a sweep long enough to pass the cutoff."""
+    spec, k = spectrum_for(domain), 1
+    while spec.entries(k)[-1][0] <= cutoff:
+        k *= 2
+    return sum(v <= cutoff for v in spec.values(k))
+
+
+_counted_domains = st.one_of(
+    st.tuples(st.builds(Ellipsoid, st.builds(F, st.integers(1, 12), st.integers(1, 4)),
+                        st.builds(F, st.one_of(st.integers(1, 12), st.integers(1, 3 * 10**6)),
+                                  st.one_of(st.integers(1, 4), st.integers(10**6 - 3, 10**6)))),
+              st.just(200)),
+    st.tuples(st.builds(Ball, st.sampled_from([F(1), F(3, 2), F(7, 5)])), st.just(200)),
+    st.tuples(_toric_profiles, st.just(12)),
+    st.tuples(st.lists(_small_domains, min_size=2, max_size=3)
+              .map(lambda ps: DisjointUnion(tuple(ps))), st.just(12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized=_counted_domains, data=st.data())
+def test_count_le_counts_the_swept_values(sized, data):
+    domain, k_top = sized
+    spec = spectrum_for(domain)
+    value = spec.value(data.draw(st.integers(0, k_top)))
+    cutoff = data.draw(st.sampled_from([value, value - F(1, 10**9), value + F(1, 3), -value - 1]))
+    assert spectrum_for(domain).count_le(cutoff) == _swept_count(domain, cutoff)
+
+
+@pytest.mark.parametrize("spec", [EllipsoidSpectrum(Ellipsoid(F(2), F(3))),
+                                  EllipsoidSpectrum(Ellipsoid(F(1), F(89, 55))),
+                                  EllipsoidSpectrum(Ellipsoid(F(7, 3), F(1000003, 10**6))),
+                                  BallSpectrum(Ball(F(3, 2)))],
+                         ids=["2-3", "golden", "near-tie", "ball"])
+def test_random_access_values_match_the_heap(spec):
+    heap = spectrum_for(spec.domain()).values(3000)
+    assert [spec.value(k) for k in range(3001)] == heap
+    assert spec.entries(0) == [(0, spec._zero_witness())]  # the cache was not filled
+    far = spec.value(10**15)  # the least value with more than 10^15 entries up to it
+    assert spec.count_le(far) > 10**15 >= spec.count_le(far - F(1, 10**9))
+    assert len(spec._cache) == 1
+    with pytest.raises(ValidationError):
+        spec.value(-1)
