@@ -493,9 +493,8 @@ def test_count_le_counts_the_swept_values(sized, data):
 def test_random_access_values_match_the_heap(spec):
     heap = spectrum_for(spec.domain()).values(3000)
     assert [spec.value(k) for k in range(3001)] == heap
-    assert spec.entries(0) == [(0, spec._zero_witness())]  # the cache was not filled
     far = spec.value(10**15)  # the least value with more than 10^15 entries up to it
     assert spec.count_le(far) > 10**15 >= spec.count_le(far - F(1, 10**9))
-    assert len(spec._cache) == 1
+    assert len(spec._cache) == 1  # random access leaves the cache as it is
     with pytest.raises(ValidationError):
         spec.value(-1)
