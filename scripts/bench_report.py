@@ -5,11 +5,13 @@
 The arguments after OUT.json go to compare.py unchanged; --parent and
 --change are required. The JSON holds the command, compare.py's printed
 report (one string per line, verdicts included) and the result line of
-every run.py call, in the order they ran.
+every run.py call, in the order they ran. --pairs below 2 is refused
+before any run: the report's quartiles need two runs per side.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -20,7 +22,14 @@ import compare  # noqa: E402
 
 def main() -> int:
     out, args = sys.argv[1], sys.argv[2:]
-    sides = {Path(args[args.index(f"--{side}") + 1]).resolve(): side for side in ("parent", "change")}
+    ap = argparse.ArgumentParser(prog="bench_report.py", add_help=False)
+    for side in ("parent", "change"):
+        ap.add_argument(f"--{side}", required=True)
+    ap.add_argument("--pairs", type=int, default=10)  # compare.py's default
+    opts = ap.parse_known_args(args)[0]
+    if opts.pairs < 2:
+        ap.error("--pairs must be at least 2: the quartiles of each side need two runs")
+    sides = {Path(opts.parent).resolve(): "parent", Path(opts.change).resolve(): "change"}
     runs, lines = [], []
     run_once = compare.run_once
 

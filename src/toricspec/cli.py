@@ -43,9 +43,9 @@ def _rat_arg(text: str) -> Fraction:
 def _list_arg(parse: Callable[[str], object]) -> Callable[[str], list]:
     """Argument type for a nonempty comma-separated list of values read by `parse`."""
     def convert(text: str) -> list:
-        parts = [part for part in text.split(",") if part.strip()]
-        if not parts:
-            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        parts = text.split(",")
+        if not all(part.strip() for part in parts):
+            raise argparse.ArgumentTypeError(f"empty list item: {text!r}")
         try:
             return [parse(part) for part in parts]
         except (ValidationError, ValueError) as exc:

@@ -36,7 +36,7 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class Ball:
-    """Round ball; equals the ellipsoid with both axes a but carries its own provider."""
+    """Round ball, the ellipsoid E(a, a); its spectrum witnesses carry the defining integer d."""
 
     a: Fraction
 

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import floor, gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConsistencyError, PreconditionError, ValidationError
 from .rationals import _exact_rat, _positive_axes, _scaled
-from .spectra import BallSpectrum, EllipsoidSpectrum, Spectrum
+from .spectra import EllipsoidSpectrum, Spectrum, _count_scaled
 from .domains import Ellipsoid
 
 
@@ -55,25 +55,20 @@ def spectral_gap(spectrum: Spectrum, cutoff: Fraction) -> GapReport:
 def _gaps(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport]:
     """One GapReport per exact cutoff: in closed form for ellipsoids and
     balls, from _gap_scan for every other spectrum."""
-    if isinstance(spectrum, EllipsoidSpectrum):
-        an, bn, d = _scaled(spectrum.domain().a, spectrum.domain().b)
-    elif isinstance(spectrum, BallSpectrum):
-        an, bn, d = _scaled(spectrum.domain().a, spectrum.domain().a)
-    else:
+    if not isinstance(spectrum, EllipsoidSpectrum):
         return _gap_scan(spectrum, cutoffs)
+    an, bn, d = spectrum._an, spectrum._bn, spectrum._d
     reports = []
     for cutoff in cutoffs:
-        found = _ellipsoid_gap(an, bn, floor(cutoff * d), lambda v: spectrum.count_le(Fraction(v, d)))
+        found = _ellipsoid_gap(an, bn, floor(cutoff * d))
         gap, k = (None, None) if found is None else (Fraction(found[0], d), found[1])
         reports.append(GapReport(cutoff, gap, k))
     return reports
 
 
-def _ellipsoid_gap(an: int, bn: int, ln: int,
-                   count_le: Callable[[int], int]) -> Optional[tuple[int, int]]:
+def _ellipsoid_gap(an: int, bn: int, ln: int) -> Optional[tuple[int, int]]:
     """(gap, achieving k) of E(an, bn) below the cutoff ln, all in scaled
-    integers, or None when the gap is infinite; count_le(v) is the number
-    of entries with action <= v.
+    integers, or None when the gap is infinite.
 
     For ln >= max(an, bn) the gap g is the closing bound. If g = 0 the first
     tie is the least common multiple of the axes. Otherwise the pairs of
@@ -91,14 +86,14 @@ def _ellipsoid_gap(an: int, bn: int, ln: int,
         return lo, 0  # multiples of the shorter axis only
     g, below, above = _close(Fraction(an), Fraction(bn), Fraction(ln))
     if g == 0:
-        return 0, count_le(lcm(an, bn) - 1)
+        return 0, _count_scaled(an, bn, lcm(an, bn) - 1)
     x, y = (below.m, -below.n) if an * below.m - bn * below.n == g else (-above.m, above.n)
     p, q = an // gcd(an, bn), bn // gcd(an, bn)
     t = -(x // q)  # the least t with x + t q >= 0
     v = min(an * max(0, -x - s * q) + bn * max(0, s * p - y) for s in (t - 1, t))
     if v + g > ln:
         raise AssertionError(f"no pair {g} apart below {ln} for axes ({an}, {bn})")
-    return int(g), count_le(v) - 1
+    return int(g), _count_scaled(an, bn, v) - 1
 
 
 def _gap_scan(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport]:

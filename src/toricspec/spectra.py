@@ -3,11 +3,13 @@
 Every capacity value returned here comes with a witness that reproduces
 it: a monomial exponent pair for ellipsoids, the defining integer for
 balls, a lattice path for polygonal profiles, and a partition plus
-sub-witnesses for disjoint unions. Two independent routes exist for the
-ellipsoid sequence (a heap merge for swept entries, a counting inversion
-for single values past the cache) and two for profiles (one path scan per
-sweep in ToricSpectrum, and the per-k scan toric_capacity_detail); tests
-hold them to exact agreement.
+sub-witnesses for disjoint unions. One integer core on the scaled axes
+answers every ellipsoid question: a heap merge sweeps entries, one floor
+sum counts them, and its inversion gives single values past the cache. A
+ball is E(a, a) on that core, with the closed form ball_capacity as its
+second route. Profiles have two routes as well (one path scan per sweep
+in ToricSpectrum, and the per-k scan toric_capacity_detail); tests hold
+each pair to exact agreement.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ class ToricCapacityResult:
 def _greedy_feasible_path(profile: ToricProfile, k: int) -> LatticePath:
     # hull of {(x, y) >= 0 : b x + a y <= N_k(a, b)} encloses >= k+1 points,
     # where a, b are the intercepts; its boundary is a feasible path
-    a_int, b_int = profile.x_intercept, profile.y_intercept
-    an, bn, ln, _d = _scaled(a_int, b_int, nk_via_lattice(a_int, b_int, k))
+    an, bn, _d = _scaled(profile.x_intercept, profile.y_intercept)
+    ln = _nk_scaled(an, bn, k)
     xmax = ln // bn
     pts = [(x, (ln - bn * x) // an) for x in range(xmax + 1)]
     hull: list[tuple[int, int]] = []
@@ -294,7 +296,10 @@ class EllipsoidSpectrum(Spectrum):
         super().__init__()
 
     def _zero_witness(self) -> object:
-        return {"m": 0, "n": 0}
+        return self._witness(0, 0)
+
+    def _witness(self, m: int, n: int) -> object:
+        return {"m": m, "n": n}
 
     def value(self, k: int) -> Fraction:
         """c_k; past the cache by counting inversion, which leaves the cache as it is."""
@@ -312,14 +317,14 @@ class EllipsoidSpectrum(Spectrum):
         # from every entry, so each pair is pushed once. A child's action
         # exceeds its parent's, so all pairs of one action are in the heap
         # before the first of them pops and ties leave in (m, n) order.
-        heap, an, bn, d = self._heap, self._an, self._bn, self._d
+        heap, an, bn, d, witness = self._heap, self._an, self._bn, self._d, self._witness
         out = []
         for _ in range(len(self._cache), k_max + 1):
             v, m, n = heapq.heappop(heap)
             if n == 0:
                 heapq.heappush(heap, (v + an, m + 1, 0))
             heapq.heappush(heap, (v + bn, m, n + 1))
-            out.append((Fraction(v, d), {"m": m, "n": n}))
+            out.append((Fraction(v, d), witness(m, n)))
         return out
 
     def domain(self) -> Domain:
@@ -331,42 +336,25 @@ class EllipsoidSpectrum(Spectrum):
         return val == e.a * wit["m"] + e.b * wit["n"]
 
 
-class BallSpectrum(Spectrum):
+class BallSpectrum(EllipsoidSpectrum):
+    """The ellipsoid heap on E(a, a); an entry's witness is its d = m + n."""
+
     kind = "ball"
 
     def __init__(self, ball: Ball) -> None:
         if not isinstance(ball, Ball):
             raise ValidationError("BallSpectrum needs a Ball")
         self._ball = ball
-        super().__init__()
+        super().__init__(Ellipsoid(ball.a, ball.a))
 
-    def _zero_witness(self) -> object:
-        return {"d": 0}
-
-    def value(self, k: int) -> Fraction:
-        """c_k; past the cache by the closed form, which leaves the cache as it is."""
-        if 0 <= k < len(self._cache):
-            return self._cache[k][0]
-        return ball_capacity(self._ball.a, k)[0]
-
-    def count_le(self, cutoff: Fraction) -> int:
-        # the values d a, d = 0..D, each d + 1 times
-        cutoff = _exact_rat(cutoff, "cutoff")
-        if cutoff < 0:
-            return 0
-        top = floor(cutoff / self._ball.a)
-        return (top + 1) * (top + 2) // 2
-
-    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
-        return [ball_capacity(self._ball.a, k) for k in range(len(self._cache), k_max + 1)]
+    def _witness(self, m: int, n: int) -> object:
+        return {"d": m + n}
 
     def domain(self) -> Domain:
         return self._ball
 
     def check_witness(self, k: int) -> bool:
-        val, wit = self.entry(k)
-        d = wit["d"]
-        return val == d * self._ball.a and d * d + d <= 2 * k <= d * d + 3 * d
+        return self.entry(k) == ball_capacity(self._ball.a, k)
 
 
 class ToricSpectrum(Spectrum):
@@ -530,12 +518,13 @@ def weyl_report(spectrum: Spectrum, ks: Sequence[int],
     The asymptotic slope of c_k^2 / k is twice the contact volume; rows
     report the exact finite-k deviation and claim nothing about limits.
     """
-    if volume is None:
-        volume = spectrum.contact_volume()
+    volume = spectrum.contact_volume() if volume is None else _exact_rat(volume, "volume")
+    if volume <= 0:
+        raise ValidationError("volume must be positive")
     rows = []
     for k in ks:
-        if k < 1:
-            raise ValidationError("weyl rows need k >= 1")
+        if not isinstance(k, int) or k < 1:
+            raise ValidationError(f"weyl rows need an int k >= 1, got {type(k).__name__} {k!r}")
         c = spectrum.value(k)
         ratio = c * c / k
         rows.append({"k": k, "value": c, "ratio": ratio,

@@ -232,10 +232,17 @@ class TestWeylCommand:
 
     def test_volume_override(self, capsys):
         code, out, _ = run(capsys, "weyl", "--ellipsoid", "2", "3",
-                           "--k", "1", "--volume", "0")
+                           "--k", "1", "--volume", "1/2")
         assert code == 0
         _, rows = rows_of(out)
-        assert rows[0]["deviation"] == rows[0]["ratio"]
+        assert F(rows[0]["deviation"]) == F(rows[0]["ratio"]) - 1
+
+    @pytest.mark.parametrize("volume", ["0", "-1"])
+    def test_nonpositive_volume_is_a_usage_error(self, capsys, volume):
+        code, out, err = run(capsys, "weyl", "--ball", "1", "--k", "1",
+                             "--volume", volume)
+        assert (code, out) == (2, "")
+        assert "volume must be positive" in err
 
 
 class TestIndexCommand:
@@ -405,6 +412,11 @@ class TestParsingAndIo:
         (["weyl", "--ellipsoid", "2", "3", "--k", ","], "--k"),
         (["gap-asymptotics", "--ellipsoid", "1", "1", "--L-grid", ","], "--L-grid"),
         (["weyl", "--ellipsoid", "2", "3", "--k", " "], "--k"),
+        # one empty item among others
+        (["weyl", "--ball", "1", "--k", "1,,3"], "--k"),
+        (["weyl", "--ball", "1", "--k", "1,3,"], "--k"),
+        (["gap-asymptotics", "--ball", "1", "--L-grid", ",2"], "--L-grid"),
+        (["gap-asymptotics", "--ball", "1", "--L-grid", "1, ,2"], "--L-grid"),
     ])
     def test_empty_list_is_a_usage_error(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)

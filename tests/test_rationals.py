@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricspec import (
+    Ball,
+    BallSpectrum,
     Ellipsoid,
     EllipsoidSpectrum,
     ValidationError,
@@ -27,6 +29,7 @@ from toricspec import (
     rat_cmp,
     spectral_gap,
     to_string,
+    weyl_report,
 )
 from toricspec.gaps import ellipsoid_close_detail
 from toricspec.rationals import floor_sum
@@ -113,6 +116,8 @@ def test_approx_comes_from_exact_value():
     (conformal_scale, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), 1.5)),
     # appended last so the generated ids of the earlier cases stay stable
     (ellipsoid_close_detail, (F(1), F(89, 55), 100.0)),
+    (weyl_report, (BallSpectrum(Ball(F(1))), [5], 1.5)),
+    (weyl_report, (BallSpectrum(Ball(F(1))), [5.0])),
 ])
 def test_library_entry_points_refuse_floats(call, args):
     with pytest.raises(ValidationError, match="float"):

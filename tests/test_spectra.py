@@ -185,6 +185,29 @@ class TestBall:
         assert ball.values(100) == ell.values(100)
         assert all(ball.check_witness(k) for k in range(20))
 
+    @pytest.mark.parametrize("a", [F(1), F(5, 4), F(7, 3), F(2, 9)])
+    def test_sweep_matches_closed_form(self, a):
+        # the heap on E(a, a) against the second route, values and witnesses
+        ball = BallSpectrum(Ball(a))
+        assert ball.entries(2000) == [ball_capacity(a, k) for k in range(2001)]
+        assert all(ball.check_witness(k) for k in range(0, 2001, 97))
+
+    @pytest.mark.parametrize("k", [10 ** 3, 10 ** 6, 10 ** 12])
+    def test_value_past_cache_matches_closed_form(self, k):
+        for a in (F(1), F(5, 4), F(2, 9)):
+            ball = BallSpectrum(Ball(a))
+            assert ball.value(k) == ball_capacity(a, k)[0]
+            assert len(ball._cache) == 1
+
+    @pytest.mark.parametrize("a", [F(1), F(5, 4), F(2, 9)])
+    def test_count_le_matches_closed_form(self, a):
+        ball = BallSpectrum(Ball(a))
+        for cutoff in (F(-3), F(-1, 7), F(0), a / 2, a - F(1, 10 ** 9), a, 3 * a + F(1, 3),
+                       F(10), F(10 ** 40, 3)):
+            top = floor(cutoff / a)
+            expected = 0 if cutoff < 0 else (top + 1) * (top + 2) // 2
+            assert ball.count_le(cutoff) == expected, cutoff
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ball_capacity(F(0), 1)
@@ -358,8 +381,18 @@ class TestWeyl:
 
     def test_volume_override(self):
         spec = BallSpectrum(Ball(F(1)))
-        rows = weyl_report(spec, [4], volume=F(0))
-        assert rows[0]["deviation"] == rows[0]["ratio"]
+        rows = weyl_report(spec, [4], volume=F(1, 2))
+        assert rows[0]["deviation"] == rows[0]["ratio"] - 1
+
+    @pytest.mark.parametrize("volume", [F(0), F(-1), "x"])
+    def test_volume_must_be_positive_and_exact(self, volume):
+        with pytest.raises(ValidationError, match="volume"):
+            weyl_report(BallSpectrum(Ball(F(1))), [4], volume)
+
+    @pytest.mark.parametrize("k", [F(3), "3", None])
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(ValidationError, match="int k"):
+            weyl_report(BallSpectrum(Ball(F(1))), [k])
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValidationError):
