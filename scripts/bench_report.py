@@ -2,11 +2,13 @@
 
     python3 scripts/bench_report.py OUT.json --parent ../parent --change . --pairs 10
 
-The arguments after OUT.json go to compare.py unchanged; --parent and
---change are required. The JSON holds the command, compare.py's printed
-report (one string per line, verdicts included) and the result line of
-every run.py call, in the order they ran. --pairs below 2 is refused
-before any run: the report's quartiles need two runs per side.
+OUT.json comes first, and the arguments after it go to compare.py
+unchanged; --parent and --change are required. The JSON holds the
+command, compare.py's printed report (one string per line, verdicts
+included) and the result line of every run.py call, in the order they
+ran. A run without OUT.json prints the usage, and --pairs below 2 is
+refused because the report's quartiles need two runs per side; both exit
+2 before any run.
 """
 
 from __future__ import annotations
@@ -21,12 +23,17 @@ import compare  # noqa: E402
 
 
 def main() -> int:
-    out, args = sys.argv[1], sys.argv[2:]
-    ap = argparse.ArgumentParser(prog="bench_report.py", add_help=False)
+    ap = argparse.ArgumentParser(
+        prog="bench_report.py", add_help=False,
+        usage="%(prog)s OUT.json --parent TREE --change TREE [--pairs N] [compare.py options]")
+    ap.add_argument("out", metavar="OUT.json")
     for side in ("parent", "change"):
         ap.add_argument(f"--{side}", required=True)
     ap.add_argument("--pairs", type=int, default=10)  # compare.py's default
-    opts = ap.parse_known_args(args)[0]
+    opts = ap.parse_known_args()[0]
+    if sys.argv[1] != opts.out:
+        ap.error("OUT.json must come first: the arguments after it go to compare.py")
+    out, args = opts.out, sys.argv[2:]
     if opts.pairs < 2:
         ap.error("--pairs must be at least 2: the quartiles of each side need two runs")
     sides = {Path(opts.parent).resolve(): "parent", Path(opts.change).resolve(): "change"}

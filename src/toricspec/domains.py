@@ -3,8 +3,8 @@
 A toric domain is described by the boundary profile of its moment region:
 a convex chain from (0, b) on the y-axis to (a, 0) on the x-axis. The
 four-fold symmetrization of the region induces a dual norm on covectors,
-and that norm is all later modules ever need; the symmetrized body itself
-is never materialized.
+all that later modules need. Path unit costs and lengths are integers over
+the profile's vertex denominator; the Fraction dual_norm is their second route.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import ValidationError
 from .paths import LatticePath, _chain_twice_area
-from .rationals import _exact_rat, parse_rat, to_string
+from .rationals import _exact_rat, _scaled, parse_rat, to_string
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,12 @@ class ToricProfile:
             if prev_slope is not None and slope >= prev_slope:
                 raise ValidationError("profile slopes must strictly decrease")
             prev_slope = slope
+
+    @cached_property
+    def scaled_vertices(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """(vertices as integer pairs over the least common denominator D, D)."""
+        *flat, den = _scaled(*(c for vertex in self.vertices for c in vertex))
+        return tuple(zip(flat[::2], flat[1::2])), den
 
     @property
     def x_intercept(self) -> Fraction:
@@ -159,23 +166,23 @@ def square_profile(c: Fraction) -> ToricProfile:
 def dual_norm(profile: ToricProfile, v: tuple[Fraction, Fraction]) -> Fraction:
     """Support function of the symmetrized region at covector v.
 
-    By symmetry this is max over profile vertices of |v1| x + |v2| y,
-    so the symmetrized body never needs to be built.
+    By symmetry this is max over profile vertices of |v1| x + |v2| y, so the
+    symmetrized body is never built. This Fraction form is the second route
+    to the integer unit costs of omega_length and the toric path scans.
     """
-    v1, v2 = abs(Fraction(v[0])), abs(Fraction(v[1]))
+    v1, v2 = (abs(_exact_rat(c, "covector")) for c in v)
     return max(v1 * x + v2 * y for x, y in profile.vertices)
 
 
 def omega_length(profile: ToricProfile, path: LatticePath) -> Fraction:
     """Length of a path: each edge contributes the dual norm of its rotate.
 
-    An edge in direction (p, -q) with multiplicity m contributes
-    m * dual_norm((q, p)). Additive over the edge multiset by definition.
+    An edge (p, -q) of multiplicity m adds m * dual_norm((q, p)), summed as
+    integers over the profile's vertex denominator; additive over edges.
     """
-    total = Fraction(0)
-    for (dx, dy), m in path.edges:
-        total += m * dual_norm(profile, (Fraction(-dy), Fraction(dx)))
-    return total
+    verts, den = profile.scaled_vertices
+    return Fraction(sum(m * max(-dy * x + dx * y for x, y in verts)
+                        for (dx, dy), m in path.edges), den)
 
 
 def norm_floor(profile: ToricProfile) -> Fraction:
@@ -184,8 +191,7 @@ def norm_floor(profile: ToricProfile) -> Fraction:
     dual_norm dominates max(a |v1|, b |v2|) with a, b the intercepts, and
     max(s, t) >= (s + t) / 2, so min(a, b) / 2 works.
     """
-    return min(dual_norm(profile, (Fraction(1), Fraction(0))),
-               dual_norm(profile, (Fraction(0), Fraction(1)))) / 2
+    return min(profile.x_intercept, profile.y_intercept) / 2
 
 
 def profile_area(profile: ToricProfile) -> Fraction:

@@ -2,14 +2,14 @@
 
 A path starts on the nonnegative y-axis, ends on the nonnegative x-axis,
 and consists of integer-vector edges whose slopes strictly decrease from
-left to right (horizontal first, vertical last). Together with the two
-axis segments it bounds a convex region whose lattice points are what the
-capacity minimizations count.
+left to right (horizontal first, vertical last), compared by integer
+cross-multiplication. With the two axis segments it bounds a convex
+region whose lattice points are what the capacity minimizations count.
 
-Three counting routes are provided: a direct column scan, Pick's
-theorem, and the running count the path scan carries from edge to edge.
-They must always agree; tests enforce this on random paths and on every
-scanned path.
+Three counting routes are provided: a direct column scan, Pick's theorem,
+and the running count of the path scan, which adds integer unit costs over
+one denominator (a toric profile's vertex denominator). Tests hold the
+three to agreement on random paths and on every scanned path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .rationals import _scaled
+from .rationals import _exact_rat, _scaled
 
 # ((dx, dy), multiplicity): dx >= 0, dy <= 0, gcd(dx, -dy) == 1, multiplicity >= 1
 Edge = tuple[tuple[int, int], int]
@@ -40,7 +40,7 @@ class LatticePath:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        last_key = None
+        lp, lq = 1, -1  # a slope key -1/1 below every direction's
         for (dx, dy), mult in self.edges:
             if not (isinstance(dx, int) and isinstance(dy, int) and isinstance(mult, int)):
                 raise ValidationError("edges must be integer data")
@@ -50,10 +50,9 @@ class LatticePath:
                 raise ValidationError(f"direction ({dx}, {dy}) is not primitive")
             if mult < 1:
                 raise ValidationError("multiplicities must be positive")
-            key = _direction_key(dx, dy)
-            if last_key is not None and key <= last_key:
+            if -dy * lp <= lq * dx:  # -dy/dx must rise past lq/lp; vertical (dx = 0) only last
                 raise ValidationError("edge slopes must strictly decrease; use from_edges to canonicalize")
-            last_key = key
+            lp, lq = dx, -dy
 
     @classmethod
     def empty(cls) -> "LatticePath":
@@ -240,15 +239,16 @@ def direction_table(
     scanned length ln is the exact value Fraction(ln, denominator).
     Direction (p, -q) is kept when a single unit of it fits the length
     budget; rho must satisfy omega_length >= rho * (x_extent + y_extent)
-    so the extent cap is sound.
+    so the extent cap is sound, and then only p + q <= cap can fit.
     """
+    rho = _exact_rat(rho, "rho")
     if rho <= 0:
         raise ValidationError("rho must be positive")
     cap = int(max_length / rho)
     raw: list[tuple[tuple[int, Fraction], int, int, Fraction]] = []
     for p in range(cap + 1):
-        for q in range(cap + 1):
-            if (p == 0 and q == 0) or gcd(p, q) != 1:
+        for q in range(cap + 1 - p):
+            if gcd(p, q) != 1:  # gcd(0, 0) == 0 drops the zero vector too
                 continue
             w = omega_length(LatticePath((((p, -q), 1),)))
             if w <= 0:
@@ -281,6 +281,7 @@ def enumerate_paths(
     path comes first. With inclusive=True the budget test is <= instead
     of <; max_length <= 0 yields nothing in either mode.
     """
+    max_length = _exact_rat(max_length, "max_length")
     if max_length <= 0:
         return
     dirs, bound, _den, cap = direction_table(max_length, rho, omega_length, inclusive)

@@ -18,7 +18,8 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from functools import cmp_to_key
+from math import floor, gcd, isqrt
 from typing import Optional, Sequence
 
 from .domains import (
@@ -28,18 +29,11 @@ from .domains import (
     Ellipsoid,
     ToricProfile,
     contact_volume,
-    norm_floor,
     omega_length,
     scale_domain,
 )
 from .errors import UnavailableError, ValidationError
-from .paths import (
-    LatticePath,
-    _scan_paths,
-    _stack_path,
-    direction_table,
-    lattice_count_pick,
-)
+from .paths import LatticePath, _scan_paths, _stack_path, lattice_count_pick
 from .rationals import _exact_rat, _positive_axes, _scaled, floor_sum
 
 
@@ -167,8 +161,22 @@ def _greedy_scan_table(profile: ToricProfile, k: int) -> tuple[Fraction, list, i
 
 
 def _scan_table(profile: ToricProfile, bound: Fraction) -> tuple[list, int, int, int]:
-    """(dirs, scaled bound, denominator, extent cap) for an inclusive path scan at bound."""
-    return direction_table(bound, norm_floor(profile), lambda p: omega_length(profile, p), True)
+    """(dirs, scaled bound, denominator, extent cap) for an inclusive path scan at bound.
+
+    Costs are integers over the vertex denominator; (p, -q) costs at least
+    max(q A, p B) for the scaled intercepts A, B, which caps q, p and path extents."""
+    verts, den = profile.scaled_vertices
+    bound_int = floor(bound * den)
+    p_max, q_max = bound_int // verts[0][1], bound_int // verts[-1][0]
+    dirs = []
+    for p in range(p_max + 1):
+        for q in range(q_max + 1):
+            # gcd(0, 0) == 0 drops the zero vector too
+            if gcd(p, q) == 1 and (w := max(q * x + p * y for x, y in verts)) <= bound_int:
+                dirs.append((p, q, w))
+    # _direction_key's order, cross-multiplied: increasing q / p, vertical last
+    dirs.sort(key=cmp_to_key(lambda u, v: u[1] * v[0] - v[1] * u[0]))
+    return dirs, bound_int, den, max(p_max, q_max)
 
 
 def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
@@ -383,12 +391,12 @@ class ToricSpectrum(Spectrum):
         _bound, dirs, bound_int, den, cap = _greedy_scan_table(self._profile, k_max)
         over = k_max + 1  # one bucket for every path enclosing more than k_max + 1 points
         lens = [bound_int + 1] * (over + 1)  # least scaled length per bucket, or past the bound
-        paths: list[Optional[LatticePath]] = [None] * (over + 1)
+        paths: list[Optional[tuple]] = [None] * (over + 1)  # stack snapshots
         stack: list[list[int]] = []
         for ln, count in _scan_paths(dirs, bound_int, cap, stack):
             i = min(count, over + 1) - 1
             if ln < lens[i]:
-                lens[i], paths[i] = ln, _stack_path(stack)
+                lens[i], paths[i] = ln, tuple(map(tuple, stack))
         if min(lens[k_max:]) > bound_int:
             raise AssertionError("enumeration missed the greedy feasible path")
         at_least = lens[over]
@@ -398,7 +406,7 @@ class ToricSpectrum(Spectrum):
                 raise AssertionError(
                     f"corner rounding failed at k={k}: min over >= is {Fraction(at_least, den)}, "
                     f"min over == is {Fraction(lens[k], den)}")
-        return [(Fraction(lens[k], den), paths[k]) for k in range(start, over)]
+        return [(Fraction(lens[k], den), _stack_path(paths[k])) for k in range(start, over)]
 
     def count_le(self, cutoff: Fraction) -> int:
         """The most lattice points a path of length <= cutoff encloses.

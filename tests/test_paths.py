@@ -1,7 +1,7 @@
 """Lattice path core: canonical form, both counting routes, enumeration."""
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from toricspec import (
     LatticePath,
     ValidationError,
+    dual_norm,
     enclosed_area,
     enumerate_paths,
     lattice_count_direct,
@@ -20,7 +21,8 @@ from toricspec import (
     triangle_profile,
     validate_profile,
 )
-from toricspec.paths import _scan_paths, _stack_path, direction_table
+from toricspec.paths import _direction_key, _scan_paths, _stack_path, direction_table
+from toricspec.spectra import _scan_table
 
 
 def random_path(rng, max_coord=6, max_mult=4):
@@ -236,3 +238,63 @@ def test_capacity_at_k0_is_the_empty_path_from_one_scan():
     assert res.witness == LatticePath.empty() and res.witness_at_least == LatticePath.empty()
     assert res.enumeration_bound == 0
     assert res.paths_scanned == 1
+
+
+# primitive directions (p, q), meaning the edge vector (p, -q), and canonical
+# paths built from them
+_primitive_dirs = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda d: gcd(*d) == 1)
+canonical_paths = st.lists(st.tuples(_primitive_dirs, st.integers(1, 4)), max_size=6).map(
+    lambda edges: LatticePath.from_edges(((p, -q), m) for (p, q), m in edges))
+
+
+def fraction_length(prof, path):
+    # the second route: every edge's dual norm in Fractions
+    return sum((m * dual_norm(prof, (Fraction(-dy), Fraction(dx))) for (dx, dy), m in path.edges),
+               Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prof=convex_profiles(), path=canonical_paths)
+def test_integer_omega_length_matches_the_fraction_dual_norms(prof, path):
+    length = omega_length(prof, path)
+    assert isinstance(length, Fraction)
+    assert length == fraction_length(prof, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dirs=st.lists(_primitive_dirs, max_size=5), presort=st.booleans())
+def test_integer_slope_check_matches_the_direction_key(dirs, presort):
+    # presorted lists reach the accepting side; repeats still reject there
+    if presort:
+        dirs = sorted(dirs, key=lambda d: _direction_key(d[0], -d[1]))
+    keys = [_direction_key(p, -q) for p, q in dirs]
+    edges = tuple(((p, -q), 1) for p, q in dirs)
+    if all(k0 < k1 for k0, k1 in zip(keys, keys[1:])):
+        assert LatticePath(edges).edges == edges
+    else:
+        with pytest.raises(ValidationError, match="slopes must strictly decrease"):
+            LatticePath(edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prof=convex_profiles(),
+       budget_ratio=st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(4),
+                                     Fraction(8)]),
+       inclusive=st.booleans())
+def test_profile_table_matches_the_generic_table(prof, budget_ratio, inclusive):
+    budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
+    dirs, bound, den, cap = direction_table(
+        budget, norm_floor(prof), lambda p: fraction_length(prof, p), inclusive)
+    _verts, vden = prof.scaled_vertices
+    # the profile table is inclusive: for a strict budget, take the largest
+    # length over the vertex denominator that lies below it
+    top = budget if inclusive else Fraction(ceil(budget * vden) - 1, vden)
+    pdirs, pbound, pden, pcap = _scan_table(prof, top)
+    assert pden == vden
+    assert [(p, q, Fraction(w, pden)) for p, q, w in pdirs] == \
+        [(p, q, Fraction(w, den)) for p, q, w in dirs]
+    # the extent caps differ, but neither cuts a path within the budget
+    if not inclusive:
+        bound -= 1
+    assert [(Fraction(ln, pden), count) for ln, count in _scan_paths(pdirs, pbound, pcap, [])] == \
+        [(Fraction(ln, den), count) for ln, count in _scan_paths(dirs, bound, cap, [])]

@@ -17,17 +17,21 @@ from toricspec import (
     conformal_scale,
     count_action_pairs,
     cz_from_rotation,
+    dual_norm,
     ellipsoid_action,
     ellipsoid_close,
     ellipsoid_index,
     ellipsoid_orbit_set,
+    enumerate_paths,
     gap_asymptotics,
     index_action_scan,
     nk_sequence,
     nk_via_lattice,
+    omega_length,
     parse_rat,
     rat_cmp,
     spectral_gap,
+    square_profile,
     to_string,
     weyl_report,
 )
@@ -35,6 +39,15 @@ from toricspec.gaps import ellipsoid_close_detail
 from toricspec.rationals import floor_sum
 
 F = Fraction
+
+
+def _unit_square_length(path):
+    return omega_length(square_profile(F(1)), path)
+
+
+def _all_paths(*args):
+    # enumerate_paths is a generator: its checks run once it is consumed
+    return list(enumerate_paths(*args))
 
 
 def test_parse_forms():
@@ -118,6 +131,9 @@ def test_approx_comes_from_exact_value():
     (ellipsoid_close_detail, (F(1), F(89, 55), 100.0)),
     (weyl_report, (BallSpectrum(Ball(F(1))), [5], 1.5)),
     (weyl_report, (BallSpectrum(Ball(F(1))), [5.0])),
+    (dual_norm, (square_profile(F(1)), (0.1, 1))),
+    (_all_paths, (2.5, F(1, 2), _unit_square_length)),
+    (_all_paths, (F(5), 0.5, _unit_square_length)),
 ])
 def test_library_entry_points_refuse_floats(call, args):
     with pytest.raises(ValidationError, match="float"):
