@@ -250,7 +250,7 @@ def direction_table(
         for q in range(cap + 1 - p):
             if gcd(p, q) != 1:  # gcd(0, 0) == 0 drops the zero vector too
                 continue
-            w = omega_length(LatticePath((((p, -q), 1),)))
+            w = _exact_rat(omega_length(LatticePath((((p, -q), 1),))), "unit edge length")
             if w <= 0:
                 raise ValidationError(f"unit edge ({p}, {-q}) has nonpositive length {w}")
             if w < max_length or (inclusive and w == max_length):

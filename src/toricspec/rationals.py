@@ -47,6 +47,13 @@ def _exact_rat(x: object, what: str) -> Fraction:
         raise ValidationError(f"{what} must be rational: {x!r}") from exc
 
 
+def _exact_int(k: object, what: str = "k", least: int = 0) -> int:
+    """Check an index such as a spectrum's k: an int (bools refused) >= least."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < least:
+        raise ValidationError(f"need an int {what} >= {least}, got {type(k).__name__} {k!r}")
+    return k
+
+
 def _positive_axes(a: object, b: object) -> tuple[Fraction, Fraction]:
     """Exact ellipsoid axes (a, b), both positive."""
     a, b = _exact_rat(a, "axis"), _exact_rat(b, "axis")

@@ -34,7 +34,7 @@ from .domains import (
 )
 from .errors import UnavailableError, ValidationError
 from .paths import LatticePath, _scan_paths, _stack_path, lattice_count_pick
-from .rationals import _exact_rat, _positive_axes, _scaled, floor_sum
+from .rationals import _exact_int, _exact_rat, _positive_axes, _scaled, floor_sum
 
 
 def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tuple[int, int]]]:
@@ -44,8 +44,7 @@ def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tu
     (m, n) order. Entry k is the k-th spectral invariant of E(a, b).
     """
     a, b = _positive_axes(a, b)
-    if k_max < 0:
-        raise ValidationError("k_max must be nonnegative")
+    k_max = _exact_int(k_max, "k_max")
     return [(val, (wit["m"], wit["n"]))
             for val, wit in EllipsoidSpectrum(Ellipsoid(a, b)).entries(k_max)]
 
@@ -73,8 +72,7 @@ def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
     same convention (the empty pair has action 0).
     """
     a, b = _positive_axes(a, b)
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
+    k = _exact_int(k)
     an, bn, d = _scaled(a, b)
     return Fraction(_nk_scaled(an, bn, k), d)
 
@@ -105,8 +103,7 @@ def ball_capacity(a: Fraction, k: int) -> tuple[Fraction, dict]:
     a = _exact_rat(a, "ball parameter")
     if a <= 0:
         raise ValidationError("ball parameter must be positive")
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
+    k = _exact_int(k)
     d = (isqrt(8 * k + 1) - 1) // 2
     if not (d * d + d <= 2 * k <= d * d + 3 * d):
         raise AssertionError(f"defining inequalities failed for k={k}, d={d}")
@@ -191,8 +188,7 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     """
     if not isinstance(profile, ToricProfile):
         raise ValidationError("toric_capacity needs a ToricProfile")
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
+    k = _exact_int(k)
     bound, dirs, bound_int, den, cap = _greedy_scan_table(profile, k)
     need = k + 1
     stack: list[list[int]] = []
@@ -243,8 +239,7 @@ class Spectrum:
         raise UnavailableError(f"no rule extends a {self.kind} spectrum past k = 0")
 
     def entry(self, k: int) -> tuple[Fraction, object]:
-        if k < 0:
-            raise ValidationError("k must be nonnegative")
+        k = _exact_int(k)
         cache = self._cache
         if k >= len(cache):
             new = self._extend(k)
@@ -311,10 +306,8 @@ class EllipsoidSpectrum(Spectrum):
 
     def value(self, k: int) -> Fraction:
         """c_k; past the cache by counting inversion, which leaves the cache as it is."""
-        if 0 <= k < len(self._cache):
+        if _exact_int(k) < len(self._cache):
             return self._cache[k][0]
-        if k < 0:
-            raise ValidationError("k must be nonnegative")
         return Fraction(_nk_scaled(self._an, self._bn, k), self._d)
 
     def count_le(self, cutoff: Fraction) -> int:
@@ -531,9 +524,7 @@ def weyl_report(spectrum: Spectrum, ks: Sequence[int],
         raise ValidationError("volume must be positive")
     rows = []
     for k in ks:
-        if not isinstance(k, int) or k < 1:
-            raise ValidationError(f"weyl rows need an int k >= 1, got {type(k).__name__} {k!r}")
-        c = spectrum.value(k)
+        c = spectrum.value(_exact_int(k, least=1))
         ratio = c * c / k
         rows.append({"k": k, "value": c, "ratio": ratio,
                      "deviation": ratio - 2 * volume})

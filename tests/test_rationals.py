@@ -8,6 +8,7 @@ from toricspec import (
     BallSpectrum,
     Ellipsoid,
     EllipsoidSpectrum,
+    ToricSpectrum,
     ValidationError,
     approx_string,
     ball_capacity,
@@ -33,6 +34,7 @@ from toricspec import (
     spectral_gap,
     square_profile,
     to_string,
+    toric_capacity_detail,
     weyl_report,
 )
 from toricspec.gaps import ellipsoid_close_detail
@@ -134,9 +136,26 @@ def test_approx_comes_from_exact_value():
     (dual_norm, (square_profile(F(1)), (0.1, 1))),
     (_all_paths, (2.5, F(1, 2), _unit_square_length)),
     (_all_paths, (F(5), 0.5, _unit_square_length)),
+    (toric_capacity_detail, (square_profile(F(1)), 2.5)),
+    (ToricSpectrum(square_profile(F(1))).entry, (2.5,)),
+    (EllipsoidSpectrum(Ellipsoid(F(2), F(3))).value, (2.5,)),
+    (ball_capacity, (F(1), 2.5)),
+    (nk_via_lattice, (F(1), F(2), 2.5)),
+    (nk_sequence, (F(1), F(2), 2.5)),
+    (_all_paths, (F(3), F(1, 2), lambda p: 1.5)),
 ])
 def test_library_entry_points_refuse_floats(call, args):
     with pytest.raises(ValidationError, match="float"):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    (toric_capacity_detail, (square_profile(F(1)), True)),
+    (ball_capacity, (F(1), True)),
+])
+def test_spectrum_indices_refuse_bools(call, args):
+    # bool is a subclass of int, so a bare k < 0 check took True as k = 1
+    with pytest.raises(ValidationError, match="bool"):
         call(*args)
 
 
