@@ -8,12 +8,15 @@ command, compare.py's printed report (one string per line, verdicts
 included) and the result line of every run.py call, in the order they
 ran. A run without OUT.json prints the usage, and --pairs below 2 is
 refused because the report's quartiles need two runs per side; both exit
-2 before any run.
+2 before any run. Before the first run, src/ of both trees is compiled to
+bytecode with this interpreter, so neither side's start-up pays for
+compiling what the other side has cached.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import sys
 from pathlib import Path
@@ -37,6 +40,8 @@ def main() -> int:
     if opts.pairs < 2:
         ap.error("--pairs must be at least 2: the quartiles of each side need two runs")
     sides = {Path(opts.parent).resolve(): "parent", Path(opts.change).resolve(): "change"}
+    for tree in sides:
+        compileall.compile_dir(tree / "src", quiet=1)
     runs, lines = [], []
     run_once = compare.run_once
 

@@ -214,7 +214,8 @@ def contact_volume(domain: Domain) -> Fraction:
 
 
 def scale_domain(domain: Domain, r: Fraction) -> Domain:
-    """Dilate all profile data by r > 0."""
+    """Dilate all profile data by an exact r > 0."""
+    r = _exact_rat(r, "scale factor")
     if r <= 0:
         raise ValidationError("scale factor must be positive")
     if isinstance(domain, Ellipsoid):

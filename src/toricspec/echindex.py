@@ -22,16 +22,14 @@ from .errors import (
     ValidationError,
 )
 from .paths import LatticePath, _twice_area
-from .rationals import _exact_rat, _positive_axes, _scaled, floor_sum
+from .rationals import _exact_int, _exact_rat, _plain_ints, _positive_axes, _scaled, floor_sum
 from .spectra import _count_scaled
 
 
 def ellipsoid_index(a: Fraction, b: Fraction, m1: int, m2: int) -> int:
     """Closed form: 2 (m1 + m2 + m1 m2 + sum floor(j a / b) + sum floor(j b / a))."""
     a, b = _positive_axes(a, b)
-    if m1 < 0 or m2 < 0:
-        raise ValidationError("multiplicities must be nonnegative")
-    return _index_pq(*(a / b).as_integer_ratio(), m1, m2)
+    return _index_pq(*(a / b).as_integer_ratio(), _exact_int(m1, "m1"), _exact_int(m2, "m2"))
 
 
 def _index_pq(p: int, q: int, m1: int, m2: int) -> int:
@@ -42,6 +40,7 @@ def _index_pq(p: int, q: int, m1: int, m2: int) -> int:
 
 
 def ellipsoid_action(a: Fraction, b: Fraction, m1: int, m2: int) -> Fraction:
+    m1, m2 = _exact_int(m1, "m1"), _exact_int(m2, "m2")
     return _exact_rat(a, "axis") * m1 + _exact_rat(b, "axis") * m2
 
 
@@ -76,8 +75,7 @@ class OrbitRecord:
     multiplicity: int
 
     def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise ValidationError("orbit multiplicity must be positive")
+        _exact_int(self.multiplicity, "orbit multiplicity", least=1)
 
     def cz(self, j: int) -> int:
         try:
@@ -139,8 +137,8 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
     generators are omitted from the set.
     """
     a, b = _positive_axes(a, b)
-    if m1 < 0 or m2 < 0 or m1 + m2 == 0:
-        raise ValidationError("need nonnegative multiplicities, not both zero")
+    if _exact_int(m1, "m1") + _exact_int(m2, "m2") == 0:
+        raise ValidationError("need multiplicities m1, m2 not both zero")
 
     def cz1(j: int) -> int:
         return 2 * floor(j * a / b) + 1
@@ -189,10 +187,9 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
             cz = list(item["cz"])
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"bad orbit record: {item!r}") from exc
-        if not all(isinstance(v, int) for v in (chern, self_linking, multiplicity)):
-            raise ValidationError(f"orbit {label!r}: chern, self_linking, multiplicity must be integers")
-        if not all(isinstance(v, int) for v in cz):
-            raise ValidationError(f"orbit {label!r}: cz array must hold integers")
+        _plain_ints((chern, self_linking, multiplicity),
+                    f"orbit {label!r}: chern, self_linking, multiplicity")
+        _plain_ints(cz, f"orbit {label!r}: cz array")
         orbits.append(OrbitRecord(str(label), chern, self_linking,
                                   _array_cover(cz), multiplicity))
     linking_raw = obj["linking"]
@@ -200,8 +197,9 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
         raise ValidationError("'linking' must be a matrix (list of lists)")
     linking = []
     for row in linking_raw:
-        if not isinstance(row, list) or not all(isinstance(v, int) for v in row):
+        if not isinstance(row, list):
             raise ValidationError("'linking' rows must be integer lists")
+        _plain_ints(row, "'linking' rows")
         linking.append(tuple(row))
     return OrbitSet(tuple(orbits), tuple(linking))
 
@@ -250,8 +248,7 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
     naming the collision. Each row's index and counts are floor sums.
     """
     a, b = _positive_axes(a, b)
-    if m_max < 0:
-        raise ValidationError("m_max must be nonnegative")
+    m_max = _exact_int(m_max, "m_max")
     p, q = (a / b).as_integer_ratio()
     if q <= min(p, m_max):
         raise PreconditionError(f"ratio collision: {q} * a / b = {q * a / b} is an integer")

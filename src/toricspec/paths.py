@@ -20,7 +20,7 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .rationals import _exact_rat, _scaled
+from .rationals import _exact_rat, _plain_ints, _scaled
 
 # ((dx, dy), multiplicity): dx >= 0, dy <= 0, gcd(dx, -dy) == 1, multiplicity >= 1
 Edge = tuple[tuple[int, int], int]
@@ -42,8 +42,8 @@ class LatticePath:
     def __post_init__(self) -> None:
         lp, lq = 1, -1  # a slope key -1/1 below every direction's
         for (dx, dy), mult in self.edges:
-            if not (isinstance(dx, int) and isinstance(dy, int) and isinstance(mult, int)):
-                raise ValidationError("edges must be integer data")
+            if not (type(dx) is type(dy) is type(mult) is int):  # inline: paths are built per scan
+                _plain_ints((dx, dy, mult), "edge data")
             if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
                 raise ValidationError(f"direction ({dx}, {dy}) must point weakly right and down")
             if gcd(dx, -dy) != 1:
@@ -68,6 +68,7 @@ class LatticePath:
         """
         merged: dict[tuple[int, int], int] = {}
         for (dx, dy), mult in edges:
+            _plain_ints((dx, dy, mult), "edge data")
             if mult == 0:
                 continue
             if mult < 0:

@@ -7,6 +7,7 @@ which already guarantees canonical reduced form with positive denominator.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
@@ -52,6 +53,13 @@ def _exact_int(k: object, what: str = "k", least: int = 0) -> int:
     if isinstance(k, bool) or not isinstance(k, int) or k < least:
         raise ValidationError(f"need an int {what} >= {least}, got {type(k).__name__} {k!r}")
     return k
+
+
+def _plain_ints(values: Iterable[object], what: str) -> None:
+    """Refuse anything but plain ints: a bool is an int and would pass as 0 or 1."""
+    for v in values:
+        if type(v) is not int:
+            raise ValidationError(f"{what} must be ints, got {type(v).__name__} {v!r}")
 
 
 def _positive_axes(a: object, b: object) -> tuple[Fraction, Fraction]:

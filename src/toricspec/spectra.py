@@ -4,17 +4,16 @@ Every capacity value returned here comes with a witness that reproduces
 it: a monomial exponent pair for ellipsoids, the defining integer for
 balls, a lattice path for polygonal profiles, and a partition plus
 sub-witnesses for disjoint unions. One integer core on the scaled axes
-answers every ellipsoid question: a heap merge sweeps entries, one floor
-sum counts them, and its inversion gives single values past the cache. A
-ball is E(a, a) on that core, with the closed form ball_capacity as its
-second route. Profiles have two routes as well (one path scan per sweep
-in ToricSpectrum, and the per-k scan toric_capacity_detail); tests hold
-each pair to exact agreement.
+answers every ellipsoid question: one floor sum counts entries, its
+inversion gives single values and the level that bounds a sweep, and a
+sweep sorts the pairs under that level. A ball is E(a, a) on that core,
+with the closed form ball_capacity as its second route. Profiles have
+two routes as well (one path scan per sweep in ToricSpectrum, and the
+per-k scan toric_capacity_detail); tests hold each pair to exact agreement.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,11 +64,12 @@ def count_action_pairs(a: Fraction, b: Fraction, limit: Fraction, *, strict: boo
 def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
     """Entry k of the ellipsoid sequence by counting inversion.
 
-    Independent of the heap route: the k-th value is the least level L
-    with at least k + 1 pairs of action <= L. The pair count only steps
-    up at action values, so bisecting over integer levels (in units of
-    the axes' common denominator) lands on one. k = 0 returns 0 by that
-    same convention (the empty pair has action 0).
+    The k-th value is the least level L with at least k + 1 pairs of
+    action <= L; the sorted listing takes L only as the bound of its
+    enumeration, so its values do not rest on this count. The pair count
+    only steps up at action values, so bisecting over integer levels (in
+    units of the axes' common denominator) lands on one. k = 0 returns 0
+    by that same convention (the empty pair has action 0).
     """
     a, b = _positive_axes(a, b)
     k = _exact_int(k)
@@ -221,35 +221,30 @@ class Spectrum:
     """Nondecreasing sequence c_0 = 0 <= c_1 <= ... with witnesses, lazily extended.
 
     A provider implements one batch hook, _extend(k_max), which returns the
-    entries len(cache)..k_max in order; this class checks them and caches
-    them, so a request for k_max costs one provider pass. count_le(cutoff)
-    counts the entries <= cutoff; providers that can count without listing
-    the entries override it.
+    entries c_0..c_{k_max} in order. entry() alone owns the cache: it checks
+    a new prefix (k_max + 1 entries, c_0 = 0, never decreasing) and replaces
+    the cache with it, so a request for k_max costs one provider pass.
+    count_le(cutoff) counts the entries <= cutoff; providers that can count
+    without listing the entries override it.
     """
 
     kind = "abstract"
-
-    def __init__(self) -> None:
-        self._cache: list[tuple[Fraction, object]] = [(Fraction(0), self._zero_witness())]
-
-    def _zero_witness(self) -> object:
-        return None
+    _cache: Sequence[tuple[Fraction, object]] = ()  # the checked prefix c_0..c_K
 
     def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
-        raise UnavailableError(f"no rule extends a {self.kind} spectrum past k = 0")
+        raise UnavailableError(f"no rule lists the entries of a {self.kind} spectrum")
 
     def entry(self, k: int) -> tuple[Fraction, object]:
         k = _exact_int(k)
-        cache = self._cache
-        if k >= len(cache):
+        if k >= len(self._cache):
             new = self._extend(k)
-            prev = cache[-1][0]
-            for j, (val, _wit) in enumerate(new, len(cache)):
-                if val < prev:
+            if len(new) != k + 1 or new[0][0] != 0:
+                raise AssertionError(f"a prefix up to k={k} must hold k + 1 entries from c_0 = 0")
+            for j in range(1, k + 1):
+                if new[j][0] < new[j - 1][0]:
                     raise AssertionError(f"spectrum not nondecreasing at k={j}")
-                prev = val
-            cache += new
-        return cache[k]
+            self._cache = new
+        return self._cache[k]
 
     def value(self, k: int) -> Fraction:
         return self.entry(k)[0]
@@ -280,11 +275,11 @@ class Spectrum:
         return contact_volume(self.domain())
 
     def scaled(self, r: Fraction) -> "Spectrum":
-        return spectrum_for(scale_domain(self.domain(), Fraction(r)))
+        return spectrum_for(scale_domain(self.domain(), r))
 
 
 class EllipsoidSpectrum(Spectrum):
-    """Heap merge of the two generators' multiples, extended on demand."""
+    """Sums of the two generators' multiples, listed under the inverted level."""
 
     kind = "ellipsoid"
 
@@ -293,13 +288,6 @@ class EllipsoidSpectrum(Spectrum):
             raise ValidationError("EllipsoidSpectrum needs an Ellipsoid")
         self._ellipsoid = ellipsoid
         self._an, self._bn, self._d = _scaled(ellipsoid.a, ellipsoid.b)
-        # integer entries (v, m, n) with action v / d; the cached k = 0 entry
-        # (0, 0) is the root of the generation tree, so start from its children
-        self._heap: list[tuple[int, int, int]] = sorted([(self._an, 1, 0), (self._bn, 0, 1)])
-        super().__init__()
-
-    def _zero_witness(self) -> object:
-        return self._witness(0, 0)
 
     def _witness(self, m: int, n: int) -> object:
         return {"m": m, "n": n}
@@ -314,19 +302,16 @@ class EllipsoidSpectrum(Spectrum):
         return _count_scaled(self._an, self._bn, floor(_exact_rat(cutoff, "cutoff") * self._d))
 
     def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
-        # Canonical generation tree: (m + 1, 0) only from (m, 0), (m, n + 1)
-        # from every entry, so each pair is pushed once. A child's action
-        # exceeds its parent's, so all pairs of one action are in the heap
-        # before the first of them pops and ties leave in (m, n) order.
-        heap, an, bn, d, witness = self._heap, self._an, self._bn, self._d, self._witness
-        out = []
-        for _ in range(len(self._cache), k_max + 1):
-            v, m, n = heapq.heappop(heap)
-            if n == 0:
-                heapq.heappush(heap, (v + an, m + 1, 0))
-            heapq.heappush(heap, (v + bn, m, n + 1))
-            out.append((Fraction(v, d), witness(m, n)))
-        return out
+        # Every pair (m, n) of integer action v = an m + bn n <= the level of
+        # c_{k_max}, sorted by (v, m, n). The level only bounds the listing:
+        # too low a level leaves fewer than k_max + 1 pairs, which is refused.
+        an, bn, d, witness = self._an, self._bn, self._d, self._witness
+        level = _nk_scaled(an, bn, k_max)
+        pairs = sorted([(an * m + bn * n, m, n) for m in range(level // an + 1)
+                        for n in range((level - an * m) // bn + 1)])
+        if len(pairs) <= k_max:
+            raise AssertionError(f"level {Fraction(level, d)} holds only {len(pairs)} pairs, k={k_max}")
+        return [(Fraction(v, d), witness(m, n)) for v, m, n in pairs[: k_max + 1]]
 
     def domain(self) -> Domain:
         return self._ellipsoid
@@ -338,7 +323,7 @@ class EllipsoidSpectrum(Spectrum):
 
 
 class BallSpectrum(EllipsoidSpectrum):
-    """The ellipsoid heap on E(a, a); an entry's witness is its d = m + n."""
+    """The ellipsoid listing on E(a, a); an entry's witness is its d = m + n."""
 
     kind = "ball"
 
@@ -365,10 +350,6 @@ class ToricSpectrum(Spectrum):
         if not isinstance(profile, ToricProfile):
             raise ValidationError("ToricSpectrum needs a ToricProfile")
         self._profile = profile
-        super().__init__()
-
-    def _zero_witness(self) -> object:
-        return LatticePath.empty()
 
     def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
         """Every c_k up to k_max from one inclusive scan at the greedy bound for k_max.
@@ -380,7 +361,6 @@ class ToricSpectrum(Spectrum):
         k + 1" is a suffix minimum over the counts; it must equal the
         minimum over "exactly k + 1" (corner rounding).
         """
-        start = len(self._cache)
         _bound, dirs, bound_int, den, cap = _greedy_scan_table(self._profile, k_max)
         over = k_max + 1  # one bucket for every path enclosing more than k_max + 1 points
         lens = [bound_int + 1] * (over + 1)  # least scaled length per bucket, or past the bound
@@ -393,13 +373,13 @@ class ToricSpectrum(Spectrum):
         if min(lens[k_max:]) > bound_int:
             raise AssertionError("enumeration missed the greedy feasible path")
         at_least = lens[over]
-        for k in range(k_max, start - 1, -1):
+        for k in range(k_max, -1, -1):
             at_least = min(at_least, lens[k])
             if lens[k] != at_least:
                 raise AssertionError(
                     f"corner rounding failed at k={k}: min over >= is {Fraction(at_least, den)}, "
                     f"min over == is {Fraction(lens[k], den)}")
-        return [(Fraction(lens[k], den), _stack_path(paths[k])) for k in range(start, over)]
+        return [(Fraction(lens[k], den), _stack_path(paths[k])) for k in range(over)]
 
     def count_le(self, cutoff: Fraction) -> int:
         """The most lattice points a path of length <= cutoff encloses.
@@ -430,11 +410,6 @@ class UnionSpectrum(Spectrum):
         if not parts:
             raise ValidationError("union needs at least one part spectrum")
         self._parts = list(parts)
-        super().__init__()
-
-    def _zero_witness(self) -> object:
-        return {"partition": [0] * len(self._parts),
-                "parts": [p._zero_witness() for p in self._parts]}
 
     def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
         entries: list[list[tuple[Fraction, object]]] = []
@@ -460,7 +435,7 @@ class UnionSpectrum(Spectrum):
             dp = nxt
             back.append(arg)
         out = []
-        for k in range(len(self._cache), n):
+        for k in range(n):
             partition = []
             j = k
             for arg in reversed(back):
@@ -506,9 +481,6 @@ def spectrum_for(domain: Domain) -> Spectrum:
 
 def conformal_scale(spectrum: Spectrum, r: Fraction) -> Spectrum:
     """Spectrum of the domain dilated by r; values scale linearly in r."""
-    r = _exact_rat(r, "scale factor")
-    if r <= 0:
-        raise ValidationError("scale factor must be positive")
     return spectrum.scaled(r)
 
 

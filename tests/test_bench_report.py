@@ -1,6 +1,8 @@
 """scripts/bench_report.py: argument checks made before any benchmark run."""
 
+import importlib.util
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -50,3 +52,27 @@ def test_out_json_after_the_options_is_refused_before_any_run(monkeypatch, capsy
     argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "2", str(out)]
     assert "OUT.json must come first" in refused_before_any_run(monkeypatch, capsys, argv)
     assert not out.exists()
+
+
+def test_both_trees_are_compiled_before_the_first_run(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = runpy.run_path(str(SCRIPT))
+    compare = sys.modules["compare"]
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for tree in trees:
+        shutil.copytree(SCRIPT.parents[1] / "src", tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    names = [m.name for m in (SCRIPT.parents[1] / "src" / "toricspec").glob("*.py")]
+    assert names
+
+    def compiled_before_the_runs(*_args, **_kw):
+        for tree in trees:
+            for name in names:
+                module = tree / "src" / "toricspec" / name
+                assert Path(importlib.util.cache_from_source(str(module))).is_file(), module
+        return 0
+
+    monkeypatch.setattr(compare, "main", compiled_before_the_runs)
+    monkeypatch.setattr(sys, "argv", ["bench_report.py", str(tmp_path / "report.json"),
+                                      "--parent", str(trees[0]), "--change", str(trees[1])])
+    assert script["main"]() == 0

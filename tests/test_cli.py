@@ -305,6 +305,17 @@ class TestIndexCommand:
         code, _, err = run(capsys, "index", "--orbit-file", str(path))
         assert code == 2 and "cover" in err
 
+    def test_orbit_file_boolean_multiplicity(self, capsys, tmp_path):
+        # JSON true is a Python bool, an int subclass; it must not count as 1
+        obj = {"orbits": [{"label": "g1", "chern": 1, "self_linking": -1,
+                           "multiplicity": True, "cz": [1]}],
+               "linking": [[0]]}
+        path = tmp_path / "orbits.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "index", "--orbit-file", str(path))
+        assert (code, out) == (2, "")
+        assert "got bool True" in err and "Traceback" not in err
+
     def test_missing_orbit_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "index", "--orbit-file", str(tmp_path / "absent.json"))
         assert code == 3 and "io error:" in err

@@ -8,6 +8,8 @@ from toricspec import (
     BallSpectrum,
     Ellipsoid,
     EllipsoidSpectrum,
+    LatticePath,
+    OrbitRecord,
     ToricSpectrum,
     ValidationError,
     approx_string,
@@ -29,8 +31,10 @@ from toricspec import (
     nk_sequence,
     nk_via_lattice,
     omega_length,
+    orbit_set_from_jsonable,
     parse_rat,
     rat_cmp,
+    scale_domain,
     spectral_gap,
     square_profile,
     to_string,
@@ -45,6 +49,11 @@ F = Fraction
 
 def _unit_square_length(path):
     return omega_length(square_profile(F(1)), path)
+
+
+def _orbit_json(linking=((0,),), **fields):
+    orbit = {"label": "g", "chern": 1, "self_linking": -1, "multiplicity": 1, "cz": [1], **fields}
+    return {"orbits": [orbit], "linking": [list(row) for row in linking]}
 
 
 def _all_paths(*args):
@@ -143,6 +152,18 @@ def test_approx_comes_from_exact_value():
     (nk_via_lattice, (F(1), F(2), 2.5)),
     (nk_sequence, (F(1), F(2), 2.5)),
     (_all_paths, (F(3), F(1, 2), lambda p: 1.5)),
+    (ellipsoid_index, (F(2), F(3), 2.5, 1)),
+    (ellipsoid_index, (F(2), F(3), 1, 2.0)),
+    (ellipsoid_action, (F(2), F(3), 1.5, 1)),
+    (ellipsoid_orbit_set, (F(2), F(3), 1.5, 0)),
+    (index_action_scan, (F(1000, 1001), F(1), 2.5)),
+    (OrbitRecord, ("g", 1, -1, lambda j: 1, 1.0)),
+    (EllipsoidSpectrum(Ellipsoid(F(2), F(3))).scaled, (0.1,)),
+    (scale_domain, (Ellipsoid(F(2), F(3)), 0.5)),
+    (LatticePath.from_edges, ([((1.0, 0), 1)],)),
+    (LatticePath.from_edges, ([((1, 0), 2.0)],)),
+    (LatticePath.from_jsonable, ({"edges": [{"dir": [1.5, 0], "mult": 1}]},)),
+    (LatticePath, ((((1, -1.0), 1),),)),
 ])
 def test_library_entry_points_refuse_floats(call, args):
     with pytest.raises(ValidationError, match="float"):
@@ -152,6 +173,17 @@ def test_library_entry_points_refuse_floats(call, args):
 @pytest.mark.parametrize("call, args", [
     (toric_capacity_detail, (square_profile(F(1)), True)),
     (ball_capacity, (F(1), True)),
+    (ellipsoid_index, (F(2), F(3), True, 1)),
+    (ellipsoid_action, (F(2), F(3), 1, True)),
+    (ellipsoid_orbit_set, (F(2), F(3), True, 0)),
+    (index_action_scan, (F(1000, 1001), F(1), True)),
+    (OrbitRecord, ("g", 1, -1, lambda j: 1, True)),
+    (LatticePath, ((((1, 0), True),),)),
+    (LatticePath.from_edges, ([((True, 0), 1)],)),
+    (LatticePath.from_jsonable, ({"edges": [{"dir": [1, 0], "mult": True}]},)),
+    (orbit_set_from_jsonable, (_orbit_json(multiplicity=True),)),
+    (orbit_set_from_jsonable, (_orbit_json(cz=[True]),)),
+    (orbit_set_from_jsonable, (_orbit_json(linking=[[False]]),)),
 ])
 def test_spectrum_indices_refuse_bools(call, args):
     # bool is a subclass of int, so a bare k < 0 check took True as k = 1

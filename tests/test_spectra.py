@@ -36,6 +36,7 @@ from toricspec import (
     validate_profile,
     weyl_report,
 )
+from toricspec import spectra
 from toricspec.spectra import _count_scaled
 from test_paths import convex_profiles, naive_paths
 
@@ -197,7 +198,7 @@ class TestBall:
         for a in (F(1), F(5, 4), F(2, 9)):
             ball = BallSpectrum(Ball(a))
             assert ball.value(k) == ball_capacity(a, k)[0]
-            assert len(ball._cache) == 1
+            assert len(ball._cache) == 0  # the cache is still empty after random access
 
     @pytest.mark.parametrize("a", [F(1), F(5, 4), F(2, 9)])
     def test_count_le_matches_closed_form(self, a):
@@ -340,7 +341,8 @@ class TestUnion:
                 return Ball(F(1))
 
         union = UnionSpectrum([BallSpectrum(Ball(F(1))), _Opaque()])
-        assert union.value(0) == 0
+        with pytest.raises(UnavailableError, match=r"part 1 \(opaque\)"):
+            union.value(0)
         with pytest.raises(UnavailableError, match=r"part 1 \(opaque\)"):
             union.value(2)
 
@@ -469,7 +471,8 @@ def test_provider_without_a_rule_is_unavailable():
             return Ball(F(1))
 
     spec = _Bare()
-    assert spec.entries(0) == [(0, None)]
+    with pytest.raises(UnavailableError, match="bare"):
+        spec.entry(0)
     with pytest.raises(UnavailableError, match="bare"):
         spec.entry(1)
 
@@ -528,6 +531,45 @@ def test_random_access_values_match_the_heap(spec):
     assert [spec.value(k) for k in range(3001)] == heap
     far = spec.value(10**15)  # the least value with more than 10^15 entries up to it
     assert spec.count_le(far) > 10**15 >= spec.count_le(far - F(1, 10**9))
-    assert len(spec._cache) == 1  # random access leaves the cache as it is
+    assert len(spec._cache) == 0  # the cache is still empty after random access
     with pytest.raises(ValidationError):
         spec.value(-1)
+
+
+@pytest.mark.parametrize("spec_type, domain", [(EllipsoidSpectrum, Ellipsoid(F(2), F(3))),
+                                               (EllipsoidSpectrum, Ellipsoid(F(1), F(89, 55))),
+                                               (BallSpectrum, Ball(F(3, 2)))],
+                         ids=["2-3", "golden", "ball"])
+@pytest.mark.parametrize("k", [0, 1, 300])
+def test_the_level_only_bounds_the_ellipsoid_listing(monkeypatch, spec_type, domain, k):
+    expected = spec_type(domain).entries(k)
+    true_level = spectra._nk_scaled
+    monkeypatch.setattr(spectra, "_nk_scaled", lambda an, bn, j: true_level(an, bn, j) - 1)
+    with pytest.raises(AssertionError, match="pairs"):
+        spec_type(domain).entries(k)
+    monkeypatch.setattr(spectra, "_nk_scaled", lambda an, bn, j: 2 * true_level(an, bn, j))
+    assert spec_type(domain).entries(k) == expected
+
+
+@pytest.mark.parametrize("values, message", [([1, 2, 3], r"from c_0 = 0"),
+                                            ([0, 2, 1], r"not nondecreasing at k=2"),
+                                            ([0, 1], r"hold k \+ 1 entries")],
+                         ids=["nonzero-c0", "decreasing", "short"])
+def test_entry_refuses_a_bad_provider_prefix(values, message):
+    class _Listed(Spectrum):
+        kind = "listed"
+
+        def _extend(self, k_max):
+            return [(F(v), None) for v in values]
+
+    with pytest.raises(AssertionError, match=message):
+        _Listed().entry(2)
+
+
+def test_zero_entries_carry_the_empty_witnesses():
+    parts = (Ellipsoid(F(2), F(3)), Ball(F(3, 2)), square_profile(F(1)))
+    empty = [{"m": 0, "n": 0}, {"d": 0}, LatticePath.empty()]
+    for domain, witness in zip(parts, empty):
+        assert spectrum_for(domain).entry(0) == (0, witness)
+    union = spectrum_for(DisjointUnion(parts))
+    assert union.entry(0) == (0, {"partition": [0, 0, 0], "parts": empty})
