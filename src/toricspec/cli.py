@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .domains import Ball, DisjointUnion, Domain, Ellipsoid, load_domain, read_json
@@ -77,7 +78,9 @@ def _domain_from_args(args: argparse.Namespace) -> Domain:
     return domain
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="toricspec")
     sub = parser.add_subparsers(dest="command", required=True)
 

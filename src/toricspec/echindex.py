@@ -83,7 +83,7 @@ class OrbitRecord:
         except LookupError as exc:
             raise MissingCoverError(
                 f"orbit {self.label!r} has no index data for cover {j}") from exc
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise MissingCoverError(
                 f"orbit {self.label!r} returned non-integer index for cover {j}")
         return value
@@ -133,18 +133,22 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
 
     Both generators have chern number 1 and self-linking -1, they link
     once, and the iterate indices are 2 floor(j a / b) + 1 for the short
-    generator and 2 floor(j b / a) + 1 for the long one. Multiplicity-zero
-    generators are omitted from the set.
+    generator and 2 floor(j b / a) + 1 for the long one. With a / b = p / q
+    in lowest terms, each cover is evaluated as 2 (j p // q) + 1 (and
+    2 (j q // p) + 1) in plain integers, so star_shaped_index takes O(m)
+    integer steps and calls no floor sum. Multiplicity-zero generators are
+    omitted from the set.
     """
     a, b = _positive_axes(a, b)
     if _exact_int(m1, "m1") + _exact_int(m2, "m2") == 0:
         raise ValidationError("need multiplicities m1, m2 not both zero")
+    p, q = (a / b).as_integer_ratio()
 
     def cz1(j: int) -> int:
-        return 2 * floor(j * a / b) + 1
+        return 2 * (j * p // q) + 1
 
     def cz2(j: int) -> int:
-        return 2 * floor(j * b / a) + 1
+        return 2 * (j * q // p) + 1
 
     orbits = []
     if m1 > 0:

@@ -392,6 +392,22 @@ class TestParsingAndIo:
         code, out, _ = run(capsys, "--help")
         assert code == 0 and "usage" in out
 
+    def test_parser_is_built_once_and_reused(self, capsys, tmp_path, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.chdir(write_pinned_inputs(tmp_path))
+        monkeypatch.delenv("TORICSPEC_CACHE_DIR", raising=False)
+        calls = [
+            ("spectrum", "--ellipsoid", "2", "3", "--k-max", "6"),
+            ("frobnicate",),
+            ("spectrum", "--ball", "1", "--k-max", "-1"),
+            ("--help",),
+            ("union", "--domain", "union.json", "--k-max", "5"),
+            ("index", "--a", "89", "--b", "55", "--scan", "2"),
+        ]
+        first = [run(capsys, *argv) for argv in calls]
+        assert [r[0] for r in first] == [0, 2, 2, 0, 0, 0]
+        assert [run(capsys, *argv) for argv in calls] == first
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--domain", "bad.json", "--k-max", "2"],
         ["validate", "bad.json"],

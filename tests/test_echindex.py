@@ -8,6 +8,7 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toricspec.echindex as echindex
 from toricspec import (
     DegenerateRotationError,
     LatticePath,
@@ -129,6 +130,9 @@ class TestOrbitSets:
         fractional = OrbitRecord("f", 1, -1, lambda j: j / 2, 1)
         with pytest.raises(MissingCoverError):
             star_shaped_index(OrbitSet((fractional,), ((0,),)))
+        boolean = OrbitRecord("t", 0, 0, lambda j: True, 3)
+        with pytest.raises(MissingCoverError, match="'t'"):
+            star_shaped_index(OrbitSet((boolean,), ((0,),)))
 
     def test_unrelated_cover_error_propagates(self):
         # only a missing cover (a lookup failure) becomes MissingCoverError
@@ -260,6 +264,39 @@ def test_index_matches_loop_and_first_principles(a, b, m1, m2):
     assert idx == _loop_index(a, b, m1, m2)
     if m1 + m2 > 0:
         assert idx == star_shaped_index(ellipsoid_orbit_set(a, b, m1, m2))
+
+
+def _digits_axis(digits):
+    return st.builds(F, st.integers(10 ** (digits - 1), 10 ** digits - 1),
+                     st.integers(10 ** (digits - 1), 10 ** digits - 1))
+
+
+# small axes make j a / b an integer for some covers; 8- and 320-digit axes
+# are the sizes the index-count and ellipsoid-gaps benchmarks draw
+_bench_axis = st.one_of(_small_axis, _digits_axis(8), _digits_axis(320))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_bench_axis, b=_bench_axis, m1=st.integers(0, 3000), m2=st.integers(0, 3000))
+def test_integer_covers_match_the_fraction_route(a, b, m1, m2):
+    if m1 + m2 == 0:
+        m1 = 1
+    os_ = ellipsoid_orbit_set(a, b, m1, m2)
+    for orbit in os_.orbits:
+        ratio = a / b if orbit.label == "g1" else b / a
+        for j in range(1, orbit.multiplicity + 1):
+            rot = j * ratio
+            if rot.denominator == 1:
+                assert orbit.cz(j) == 2 * rot + 1
+            else:
+                assert orbit.cz(j) == cz_from_rotation(rot, elliptic=True)
+    expected = ellipsoid_index(a, b, m1, m2)
+
+    def no_floor_sum(*args):
+        raise AssertionError("star_shaped_index must not call floor_sum")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(echindex, "floor_sum", no_floor_sum)
+        assert star_shaped_index(ellipsoid_orbit_set(a, b, m1, m2)) == expected
 
 
 @settings(max_examples=300, deadline=None)
