@@ -264,7 +264,7 @@ def read_json(path: str, what: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an int past the digit limit
             raise ValidationError(f"malformed {what}: {exc}") from exc
 
 

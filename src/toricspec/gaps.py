@@ -27,7 +27,7 @@ from math import floor, gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, PreconditionError, ValidationError
-from .rationals import _exact_rat, _positive_axes, _scaled
+from .rationals import _exact_rat, _positive_axes
 from .spectra import EllipsoidSpectrum, Spectrum, _count_scaled
 from .domains import Ellipsoid
 
@@ -100,13 +100,13 @@ def _gap_scan(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport
     """One GapReport per exact cutoff, in order, from one scan at the largest.
 
     The spectrum is extended once, to the count_le(top) entries up to the
-    top cutoff. Its values are scaled once to integers s_k over a common
-    denominator d; a running first argmin of s_{k+1} - s_k is read at the
-    number of s_k <= floor(cutoff d).
+    top cutoff, and its integer prefix is read as it is: numerators s_k
+    over the provider's denominator d. A running first argmin of
+    s_{k+1} - s_k is read at the number of s_k <= floor(cutoff d).
     """
     if not cutoffs:
         return []
-    *s, d = _scaled(*spectrum.values(max(spectrum.count_le(max(cutoffs)) - 1, 0)))
+    d, s = spectrum._scaled_prefix(max(spectrum.count_le(max(cutoffs)) - 1, 0))
     diffs = [y - x for x, y in zip(s, s[1:])]
     # first[n]: the achieving k when exactly c_0..c_{n-1} fit under a cutoff
     first = [None, None, *accumulate(range(len(diffs)), lambda i, k: k if diffs[k] < diffs[i] else i)]

@@ -5,7 +5,9 @@ commands hand over rows of Fractions, integers, booleans, None and raw
 witnesses, and every output (CSV, JSON, manifest, cache entry) writes a
 Fraction as canonical rational text. Advisory decimal columns arrive as
 text already, derived from the exact value. Manifests contain no timestamps, so identical
-invocations produce identical bytes.
+invocations produce identical bytes. A computed value too long to write as
+text (past Python's int-to-text digit limit) is refused with a
+ValidationError before anything is written.
 """
 
 from __future__ import annotations
@@ -15,15 +17,27 @@ import hashlib
 import io as _io
 import json
 import os
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .errors import ValidationError
 from .paths import LatticePath
-from .rationals import to_string
+from .rationals import _int_text_limit, to_string
 
 CACHE_ENV = "TORICSPEC_CACHE_DIR"
+
+
+@contextmanager
+def _text_edge() -> Iterator[None]:
+    """Refuse, with a ValidationError, a value whose integers pass the digit
+    limit on int-to-text conversion, the one ValueError that making text raises."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValidationError(f"a computed value has more than {_int_text_limit()} digits "
+                              "and cannot be written as text") from exc
 
 
 def jsonable_witness(witness: object) -> object:
@@ -59,8 +73,9 @@ def render_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([cell_text(row.get(col)) for col in columns])
+    with _text_edge():
+        for row in rows:
+            writer.writerow([cell_text(row.get(col)) for col in columns])
     return buf.getvalue()
 
 
@@ -70,13 +85,14 @@ def _jsonable_rows(columns: Sequence[str], rows: Sequence[dict]) -> list[dict]:
 
 def render_json(command: str, params: dict, columns: Sequence[str],
                 rows: Sequence[dict]) -> str:
-    payload = {
-        "command": command,
-        "params": {key: jsonable_witness(val) for key, val in params.items()},
-        "columns": list(columns),
-        "rows": _jsonable_rows(columns, rows),
-    }
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    with _text_edge():
+        payload = {
+            "command": command,
+            "params": {key: jsonable_witness(val) for key, val in params.items()},
+            "columns": list(columns),
+            "rows": _jsonable_rows(columns, rows),
+        }
+        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
 def _canonical_sha256(obj: object) -> str:
@@ -93,17 +109,18 @@ def domain_digest(domain_jsonable: Optional[dict]) -> Optional[str]:
 
 def write_manifest(path: str, argv: Sequence[str], domain_jsonable: Optional[dict],
                    columns: Sequence[str], rows: Sequence[dict]) -> None:
-    payload = {
-        "argv": list(argv),
-        "version": __version__,
-        "domain": domain_jsonable,
-        "domain_digest": domain_digest(domain_jsonable),
-        "columns": list(columns),
-        "rows": _jsonable_rows(columns, rows),
-    }
+    with _text_edge():
+        payload = {
+            "argv": list(argv),
+            "version": __version__,
+            "domain": domain_jsonable,
+            "domain_digest": domain_digest(domain_jsonable),
+            "columns": list(columns),
+            "rows": _jsonable_rows(columns, rows),
+        }
+        text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 class RowCache:
@@ -130,16 +147,17 @@ class RowCache:
             if payload.get("key") != key:
                 return None
             return payload["rows"]
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError):
+        except (OSError, ValueError, KeyError):  # ValueError: undecodable, or past the digit limit
             return None
 
     def store(self, key: dict, rows: list) -> None:
         if not self.directory:
             return
-        payload = {"key": key, "rows": jsonable_witness(rows)}
+        with _text_edge():
+            text = json.dumps({"key": key, "rows": jsonable_witness(rows)})
         try:
             os.makedirs(self.directory, exist_ok=True)
             with open(self._path(key), "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
+                fh.write(text)
         except OSError:
             pass  # caching is advisory; never fail the run for it

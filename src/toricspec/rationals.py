@@ -7,6 +7,7 @@ which already guarantees canonical reduced form with positive denominator.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -22,6 +23,10 @@ APPROX_DIGITS = 12
 def parse_rat(text: str) -> Fraction:
     """Parse "p/q", a decimal string, or a plain integer into a Fraction.
 
+    A numerator or denominator with more digits than Python writes an int
+    with (the int-to-text limit) is refused, so every parsed value can be
+    written back.
+
     >>> parse_rat("89/55")
     Fraction(89, 55)
     >>> parse_rat("1.61")
@@ -30,9 +35,21 @@ def parse_rat(text: str) -> Fraction:
     if not isinstance(text, str) or not text.strip():
         raise ValidationError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(text.strip())
+        x = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational literal: {text!r}") from exc
+    limit = _int_text_limit()
+    for part, n in (("numerator", x.numerator), ("denominator", x.denominator)):
+        # n < 8**limit < 10**limit is decided by the bit length alone
+        if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+            raise ValidationError(f"rational literal {text!r} has a {part} of more than "
+                                  f"{limit} digits, which cannot be written back as text")
+    return x
+
+
+def _int_text_limit() -> int:
+    """The most digits Python writes an int with (sys.set_int_max_str_digits); 0 is no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def _exact_rat(x: object, what: str) -> Fraction:

@@ -3,13 +3,16 @@
 Every capacity value returned here comes with a witness that reproduces
 it: a monomial exponent pair for ellipsoids, the defining integer for
 balls, a lattice path for polygonal profiles, and a partition plus
-sub-witnesses for disjoint unions. One integer core on the scaled axes
-answers every ellipsoid question: one floor sum counts entries, its
-inversion gives single values and the level that bounds a sweep, and a
-sweep sorts the pairs under that level. A ball is E(a, a) on that core,
-with the closed form ball_capacity as its second route. Profiles have
-two routes as well (one path scan per sweep in ToricSpectrum, and the
-per-k scan toric_capacity_detail); tests hold each pair to exact agreement.
+sub-witnesses for disjoint unions. A provider lists a prefix in integers
+(one denominator, the numerators and the witnesses); the base class checks
+it and builds the Fractions, and unions and gap scans read the integers.
+One integer core on the scaled axes answers every ellipsoid question: one
+floor sum counts entries, its inversion gives single values and the level
+that bounds a sweep, and a sweep sorts the pairs under that level. A ball
+is E(a, a) on that core, with the closed form ball_capacity as its second
+route. Profiles have two routes as well (one path scan per sweep in
+ToricSpectrum, and the per-k scan toric_capacity_detail); tests hold each
+pair to exact agreement.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import floor, gcd, isqrt
+from itertools import islice
+from math import floor, gcd, isqrt, lcm
+from operator import le
 from typing import Optional, Sequence
 
 from .domains import (
@@ -221,30 +226,39 @@ class Spectrum:
     """Nondecreasing sequence c_0 = 0 <= c_1 <= ... with witnesses, lazily extended.
 
     A provider implements one batch hook, _extend(k_max), which returns the
-    entries c_0..c_{k_max} in order. entry() alone owns the cache: it checks
-    a new prefix (k_max + 1 entries, c_0 = 0, never decreasing) and replaces
-    the cache with it, so a request for k_max costs one provider pass.
-    count_le(cutoff) counts the entries <= cutoff; providers that can count
-    without listing the entries override it.
+    prefix c_0..c_{k_max} as (den, nums, witnesses), c_k = nums[k] / den.
+    entry() alone owns the cache: it checks a new prefix (k_max + 1 entries,
+    nums[0] = 0, never decreasing), keeps (den, nums) for _scaled_prefix and
+    caches one Fraction per distinct value, so a request for k_max costs one
+    provider pass. count_le(cutoff) counts the entries <= cutoff; providers
+    that can count without listing the entries override it.
     """
 
     kind = "abstract"
     _cache: Sequence[tuple[Fraction, object]] = ()  # the checked prefix c_0..c_K
+    _prefix: tuple[int, Sequence[int]] = (1, ())  # (den, nums) of the cache
 
-    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
+    def _extend(self, k_max: int) -> tuple[int, Sequence[int], Sequence[object]]:
         raise UnavailableError(f"no rule lists the entries of a {self.kind} spectrum")
 
     def entry(self, k: int) -> tuple[Fraction, object]:
         k = _exact_int(k)
         if k >= len(self._cache):
-            new = self._extend(k)
-            if len(new) != k + 1 or new[0][0] != 0:
+            den, nums, witnesses = self._extend(k)
+            if len(nums) != k + 1 or len(witnesses) != k + 1 or nums[0] != 0:
                 raise AssertionError(f"a prefix up to k={k} must hold k + 1 entries from c_0 = 0")
-            for j in range(1, k + 1):
-                if new[j][0] < new[j - 1][0]:
-                    raise AssertionError(f"spectrum not nondecreasing at k={j}")
-            self._cache = new
+            if not all(map(le, nums, islice(nums, 1, None))):
+                bad = next(j for j in range(1, k + 1) if nums[j] < nums[j - 1])
+                raise AssertionError(f"spectrum not nondecreasing at k={bad}")
+            values = {v: Fraction(v, den) for v in set(nums)}  # ties share one Fraction
+            self._prefix = den, nums
+            self._cache = list(zip(map(values.__getitem__, nums), witnesses))
         return self._cache[k]
+
+    def _scaled_prefix(self, k_max: int) -> tuple[int, Sequence[int]]:
+        """(den, nums) with c_k = nums[k] / den for k <= k_max, read from the checked cache."""
+        self.entry(k_max)
+        return self._prefix[0], self._prefix[1][: k_max + 1]
 
     def value(self, k: int) -> Fraction:
         return self.entry(k)[0]
@@ -301,7 +315,7 @@ class EllipsoidSpectrum(Spectrum):
     def count_le(self, cutoff: Fraction) -> int:
         return _count_scaled(self._an, self._bn, floor(_exact_rat(cutoff, "cutoff") * self._d))
 
-    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
+    def _extend(self, k_max: int) -> tuple[int, list[int], list[object]]:
         # Every pair (m, n) of integer action v = an m + bn n <= the level of
         # c_{k_max}, sorted by (v, m, n). The level only bounds the listing:
         # too low a level leaves fewer than k_max + 1 pairs, which is refused.
@@ -311,7 +325,8 @@ class EllipsoidSpectrum(Spectrum):
                         for n in range((level - an * m) // bn + 1)])
         if len(pairs) <= k_max:
             raise AssertionError(f"level {Fraction(level, d)} holds only {len(pairs)} pairs, k={k_max}")
-        return [(Fraction(v, d), witness(m, n)) for v, m, n in pairs[: k_max + 1]]
+        del pairs[k_max + 1:]
+        return d, [v for v, _m, _n in pairs], [witness(m, n) for _v, m, n in pairs]
 
     def domain(self) -> Domain:
         return self._ellipsoid
@@ -351,7 +366,7 @@ class ToricSpectrum(Spectrum):
             raise ValidationError("ToricSpectrum needs a ToricProfile")
         self._profile = profile
 
-    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
+    def _extend(self, k_max: int) -> tuple[int, list[int], list[LatticePath]]:
         """Every c_k up to k_max from one inclusive scan at the greedy bound for k_max.
 
         Each k <= k_max has c_k <= c_{k_max} <= that bound, and the scan
@@ -379,7 +394,7 @@ class ToricSpectrum(Spectrum):
                 raise AssertionError(
                     f"corner rounding failed at k={k}: min over >= is {Fraction(at_least, den)}, "
                     f"min over == is {Fraction(lens[k], den)}")
-        return [(Fraction(lens[k], den), _stack_path(paths[k])) for k in range(over)]
+        return den, lens[:over], [_stack_path(paths[k]) for k in range(over)]
 
     def count_le(self, cutoff: Fraction) -> int:
         """The most lattice points a path of length <= cutoff encloses.
@@ -402,7 +417,8 @@ class ToricSpectrum(Spectrum):
 
 
 class UnionSpectrum(Spectrum):
-    """Max-plus convolution of the part spectra over partitions of k."""
+    """Max-plus convolution of the part spectra over partitions of k, on the
+    parts' integer prefixes rescaled to the lcm of their denominators."""
 
     kind = "union"
 
@@ -411,20 +427,20 @@ class UnionSpectrum(Spectrum):
             raise ValidationError("union needs at least one part spectrum")
         self._parts = list(parts)
 
-    def _extend(self, k_max: int) -> list[tuple[Fraction, object]]:
-        entries: list[list[tuple[Fraction, object]]] = []
+    def _extend(self, k_max: int) -> tuple[int, list[int], list[dict]]:
+        prefixes = []
         for idx, p in enumerate(self._parts):
             try:
-                entries.append(p.entries(k_max))
+                prefixes.append(p._scaled_prefix(k_max))
             except UnavailableError as exc:
                 raise UnavailableError(f"union part {idx} ({p.kind}): {exc}") from exc
-        # one convolution up to k_max, over the values scaled to a common denominator
+        # one convolution up to k_max, over the parts' numerators rescaled to the lcm d
         n = k_max + 1
-        *flat, d = _scaled(*(v for part in entries for v, _w in part))
-        dp = flat[:n]  # dp[j] = best total over the parts so far at budget j
+        d = lcm(*(den for den, _nums in prefixes))
+        scaled = [[v * (d // den) for v in nums] for den, nums in prefixes]
+        dp = scaled[0]  # dp[j] = best total over the parts so far at budget j
         back: list[list[int]] = []  # back[i - 1][j]: share of parts 0..i-1 when 0..i share j
-        for i in range(1, len(entries)):
-            vals = flat[i * n:(i + 1) * n]
+        for vals in scaled[1:]:
             nxt: list[int] = []
             arg: list[int] = []
             for j in range(n):
@@ -434,7 +450,7 @@ class UnionSpectrum(Spectrum):
                 arg.append(row.index(best))  # the smallest t on ties
             dp = nxt
             back.append(arg)
-        out = []
+        witnesses = []
         for k in range(n):
             partition = []
             j = k
@@ -444,10 +460,9 @@ class UnionSpectrum(Spectrum):
                 j = t
             partition.append(j)
             partition.reverse()
-            out.append((Fraction(dp[k], d),
-                        {"partition": partition,
-                         "parts": [part[ki][1] for part, ki in zip(entries, partition)]}))
-        return out
+            witnesses.append({"partition": partition,
+                              "parts": [p.entry(ki)[1] for p, ki in zip(self._parts, partition)]})
+        return d, dp, witnesses
 
     def domain(self) -> Domain:
         return DisjointUnion(tuple(p.domain() for p in self._parts))

@@ -2,7 +2,9 @@
 
 Budgets are wall-clock seconds measured around the workload under test.
 Reference values marked frozen were produced by standalone oracle scripts
-before the library existed and must never be regenerated from the library.
+before the library existed and must never be regenerated from the library;
+one more test, outside the fifteen, holds the frozen gap table to the
+output of its standalone script.
 """
 
 import csv
@@ -13,6 +15,7 @@ import sys
 import time
 from fractions import Fraction
 from math import floor, gcd
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +292,18 @@ def test_criterion_13_gap_asymptotics_reproduce_frozen_table():
             cutoff, gap, scaled, suffix_sup), cutoff
     print(f"criterion 13: PASS - all {len(rows)} rows of the frozen gap table "
           f"for axes (1, 89/55) reproduced exactly")
+
+
+def test_frozen_gap_table_is_what_its_oracle_script_prints():
+    # the script imports nothing from the package, so -I keeps it standalone
+    script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_gap_table.py"
+    out = subprocess.run([sys.executable, "-I", str(script)], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    frozen = [f"({cutoff.numerator}, "
+              + ", ".join(f"Fraction({x.numerator}, {x.denominator})" for x in rest) + "),"
+              for cutoff, *rest in FROZEN_GAP_TABLE]
+    assert rows == frozen
 
 
 def test_criterion_14_union_matches_brute_force_partitions():

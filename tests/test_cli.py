@@ -420,6 +420,29 @@ class TestParsingAndIo:
         assert code == 2 and out == ""
         assert err.startswith("error: malformed") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["close", "--a", "1", "--b", "2", "--L", "1e5000"], "argument --L: rational literal"),
+        (["spectrum", "--ball", "1e5000", "--k-max", "1"], "argument --ball: rational literal"),
+        (["gap", "--ball", "1", "--L", "1e-5000"], "argument --L: rational literal"),
+        (["validate", "big.json"], "error: rational literal '1e5000' has a numerator"),
+        (["validate", "bigint.json"], "error: malformed domain JSON"),
+        # a parsed input whose computed index passes the limit
+        (["index", "--a", "1", "--b", "1e-4290", "--m1", "100000", "--m2", "0"],
+         "error: a computed value has more than 4300 digits"),
+        (["index", "--a", "1", "--b", "1e-4290", "--m1", "100000", "--m2", "0",
+          "--format", "json", "--manifest", "m.json"],
+         "error: a computed value has more than 4300 digits"),
+    ], ids=["close", "spectrum", "gap", "validate", "validate-int", "index-csv", "index-json"])
+    def test_a_value_past_the_digit_limit_exits_2(self, capsys, tmp_path, monkeypatch,
+                                                   argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_text(json.dumps({"type": "ball", "a": "1e5000"}))
+        (tmp_path / "bigint.json").write_text('{"type": "ball", "a": 1' + "0" * 5000 + "}")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_output_to_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
         code, out, _ = run(capsys, "spectrum", "--ball", "1", "--k-max", "2",
@@ -489,6 +512,15 @@ class TestRowCache:
         entry.write_text("{broken")
         code, again, _ = run(capsys, *args)
         assert code == 0 and again == first
+
+    def test_entry_past_the_digit_limit_is_a_miss(self, capsys, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("TORICSPEC_CACHE_DIR", str(cache_dir))
+        args = ("spectrum", "--ball", "1", "--k-max", "4")
+        first = run(capsys, *args)
+        entry = next(cache_dir.glob("*.json"))
+        entry.write_text('{"key": 1' + "0" * 5000 + "}")
+        assert run(capsys, *args) == first
 
     def test_distinct_requests_get_distinct_entries(self, capsys, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"

@@ -86,6 +86,19 @@ def test_parse_rejects_non_string():
         parse_rat(None)
 
 
+@pytest.mark.parametrize("text, part", [("1e4300", "numerator"), ("-1e4300", "numerator"),
+                                        ("1e-4300", "denominator"), ("-3.5e-4300", "denominator")])
+def test_parse_refuses_a_literal_past_the_digit_limit(text, part):
+    # 10**4300 has 4301 digits, one past Python's default int-to-text limit
+    with pytest.raises(ValidationError, match=f"{part} of more than 4300 digits"):
+        parse_rat(text)
+
+
+@pytest.mark.parametrize("text", ["1e4299", "-1e-4299", "9" * 4300, "1/" + "9" * 4300])
+def test_parse_keeps_a_literal_at_the_digit_limit(text):
+    assert parse_rat(to_string(parse_rat(text))) == parse_rat(text)
+
+
 def test_to_string_round_trips():
     for v in [Fraction(0), Fraction(7), Fraction(-7), Fraction(2, 3), Fraction(-89, 55)]:
         assert parse_rat(to_string(v)) == v

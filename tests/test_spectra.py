@@ -463,6 +463,30 @@ def test_extending_a_prefix_matches_a_fresh_sweep(domain, k1, k2):
     assert spec.entries(k1) == first
 
 
+_prefix_domains = st.one_of(
+    st.tuples(st.builds(Ellipsoid, _axis, _axis), st.integers(0, 60)),
+    st.tuples(st.builds(Ball, _axis), st.integers(0, 60)),
+    st.tuples(_toric_profiles, st.integers(0, 8)),
+    st.tuples(st.lists(_small_domains, min_size=2, max_size=3)
+              .map(lambda ps: DisjointUnion(tuple(ps))), st.integers(0, 8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized=_prefix_domains, data=st.data())
+def test_entries_are_the_integer_prefix_over_its_denominator(sized, data):
+    domain, k_max = sized
+    fresh = spectrum_for(domain)
+    entries = fresh.entries(k_max)
+    den, nums = fresh._scaled_prefix(k_max)
+    assert [v for v, _w in entries] == [F(n, den) for n in nums]
+    # equal values share one Fraction
+    assert all((x is y) == (x == y) for (x, _), (y, _) in zip(entries, entries[1:]))
+    extended = spectrum_for(domain)
+    extended.entries(data.draw(st.integers(0, k_max)))
+    assert extended.entries(k_max) == entries
+    assert extended._scaled_prefix(k_max) == (den, nums)
+
+
 def test_provider_without_a_rule_is_unavailable():
     class _Bare(Spectrum):
         kind = "bare"
@@ -551,19 +575,25 @@ def test_the_level_only_bounds_the_ellipsoid_listing(monkeypatch, spec_type, dom
     assert spec_type(domain).entries(k) == expected
 
 
-@pytest.mark.parametrize("values, message", [([1, 2, 3], r"from c_0 = 0"),
-                                            ([0, 2, 1], r"not nondecreasing at k=2"),
-                                            ([0, 1], r"hold k \+ 1 entries")],
-                         ids=["nonzero-c0", "decreasing", "short"])
-def test_entry_refuses_a_bad_provider_prefix(values, message):
+@pytest.mark.parametrize("den, nums, witnesses, message",
+                         [(1, [1, 2, 3], [None] * 3, r"from c_0 = 0"),
+                          (1, [0, 2, 1], [None] * 3, r"not nondecreasing at k=2"),
+                          (1, [0, 1], [None] * 2, r"hold k \+ 1 entries"),
+                          (1, [0, 1, 2], [None] * 2, r"hold k \+ 1 entries"),
+                          (7, [0, 5, 4], [None] * 3, r"not nondecreasing at k=2")],
+                         ids=["nonzero-c0", "decreasing", "short", "witness-count",
+                              "decreasing-over-den"])
+def test_entry_refuses_a_bad_provider_prefix(den, nums, witnesses, message):
     class _Listed(Spectrum):
         kind = "listed"
 
         def _extend(self, k_max):
-            return [(F(v), None) for v in values]
+            return den, nums, witnesses
 
+    spec = _Listed()
     with pytest.raises(AssertionError, match=message):
-        _Listed().entry(2)
+        spec.entry(2)
+    assert spec._cache == ()  # a refused prefix leaves the cache as it was
 
 
 def test_zero_entries_carry_the_empty_witnesses():
