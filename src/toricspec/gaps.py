@@ -99,14 +99,14 @@ def _ellipsoid_gap(an: int, bn: int, ln: int) -> Optional[tuple[int, int]]:
 def _gap_scan(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport]:
     """One GapReport per exact cutoff, in order, from one scan at the largest.
 
-    The spectrum is extended once, to the count_le(top) entries up to the
-    top cutoff, and its integer prefix is read as it is: numerators s_k
-    over the provider's denominator d. A running first argmin of
-    s_{k+1} - s_k is read at the number of s_k <= floor(cutoff d).
+    The spectrum's store is extended once, to the count_le(top) entries up
+    to the top cutoff, and read as it is: numerators s_k over the store's
+    denominator d; no Fraction is made and no witness read. A running first
+    argmin of s_{k+1} - s_k is read at the number of s_k <= floor(cutoff d).
     """
     if not cutoffs:
         return []
-    d, s = spectrum._scaled_prefix(max(spectrum.count_le(max(cutoffs)) - 1, 0))
+    d, s, _witnesses = spectrum._scaled_prefix(max(spectrum.count_le(max(cutoffs)) - 1, 0))
     diffs = [y - x for x, y in zip(s, s[1:])]
     # first[n]: the achieving k when exactly c_0..c_{n-1} fit under a cutoff
     first = [None, None, *accumulate(range(len(diffs)), lambda i, k: k if diffs[k] < diffs[i] else i)]

@@ -7,6 +7,7 @@ which already guarantees canonical reduced form with positive denominator.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections.abc import Iterable
 from decimal import Decimal, localcontext
@@ -23,26 +24,31 @@ APPROX_DIGITS = 12
 def parse_rat(text: str) -> Fraction:
     """Parse "p/q", a decimal string, or a plain integer into a Fraction.
 
-    A numerator or denominator with more digits than Python writes an int
-    with (the int-to-text limit) is refused, so every parsed value can be
-    written back.
+    A literal with a run of digits, a numerator or a denominator longer than
+    Python writes an int with (the int-to-text limit) is refused, so every
+    parsed value can be written back.
 
     >>> parse_rat("89/55")
     Fraction(89, 55)
     >>> parse_rat("1.61")
     Fraction(161, 100)
     """
+    literal = text if isinstance(text, str) else repr(text)  # a long one is shown by its start
+    shown = repr(text) if len(literal) <= 32 else f"{literal[:24]!r}... ({len(literal)} characters)"
     if not isinstance(text, str) or not text.strip():
-        raise ValidationError(f"not a rational literal: {text!r}")
+        raise ValidationError(f"not a rational literal: {shown}")
+    limit = _int_text_limit()
+    runs = re.findall(r"\d+", text.replace("_", "")) if 0 < limit < len(text) else ()
+    if max(map(len, runs), default=0) > limit:
+        raise ValidationError(f"rational literal {shown} has more than {limit} digits in a row")
     try:
         x = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational literal: {text!r}") from exc
-    limit = _int_text_limit()
+        raise ValidationError(f"not a rational literal: {shown}") from exc
     for part, n in (("numerator", x.numerator), ("denominator", x.denominator)):
         # n < 8**limit < 10**limit is decided by the bit length alone
         if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-            raise ValidationError(f"rational literal {text!r} has a {part} of more than "
+            raise ValidationError(f"rational literal {shown} has a {part} of more than "
                                   f"{limit} digits, which cannot be written back as text")
     return x
 

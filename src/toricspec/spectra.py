@@ -5,7 +5,7 @@ it: a monomial exponent pair for ellipsoids, the defining integer for
 balls, a lattice path for polygonal profiles, and a partition plus
 sub-witnesses for disjoint unions. A provider lists a prefix in integers
 (one denominator, the numerators and the witnesses); the base class checks
-it and builds the Fractions, and unions and gap scans read the integers.
+it and stores those integers, and values become Fractions only on request.
 One integer core on the scaled axes answers every ellipsoid question: one
 floor sum counts entries, its inversion gives single values and the level
 that bounds a sweep, and a sweep sorts the pairs under that level. A ball
@@ -227,45 +227,45 @@ class Spectrum:
 
     A provider implements one batch hook, _extend(k_max), which returns the
     prefix c_0..c_{k_max} as (den, nums, witnesses), c_k = nums[k] / den.
-    entry() alone owns the cache: it checks a new prefix (k_max + 1 entries,
-    nums[0] = 0, never decreasing), keeps (den, nums) for _scaled_prefix and
-    caches one Fraction per distinct value, so a request for k_max costs one
-    provider pass. count_le(cutoff) counts the entries <= cutoff; providers
+    entry() alone grows the store: it checks a new prefix (k_max + 1 entries,
+    nums[0] = 0, never decreasing) and keeps the triple as it is. Integer
+    readers compare numerators, and Fractions are made only for the values
+    asked for. count_le(cutoff) counts the entries <= cutoff; providers
     that can count without listing the entries override it.
     """
 
     kind = "abstract"
-    _cache: Sequence[tuple[Fraction, object]] = ()  # the checked prefix c_0..c_K
-    _prefix: tuple[int, Sequence[int]] = (1, ())  # (den, nums) of the cache
+    _prefix: tuple[int, Sequence[int], Sequence[object]] = (1, (), ())  # checked c_0..c_K
 
     def _extend(self, k_max: int) -> tuple[int, Sequence[int], Sequence[object]]:
         raise UnavailableError(f"no rule lists the entries of a {self.kind} spectrum")
 
     def entry(self, k: int) -> tuple[Fraction, object]:
         k = _exact_int(k)
-        if k >= len(self._cache):
+        den, nums, witnesses = self._prefix
+        if k >= len(nums):
             den, nums, witnesses = self._extend(k)
             if len(nums) != k + 1 or len(witnesses) != k + 1 or nums[0] != 0:
                 raise AssertionError(f"a prefix up to k={k} must hold k + 1 entries from c_0 = 0")
             if not all(map(le, nums, islice(nums, 1, None))):
                 bad = next(j for j in range(1, k + 1) if nums[j] < nums[j - 1])
                 raise AssertionError(f"spectrum not nondecreasing at k={bad}")
-            values = {v: Fraction(v, den) for v in set(nums)}  # ties share one Fraction
-            self._prefix = den, nums
-            self._cache = list(zip(map(values.__getitem__, nums), witnesses))
-        return self._cache[k]
+            self._prefix = den, nums, witnesses
+        return Fraction(nums[k], den), witnesses[k]
 
-    def _scaled_prefix(self, k_max: int) -> tuple[int, Sequence[int]]:
-        """(den, nums) with c_k = nums[k] / den for k <= k_max, read from the checked cache."""
+    def _scaled_prefix(self, k_max: int) -> tuple[int, Sequence[int], Sequence[object]]:
+        """(den, nums, witnesses), c_k = nums[k] / den for k <= k_max, read from the store."""
         self.entry(k_max)
-        return self._prefix[0], self._prefix[1][: k_max + 1]
+        den, nums, witnesses = self._prefix
+        return den, nums[: k_max + 1], witnesses[: k_max + 1]
 
     def value(self, k: int) -> Fraction:
         return self.entry(k)[0]
 
     def entries(self, k_max: int) -> list[tuple[Fraction, object]]:
-        self.entry(k_max)
-        return list(self._cache[: k_max + 1])
+        den, nums, witnesses = self._scaled_prefix(k_max)
+        values = {v: Fraction(v, den) for v in set(nums)}  # ties share one Fraction
+        return list(zip(map(values.__getitem__, nums), witnesses))
 
     def values(self, k_max: int) -> list[Fraction]:
         return [v for v, _w in self.entries(k_max)]
@@ -273,14 +273,15 @@ class Spectrum:
     def count_le(self, cutoff: Fraction) -> int:
         """Number of entries c_k <= cutoff, c_0 included.
 
-        By default the cache grows in batches of about k / 8 entries until
-        an entry exceeds the cutoff (O(log k) provider passes).
+        By default the store grows in batches of about k / 8 entries until a
+        numerator exceeds floor(cutoff * den) (O(log k) provider passes).
         """
         cutoff = _exact_rat(cutoff, "cutoff")
         j = 1
-        while self.value(j) <= cutoff:
+        while (prefix := self._scaled_prefix(j))[1][j] <= floor(cutoff * prefix[0]):
             j += 1 + j // 8
-        return bisect_right(self.values(j), cutoff)
+        den, nums, _witnesses = prefix
+        return bisect_right(nums, floor(cutoff * den))
 
     def domain(self) -> Domain:
         raise NotImplementedError
@@ -307,10 +308,8 @@ class EllipsoidSpectrum(Spectrum):
         return {"m": m, "n": n}
 
     def value(self, k: int) -> Fraction:
-        """c_k; past the cache by counting inversion, which leaves the cache as it is."""
-        if _exact_int(k) < len(self._cache):
-            return self._cache[k][0]
-        return Fraction(_nk_scaled(self._an, self._bn, k), self._d)
+        """c_k by counting inversion, in O(log) floor sums; the store is neither read nor grown."""
+        return Fraction(_nk_scaled(self._an, self._bn, _exact_int(k)), self._d)
 
     def count_le(self, cutoff: Fraction) -> int:
         return _count_scaled(self._an, self._bn, floor(_exact_rat(cutoff, "cutoff") * self._d))
@@ -436,8 +435,8 @@ class UnionSpectrum(Spectrum):
                 raise UnavailableError(f"union part {idx} ({p.kind}): {exc}") from exc
         # one convolution up to k_max, over the parts' numerators rescaled to the lcm d
         n = k_max + 1
-        d = lcm(*(den for den, _nums in prefixes))
-        scaled = [[v * (d // den) for v in nums] for den, nums in prefixes]
+        d = lcm(*(den for den, _nums, _wits in prefixes))
+        scaled = [[v * (d // den) for v in nums] for den, nums, _wits in prefixes]
         dp = scaled[0]  # dp[j] = best total over the parts so far at budget j
         back: list[list[int]] = []  # back[i - 1][j]: share of parts 0..i-1 when 0..i share j
         for vals in scaled[1:]:
@@ -461,7 +460,7 @@ class UnionSpectrum(Spectrum):
             partition.append(j)
             partition.reverse()
             witnesses.append({"partition": partition,
-                              "parts": [p.entry(ki)[1] for p, ki in zip(self._parts, partition)]})
+                              "parts": [w[ki] for (_d, _n, w), ki in zip(prefixes, partition)]})
         return d, dp, witnesses
 
     def domain(self) -> Domain:

@@ -443,6 +443,23 @@ class TestParsingAndIo:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["close", "--a", "1", "--b", "2", "--L", "1" * 5000],
+        ["spectrum", "--domain", "long.json", "--k-max", "1"],
+        ["union", "--domain", "long-union.json", "--k-max", "1"],
+    ], ids=["close", "domain", "union-denominator"])
+    def test_a_literal_past_the_digit_limit_is_named_briefly(self, capsys, tmp_path, monkeypatch,
+                                                             argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "long.json").write_text(json.dumps({"type": "ball", "a": "1" * 5000}))
+        (tmp_path / "long-union.json").write_text(json.dumps(
+            {"type": "union", "parts": [{"type": "ball", "a": "1"},
+                                        {"type": "ellipsoid", "a": "1", "b": "1/" + "7" * 5000}]}))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err and "Traceback" not in err
+        assert len(err.encode()) < 300
+
     def test_output_to_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
         code, out, _ = run(capsys, "spectrum", "--ball", "1", "--k-max", "2",

@@ -99,6 +99,24 @@ def test_parse_keeps_a_literal_at_the_digit_limit(text):
     assert parse_rat(to_string(parse_rat(text))) == parse_rat(text)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("1" * 5000, "more than 4300 digits in a row"),
+    ("-7/" + "3" * 4301, "more than 4300 digits in a row"),
+    ("1_" * 4400 + "1", "more than 4300 digits in a row"),
+    ("1e" + "0" * 4400 + "1", "more than 4300 digits in a row"),
+    ("1e4300" + " " * 5000, "numerator of more than 4300 digits"),
+    ("x" * 5000, "not a rational literal"),
+], ids=["integer", "denominator", "underscores", "exponent", "expanded", "garbage"])
+def test_parse_messages_show_a_short_prefix_and_the_length(text, reason):
+    with pytest.raises(ValidationError, match=reason) as info:
+        parse_rat(text)
+    assert f"... ({len(text)} characters)" in str(info.value) and len(str(info.value)) < 160
+
+
+def test_parse_counts_digits_not_underscores():
+    assert parse_rat("9_" * 4299 + "9") == 10 ** 4300 - 1
+
+
 def test_to_string_round_trips():
     for v in [Fraction(0), Fraction(7), Fraction(-7), Fraction(2, 3), Fraction(-89, 55)]:
         assert parse_rat(to_string(v)) == v

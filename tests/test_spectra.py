@@ -3,7 +3,7 @@ union convolution, scaling, Weyl diagnostics."""
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +21,7 @@ from toricspec import (
     UnionSpectrum,
     ValidationError,
     ball_capacity,
+    close_gap_consistency,
     conformal_scale,
     count_action_pairs,
     lattice_count_pick,
@@ -36,7 +37,7 @@ from toricspec import (
     validate_profile,
     weyl_report,
 )
-from toricspec import spectra
+from toricspec import gaps, spectra
 from toricspec.spectra import _count_scaled
 from test_paths import convex_profiles, naive_paths
 
@@ -198,7 +199,7 @@ class TestBall:
         for a in (F(1), F(5, 4), F(2, 9)):
             ball = BallSpectrum(Ball(a))
             assert ball.value(k) == ball_capacity(a, k)[0]
-            assert len(ball._cache) == 0  # the cache is still empty after random access
+            assert ball._prefix == (1, (), ())  # the store is still empty after random access
 
     @pytest.mark.parametrize("a", [F(1), F(5, 4), F(2, 9)])
     def test_count_le_matches_closed_form(self, a):
@@ -477,14 +478,14 @@ def test_entries_are_the_integer_prefix_over_its_denominator(sized, data):
     domain, k_max = sized
     fresh = spectrum_for(domain)
     entries = fresh.entries(k_max)
-    den, nums = fresh._scaled_prefix(k_max)
+    den, nums, witnesses = fresh._scaled_prefix(k_max)
     assert [v for v, _w in entries] == [F(n, den) for n in nums]
     # equal values share one Fraction
     assert all((x is y) == (x == y) for (x, _), (y, _) in zip(entries, entries[1:]))
     extended = spectrum_for(domain)
     extended.entries(data.draw(st.integers(0, k_max)))
     assert extended.entries(k_max) == entries
-    assert extended._scaled_prefix(k_max) == (den, nums)
+    assert extended._scaled_prefix(k_max) == (den, nums, witnesses)
 
 
 def test_provider_without_a_rule_is_unavailable():
@@ -555,7 +556,7 @@ def test_random_access_values_match_the_heap(spec):
     assert [spec.value(k) for k in range(3001)] == heap
     far = spec.value(10**15)  # the least value with more than 10^15 entries up to it
     assert spec.count_le(far) > 10**15 >= spec.count_le(far - F(1, 10**9))
-    assert len(spec._cache) == 0  # the cache is still empty after random access
+    assert spec._prefix == (1, (), ())  # the store is still empty after random access
     with pytest.raises(ValidationError):
         spec.value(-1)
 
@@ -593,7 +594,7 @@ def test_entry_refuses_a_bad_provider_prefix(den, nums, witnesses, message):
     spec = _Listed()
     with pytest.raises(AssertionError, match=message):
         spec.entry(2)
-    assert spec._cache == ()  # a refused prefix leaves the cache as it was
+    assert spec._prefix == (1, (), ())  # a refused prefix leaves the store as it was
 
 
 def test_zero_entries_carry_the_empty_witnesses():
@@ -603,3 +604,76 @@ def test_zero_entries_carry_the_empty_witnesses():
         assert spectrum_for(domain).entry(0) == (0, witness)
     union = spectrum_for(DisjointUnion(parts))
     assert union.entry(0) == (0, {"partition": [0, 0, 0], "parts": empty})
+
+
+def _holds_no_fraction(obj):
+    if isinstance(obj, dict):
+        return all(map(_holds_no_fraction, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return all(map(_holds_no_fraction, obj))
+    return not isinstance(obj, F)
+
+
+def _assert_integer_store(spec):
+    den, nums, witnesses = spec._prefix
+    assert type(den) is int and den >= 1
+    assert type(nums) is list and all(type(n) is int for n in nums)
+    assert len(witnesses) == len(nums) and _holds_no_fraction(witnesses)
+
+
+_three_parts = (Ball(F(1)), Ellipsoid(F(2), F(3)),
+                validate_profile([(F(0), F(2)), (F(1), F(1)), (F(3, 2), F(0))]))
+
+
+def test_close_gap_consistency_keeps_an_integer_store(monkeypatch):
+    scanned, true_scan = [], gaps._gap_scan
+
+    def recording_scan(spec, cutoffs):
+        scanned.append(spec)
+        return true_scan(spec, cutoffs)
+
+    monkeypatch.setattr(gaps, "_gap_scan", recording_scan)
+    close_gap_consistency(F(3, 2), F(267, 110), [F(5), F(40), F(180)])
+    assert len(scanned) == 1 and len(scanned[0]._prefix[1]) > 4000
+    _assert_integer_store(scanned[0])
+
+
+def test_union_extension_keeps_integer_stores():
+    union = spectrum_for(DisjointUnion(_three_parts))
+    union.entries(20)
+    for spec in (union, *union._parts):
+        assert len(spec._prefix[1]) == 21
+        _assert_integer_store(spec)
+
+
+def _cutoffs_between_entries(values, den):
+    """One cutoff strictly inside each rise c_k < c_{k+1}, over a prime denominator q
+    coprime to den, so that cutoff * den is never an integer."""
+    for lo, hi in zip(values, values[1:]):
+        if lo < hi:
+            q = next(q for q in (7, 11, 13, 101, 1009, 10007)
+                     if den % q and floor(lo * q) + 1 < hi * q and (floor(lo * q) + 1) % q)
+            yield F(floor(lo * q) + 1, q)
+
+
+@pytest.mark.parametrize("parts", [_three_parts, (Ellipsoid(F(1), F(89, 55)), Ball(F(3, 2)))],
+                         ids=["ball-ellipsoid-triangle", "golden-ball"])
+def test_union_count_le_between_entries_and_below_zero(parts):
+    domain = DisjointUnion(parts)
+    probe = spectrum_for(domain)
+    values, den = probe.values(30), probe._prefix[0]
+    cutoffs = list(_cutoffs_between_entries(values, den))
+    assert len(cutoffs) > 10
+    for cutoff in cutoffs + [F(-1), F(-1, 7), F(-10**9, 3)]:
+        assert gcd(cutoff.denominator, den) == 1
+        # a fresh spectrum, so that count_le grows its store from empty
+        assert spectrum_for(domain).count_le(cutoff) == _swept_count(domain, cutoff), cutoff
+
+
+@pytest.mark.parametrize("domain", [Ellipsoid(F(1), F(89, 55)), Ellipsoid(F(2), F(3)),
+                                    Ball(F(3, 2))], ids=["golden", "2-3", "ball"])
+def test_ellipsoid_value_matches_a_filled_store(domain):
+    spec = spectrum_for(domain)
+    entries = spec.entries(600)
+    assert [spec.value(k) for k in range(601)] == [v for v, _w in entries]
+    assert spec.entries(600) == entries and len(spec._prefix[1]) == 601
