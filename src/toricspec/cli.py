@@ -30,7 +30,7 @@ from .errors import ToricSpecError, ValidationError
 from .gaps import (best_approx_above, best_approx_below, ellipsoid_close,  # noqa: F401
                    ellipsoid_close_detail, gap_asymptotics, spectral_gap)
 from .io import RowCache, render_csv, render_json, write_manifest
-from .rationals import approx_string, parse_rat
+from .rationals import _shown, approx_string, parse_rat
 from .spectra import spectrum_for, weyl_report
 
 
@@ -46,7 +46,7 @@ def _list_arg(parse: Callable[[str], object]) -> Callable[[str], list]:
     def convert(text: str) -> list:
         parts = text.split(",")
         if not all(part.strip() for part in parts):
-            raise argparse.ArgumentTypeError(f"empty list item: {text!r}")
+            raise argparse.ArgumentTypeError(f"empty list item: {_shown(text)}")
         try:
             return [parse(part) for part in parts]
         except (ValidationError, ValueError) as exc:

@@ -17,7 +17,7 @@ from typing import Union
 
 from .errors import ValidationError
 from .paths import LatticePath, _chain_twice_area
-from .rationals import _exact_rat, _scaled, parse_rat, to_string
+from .rationals import _exact_rat, _scaled, _shown, parse_rat, to_string
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def validate_profile(vertices) -> ToricProfile:
         pts = [(_exact_rat(x, "profile vertex"), _exact_rat(y, "profile vertex"))
                for x, y in vertices]
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"profile vertices must be rational pairs: {vertices!r}") from exc
+        raise ValidationError(f"profile vertices must be rational pairs: {_shown(vertices)}") from exc
     if len(pts) < 2:
         raise ValidationError("profile needs at least two vertices")
     merged = [pts[0]]
@@ -210,7 +210,7 @@ def contact_volume(domain: Domain) -> Fraction:
         return 2 * profile_area(domain)
     if isinstance(domain, DisjointUnion):
         return sum((contact_volume(p) for p in domain.parts), Fraction(0))
-    raise ValidationError(f"not a domain: {domain!r}")
+    raise ValidationError(f"not a domain: {_shown(domain)}")
 
 
 def scale_domain(domain: Domain, r: Fraction) -> Domain:
@@ -226,7 +226,7 @@ def scale_domain(domain: Domain, r: Fraction) -> Domain:
         return ToricProfile(tuple((r * x, r * y) for x, y in domain.vertices))
     if isinstance(domain, DisjointUnion):
         return DisjointUnion(tuple(scale_domain(p, r) for p in domain.parts))
-    raise ValidationError(f"not a domain: {domain!r}")
+    raise ValidationError(f"not a domain: {_shown(domain)}")
 
 
 def domain_from_jsonable(obj: object) -> Domain:
@@ -248,7 +248,7 @@ def domain_from_jsonable(obj: object) -> Domain:
         pairs = []
         for item in verts:
             if not isinstance(item, list) or len(item) != 2:
-                raise ValidationError(f"profile vertex must be a two-element list: {item!r}")
+                raise ValidationError(f"profile vertex must be a two-element list: {_shown(item)}")
             pairs.append((parse_rat(item[0]), parse_rat(item[1])))
         return validate_profile(pairs)
     if kind == "union":
@@ -256,7 +256,7 @@ def domain_from_jsonable(obj: object) -> Domain:
         if not isinstance(obj["parts"], list) or not obj["parts"]:
             raise ValidationError("union 'parts' must be a nonempty list")
         return DisjointUnion(tuple(domain_from_jsonable(p) for p in obj["parts"]))
-    raise ValidationError(f"unknown domain type: {kind!r}")
+    raise ValidationError(f"unknown domain type: {_shown(kind)}")
 
 
 def read_json(path: str, what: str) -> object:
@@ -278,4 +278,4 @@ def _require_keys(obj: dict, allowed: set) -> None:
     if missing:
         raise ValidationError(f"domain JSON missing fields: {sorted(missing)}")
     if extra:
-        raise ValidationError(f"domain JSON has unknown fields: {sorted(extra)}")
+        raise ValidationError(f"domain JSON has unknown fields: {_shown(sorted(extra))}")

@@ -22,7 +22,8 @@ from .errors import (
     ValidationError,
 )
 from .paths import LatticePath, _twice_area
-from .rationals import _exact_int, _exact_rat, _plain_ints, _positive_axes, _scaled, floor_sum
+from .rationals import (_exact_int, _exact_rat, _plain_ints, _positive_axes, _scaled, _shown,
+                        floor_sum)
 from .spectra import _count_scaled
 
 
@@ -82,10 +83,10 @@ class OrbitRecord:
             value = self.cz_of_cover(j)
         except LookupError as exc:
             raise MissingCoverError(
-                f"orbit {self.label!r} has no index data for cover {j}") from exc
+                f"orbit {_shown(self.label)} has no index data for cover {j}") from exc
         if type(value) is not int:
             raise MissingCoverError(
-                f"orbit {self.label!r} returned non-integer index for cover {j}")
+                f"orbit {_shown(self.label)} returned non-integer index for cover {j}")
         return value
 
 
@@ -190,10 +191,10 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
             multiplicity = item["multiplicity"]
             cz = list(item["cz"])
         except (TypeError, KeyError) as exc:
-            raise ValidationError(f"bad orbit record: {item!r}") from exc
+            raise ValidationError(f"bad orbit record: {_shown(item)}") from exc
         _plain_ints((chern, self_linking, multiplicity),
-                    f"orbit {label!r}: chern, self_linking, multiplicity")
-        _plain_ints(cz, f"orbit {label!r}: cz array")
+                    f"orbit {_shown(label)}: chern, self_linking, multiplicity")
+        _plain_ints(cz, f"orbit {_shown(label)}: cz array")
         orbits.append(OrbitRecord(str(label), chern, self_linking,
                                   _array_cover(cz), multiplicity))
     linking_raw = obj["linking"]
@@ -260,7 +261,7 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
         raise PreconditionError(f"ratio collision: {p} * b / a = {p * b / a} is an integer")
     if a * q <= (a + b) * m_max:
         raise PreconditionError(
-            f"action collision: pairs (0, {p}) and ({q}, 0) share action {a * q}")
+            f"action collision: pairs (0, {p}) and ({q}, 0) share action {_shown(a * q, str)}")
     an, bn, d = _scaled(a, b)
     rows = []
     for m1 in range(m_max + 1):

@@ -2,19 +2,19 @@
 
 The gap of a spectrum below an action cutoff L is the least difference of
 consecutive entries whose upper member still fits under L; it is infinite
-when even the first positive entry exceeds L. For ellipsoids the closing
-bound has a closed form in two one-sided best rational approximations of
-the axis ratio, found by a mediant walk whose batched steps are Euclid
-divisions on the fence remainders, so large denominators cost logarithmic
-time.
+when even the first positive entry exceeds L. The closing bound of E(a, b)
+at L >= max(a, b) comes from the two one-sided best rational approximations
+of the axis ratio. One core, _close_scaled, finds them in integers over a
+common denominator by mediant walks whose batched steps are Euclid
+divisions, so large denominators cost logarithmic time;
+ellipsoid_close_detail is its only Fraction edge.
 
-Ellipsoid and ball gaps (a ball is E(a, a)) are answered in closed form,
-in O(log) integer steps per cutoff: for L >= max(a, b) the least gap is
-the closing bound (three-distance setting: Sós, 1958; Khinchin on best
-approximations), and the first pair realizing it is read off the
-solutions of a x + b y = gap. Every other spectrum, and the second route
-for ellipsoids and balls, is one integer scan over the entries up to the
-largest cutoff, which answers a whole grid of cutoffs.
+Ellipsoid and ball gaps (a ball is E(a, a)) call the same core: for
+L >= max(a, b) the least gap is the closing bound (three-distance setting:
+Sós, 1958; Khinchin on best approximations), and the first pair realizing
+it is read off the solutions of a x + b y = gap. Every other spectrum, and
+the second route for ellipsoids and balls, is one integer scan over the
+entries up to the largest cutoff, which answers a whole grid of cutoffs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import floor, gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, PreconditionError, ValidationError
-from .rationals import _exact_rat, _positive_axes
+from .rationals import _exact_rat, _positive_axes, _scaled, _shown
 from .spectra import EllipsoidSpectrum, Spectrum, _count_scaled
 from .domains import Ellipsoid
 
@@ -70,30 +70,30 @@ def _ellipsoid_gap(an: int, bn: int, ln: int) -> Optional[tuple[int, int]]:
     """(gap, achieving k) of E(an, bn) below the cutoff ln, all in scaled
     integers, or None when the gap is infinite.
 
-    For ln >= max(an, bn) the gap g is the closing bound. If g = 0 the first
-    tie is the least common multiple of the axes. Otherwise the pairs of
-    entries g apart are (m, n), (m + x, n + y) with an x + bn y = g; the
-    solutions are (x + t q, y - t p), where p, q are the axes over their
-    gcd, from the approximant that attains g. The lower entry is at least
-    v(t) = an max(0, -x) + bn max(0, -y), which is nonincreasing in t while
-    x < 0 and nondecreasing once x >= 0, so the first pair is at the sign
-    change of x.
+    For ln >= max(an, bn) the gap g is the closing bound from _close_scaled,
+    with no Fraction made. If g = 0 the first tie is the least common
+    multiple of the axes. Otherwise the pairs of entries g apart are (m, n),
+    (m + x, n + y) with an x + bn y = g; the solutions are (x + t q, y - t p),
+    where p, q are the axes over their gcd, from the approximant that attains
+    g. The lower entry is at least v(t) = an max(0, -x) + bn max(0, -y), which
+    is nonincreasing in t while x < 0 and nondecreasing once x >= 0, so the
+    first pair is at the sign change of x.
     """
     lo, hi = sorted((an, bn))
     if ln < lo:
         return None
     if ln < hi:
         return lo, 0  # multiples of the shorter axis only
-    g, below, above = _close(Fraction(an), Fraction(bn), Fraction(ln))
+    g, (m_lo, n_lo), (m_hi, n_hi) = _close_scaled(an, bn, ln)
     if g == 0:
         return 0, _count_scaled(an, bn, lcm(an, bn) - 1)
-    x, y = (below.m, -below.n) if an * below.m - bn * below.n == g else (-above.m, above.n)
+    x, y = (m_lo, -n_lo) if an * m_lo - bn * n_lo == g else (-m_hi, n_hi)
     p, q = an // gcd(an, bn), bn // gcd(an, bn)
     t = -(x // q)  # the least t with x + t q >= 0
     v = min(an * max(0, -x - s * q) + bn * max(0, s * p - y) for s in (t - 1, t))
     if v + g > ln:
         raise AssertionError(f"no pair {g} apart below {ln} for axes ({an}, {bn})")
-    return int(g), _count_scaled(an, bn, v) - 1
+    return g, _count_scaled(an, bn, v) - 1
 
 
 def _gap_scan(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport]:
@@ -163,61 +163,50 @@ def _best_frac_le(x: Fraction, max_den: int) -> tuple[int, int]:
     return ln, ld
 
 
-def best_approx_below(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
-    """Coprime (m, n), m >= 1, maximizing n/m subject to n/m <= a/b, a m <= cutoff."""
-    return _approx_below(*_check_close_inputs(a, b, cutoff))
-
-
-def best_approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
-    """Coprime (m, n), n >= 1, maximizing m/n subject to m/n <= b/a, b n <= cutoff."""
-    return _approx_above(*_check_close_inputs(a, b, cutoff))
-
-
-# The private helpers below take inputs already passed through _check_close_inputs.
-
-def _approx_below(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
-    n, m = _best_frac_le(a / b, floor(cutoff / a))
-    # every 0/m is the same approximation; keep the canonical 0/1
-    return Approximant("below", m if n else 1, n)
-
-
-def _approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
-    m, n = _best_frac_le(b / a, floor(cutoff / b))
-    return Approximant("above", m, n if m else 1)
-
-
-def _check_close_inputs(a, b, cutoff) -> tuple[Fraction, Fraction, Fraction]:
-    a, b = _positive_axes(a, b)
-    return a, b, _check_cutoff(a, b, cutoff)
+def _close_scaled(an: int, bn: int, ln: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(g, (m-, n-), (m+, n+)) for E(an, bn) at ln >= max(an, bn), in integers:
+    n-/m- and m+/n+ are the best approximations <= an/bn and <= bn/an under
+    an m- <= ln and bn n+ <= ln, and g = min(an m- - bn n-, bn n+ - an m+).
+    The walks return reduced fractions, so a zero numerator comes as 0/1."""
+    ratio = Fraction(an, bn)
+    n_lo, m_lo = _best_frac_le(ratio, ln // an)
+    m_hi, n_hi = _best_frac_le(1 / ratio, ln // bn)
+    d_below, d_above = an * m_lo - bn * n_lo, bn * n_hi - an * m_hi
+    if d_below < 0 or d_above < 0:
+        raise AssertionError("approximant on the wrong side of the ratio")
+    return min(d_below, d_above), (m_lo, n_lo), (m_hi, n_hi)
 
 
 def _check_cutoff(a: Fraction, b: Fraction, cutoff) -> Fraction:
     cutoff = _exact_rat(cutoff, "cutoff")
     if cutoff < max(a, b):
-        raise PreconditionError(
-            f"cutoff {cutoff} is below max(a, b) = {max(a, b)}; no approximant exists")
+        raise PreconditionError(f"cutoff {_shown(cutoff, str)} is below max(a, b) = "
+                                f"{_shown(max(a, b), str)}; no approximant exists")
     return cutoff
-
-
-def ellipsoid_close(a: Fraction, b: Fraction, cutoff: Fraction) -> Fraction:
-    """Closing bound min(a m- - b n-, b n+ - a m+) from the two approximants."""
-    return _close(*_check_close_inputs(a, b, cutoff))[0]
 
 
 def ellipsoid_close_detail(a: Fraction, b: Fraction,
                            cutoff: Fraction) -> tuple[Fraction, Approximant, Approximant]:
     """The closing bound with the below and above approximants it comes from."""
-    return _close(*_check_close_inputs(a, b, cutoff))
+    a, b = _positive_axes(a, b)
+    an, bn, ln, d = _scaled(a, b, _check_cutoff(a, b, cutoff))
+    g, (m_lo, n_lo), (m_hi, n_hi) = _close_scaled(an, bn, ln)
+    return Fraction(g, d), Approximant("below", m_lo, n_lo), Approximant("above", m_hi, n_hi)
 
 
-def _close(a: Fraction, b: Fraction, cutoff: Fraction) -> tuple[Fraction, Approximant, Approximant]:
-    below = _approx_below(a, b, cutoff)
-    above = _approx_above(a, b, cutoff)
-    d_below = a * below.m - b * below.n
-    d_above = b * above.n - a * above.m
-    if d_below < 0 or d_above < 0:
-        raise AssertionError("approximant on the wrong side of the ratio")
-    return min(d_below, d_above), below, above
+def ellipsoid_close(a: Fraction, b: Fraction, cutoff: Fraction) -> Fraction:
+    """Closing bound min(a m- - b n-, b n+ - a m+) from the two approximants."""
+    return ellipsoid_close_detail(a, b, cutoff)[0]
+
+
+def best_approx_below(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
+    """Coprime (m, n), m >= 1, maximizing n/m subject to n/m <= a/b, a m <= cutoff."""
+    return ellipsoid_close_detail(a, b, cutoff)[1]
+
+
+def best_approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant:
+    """Coprime (m, n), n >= 1, maximizing m/n subject to m/n <= b/a, b n <= cutoff."""
+    return ellipsoid_close_detail(a, b, cutoff)[2]
 
 
 def close_gap_consistency(a: Fraction, b: Fraction,
@@ -231,7 +220,7 @@ def close_gap_consistency(a: Fraction, b: Fraction,
     cutoffs = [_check_cutoff(a, b, cutoff) for cutoff in cutoffs]
     rows = []
     for report in _gap_scan(EllipsoidSpectrum(Ellipsoid(a, b)), cutoffs):
-        cutoff, close = report.cutoff, _close(a, b, report.cutoff)[0]
+        cutoff, close = report.cutoff, ellipsoid_close(a, b, report.cutoff)
         if report.gap is not None and close > report.gap:
             raise ConsistencyError(
                 f"close {close} exceeds gap {report.gap} at cutoff {cutoff} "

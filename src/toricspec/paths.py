@@ -20,7 +20,7 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .rationals import _exact_rat, _plain_ints, _scaled
+from .rationals import _exact_rat, _plain_ints, _scaled, _shown
 
 # ((dx, dy), multiplicity): dx >= 0, dy <= 0, gcd(dx, -dy) == 1, multiplicity >= 1
 Edge = tuple[tuple[int, int], int]
@@ -131,7 +131,7 @@ class LatticePath:
             try:
                 (dx, dy), m = (item["dir"][0], item["dir"][1]), item["mult"]
             except (TypeError, KeyError, IndexError) as exc:
-                raise ValidationError(f"bad path edge: {item!r}") from exc
+                raise ValidationError(f"bad path edge: {_shown(item)}") from exc
             edges.append(((dx, dy), m))
         return cls.from_edges(edges)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
@@ -33,8 +33,7 @@ def parse_rat(text: str) -> Fraction:
     >>> parse_rat("1.61")
     Fraction(161, 100)
     """
-    literal = text if isinstance(text, str) else repr(text)  # a long one is shown by its start
-    shown = repr(text) if len(literal) <= 32 else f"{literal[:24]!r}... ({len(literal)} characters)"
+    shown = _shown(text)
     if not isinstance(text, str) or not text.strip():
         raise ValidationError(f"not a rational literal: {shown}")
     limit = _int_text_limit()
@@ -53,6 +52,14 @@ def parse_rat(text: str) -> Fraction:
     return x
 
 
+def _shown(value: object, form: Callable[[object], str] = repr) -> str:
+    """How a message echoes an outside value: form(value) when the value's text
+    (a string itself, anything else form(value)) has at most 32 characters,
+    otherwise the first 24 characters of that text and its length."""
+    text = value if isinstance(value, str) else form(value)
+    return form(value) if len(text) <= 32 else f"{text[:24]!r}... ({len(text)} characters)"
+
+
 def _int_text_limit() -> int:
     """The most digits Python writes an int with (sys.set_int_max_str_digits); 0 is no limit."""
     return getattr(sys, "get_int_max_str_digits", int)()
@@ -68,13 +75,13 @@ def _exact_rat(x: object, what: str) -> Fraction:
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{what} must be rational: {x!r}") from exc
+        raise ValidationError(f"{what} must be rational: {_shown(x)}") from exc
 
 
 def _exact_int(k: object, what: str = "k", least: int = 0) -> int:
     """Check an index such as a spectrum's k: an int (bools refused) >= least."""
     if isinstance(k, bool) or not isinstance(k, int) or k < least:
-        raise ValidationError(f"need an int {what} >= {least}, got {type(k).__name__} {k!r}")
+        raise ValidationError(f"need an int {what} >= {least}, got {type(k).__name__} {_shown(k)}")
     return k
 
 
@@ -82,7 +89,7 @@ def _plain_ints(values: Iterable[object], what: str) -> None:
     """Refuse anything but plain ints: a bool is an int and would pass as 0 or 1."""
     for v in values:
         if type(v) is not int:
-            raise ValidationError(f"{what} must be ints, got {type(v).__name__} {v!r}")
+            raise ValidationError(f"{what} must be ints, got {type(v).__name__} {_shown(v)}")
 
 
 def _positive_axes(a: object, b: object) -> tuple[Fraction, Fraction]:

@@ -38,7 +38,7 @@ from .domains import (
 )
 from .errors import UnavailableError, ValidationError
 from .paths import LatticePath, _scan_paths, _stack_path, lattice_count_pick
-from .rationals import _exact_int, _exact_rat, _positive_axes, _scaled, floor_sum
+from .rationals import _exact_int, _exact_rat, _positive_axes, _scaled, _shown, floor_sum
 
 
 def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tuple[int, int]]]:
@@ -490,7 +490,7 @@ def spectrum_for(domain: Domain) -> Spectrum:
         return ToricSpectrum(domain)
     if isinstance(domain, DisjointUnion):
         return UnionSpectrum([spectrum_for(p) for p in domain.parts])
-    raise ValidationError(f"not a domain: {domain!r}")
+    raise ValidationError(f"not a domain: {_shown(domain)}")
 
 
 def conformal_scale(spectrum: Spectrum, r: Fraction) -> Spectrum:

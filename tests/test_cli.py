@@ -460,6 +460,36 @@ class TestParsingAndIo:
         assert f"more than {sys.get_int_max_str_digits()} digits" in err and "Traceback" not in err
         assert len(err.encode()) < 300
 
+    @pytest.mark.parametrize("argv, text", [
+        (["close", "--a", "1", "--b", "2", "--L", "1." + "1" * 4001], "(8005 characters) is below max(a, b) = 2;"),
+        (["validate", "in.json"], "unknown domain type: 'tttttttttttttttttttttttt'..."),
+        (["validate", "vertex.json"], "two-element list: '[0, 1, 2, 3, 4, 5, 6, 7,'... (688890 characters)"),
+        (["validate", "key.json"], "unknown fields: \"['kkkkkkkkkkkkkkkkkkkkkk\"..."),
+        (["index", "--orbit-file", "in.json"], "bad orbit record: '[0, 0, 0, 0, 0, 0, 0, 0,'... (300000 characters)"),
+        (["index", "--orbit-file", "label.json"], "orbit 'llllllllllllllllllllllll'..."),
+        (["index", "--orbit-file", "cover.json"], "orbit 'llllllllllllllllllllllll'..."),
+        (["weyl", "--ball", "1", "--k", "1," * 50000], "empty list item: '1,1,1,1,1,1,1,1,1,1,1,1,'"),
+    ], ids=["cutoff", "type", "vertex", "key", "record", "label", "cover", "list"])
+    def test_a_long_outside_value_is_echoed_briefly(self, capsys, tmp_path, monkeypatch,
+                                                    argv, text):
+        monkeypatch.chdir(tmp_path)
+        long = 100_000
+        record = {"label": "l" * long, "chern": 1, "self_linking": -1, "multiplicity": 2, "cz": [1]}
+        files = {"in.json": {"type": "t" * long, "orbits": [[0] * long], "linking": [[0]]},
+                 "vertex.json": {"type": "toric", "vertices": [list(range(long))]},
+                 "key.json": {"type": "ball", "a": "1", "k" * long: 1},
+                 "label.json": {"orbits": [{**record, "chern": 1.5}], "linking": [[0]]},
+                 "cover.json": {"orbits": [record], "linking": [[0]]}}
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert text in err and "Traceback" not in err
+        # a usage error (the list case) prints argparse's fixed usage text before its message
+        *usage, message = err.splitlines()
+        assert len(message.encode()) < 300 and (not usage or usage[0].startswith("usage:"))
+        assert usage or len(err.encode()) < 300
+
     def test_output_to_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
         code, out, _ = run(capsys, "spectrum", "--ball", "1", "--k-max", "2",

@@ -26,7 +26,9 @@ from toricspec import (
     spectrum_for,
     validate_profile,
 )
-from toricspec.gaps import _best_frac_le, _gap_scan, _gaps, ellipsoid_close_detail
+from toricspec import gaps
+from toricspec.gaps import _best_frac_le, _close_scaled, _gap_scan, _gaps, ellipsoid_close_detail
+from toricspec.rationals import _scaled
 
 F = Fraction
 GOLDEN = F(89, 55)
@@ -468,3 +470,69 @@ def test_closed_form_gaps_at_huge_cutoffs():
     report = spectral_gap(EllipsoidSpectrum(Ellipsoid(a, b)), cutoff)
     assert report.gap == ellipsoid_close(a, b, cutoff) > 0
     assert report.achieving_k > 10**100
+
+
+def _fraction_close(a, b, cutoff):
+    """The closing bound as it was written over Fractions, kept as the oracle."""
+    n_lo, m_lo = _best_frac_le(a / b, floor(cutoff / a))
+    m_hi, n_hi = _best_frac_le(b / a, floor(cutoff / b))
+    m_lo, n_hi = m_lo if n_lo else 1, n_hi if m_hi else 1
+    return min(a * m_lo - b * n_lo, b * n_hi - a * m_hi), (m_lo, n_lo), (m_hi, n_hi)
+
+
+@st.composite
+def _close_inputs(draw):
+    """Axes a, a r, either way round, with r small, p/q for q up to 10^6,
+    F(n + 1)/F(n) for n near 1500, or a 320-digit ratio in (1, 2), and a
+    cutoff from max(a, b) up to about 10^300."""
+    a = draw(st.sampled_from([F(1), F(3, 2), F(2, 7), GOLDEN]))
+    kind = draw(st.sampled_from(["small", "wide", "fibonacci", "digits"]))
+    if kind == "small":
+        r = F(draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    elif kind == "wide":
+        q = draw(st.integers(1, 10**6))
+        r = F(draw(st.integers(q // 8 + 1, 8 * q)), q)
+    elif kind == "fibonacci":
+        n = draw(st.integers(1490, 1510))
+        r = F(_fib(n + 1), _fib(n))
+    else:
+        q = draw(st.integers(10**319, 10**320 // 2))
+        r = F(draw(st.integers(q + 1, 2 * q - 1)), q)
+    a, b = (a, a * r) if draw(st.booleans()) else (a * r, a)
+    extra = F(draw(st.integers(0, 10 ** draw(st.integers(0, 300)))), draw(st.integers(1, 1000)))
+    return a, b, max(a, b) + extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(_close_inputs())
+def test_integer_close_matches_fraction_close(inputs):
+    a, b, cutoff = inputs
+    an, bn, ln, d = _scaled(a, b, cutoff)
+    g, below, above = _close_scaled(an, bn, ln)
+    assert (F(g, d), below, above) == _fraction_close(a, b, cutoff)
+    close, below_approx, above_approx = ellipsoid_close_detail(a, b, cutoff)
+    assert (close, (below_approx.m, below_approx.n), (above_approx.m, above_approx.n)) == \
+        (F(g, d), below, above)
+
+
+def test_closed_form_gaps_build_no_approximant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the closed-form gap built an Approximant")
+    calls = []
+    walk = gaps._best_frac_le
+
+    def counted(x, max_den):
+        calls.append((x, max_den))
+        return walk(x, max_den)
+    monkeypatch.setattr(gaps, "Approximant", refuse)
+    monkeypatch.setattr(gaps, "_best_frac_le", counted)
+    grid = [F(1, 2), F(1), F(3, 2), F(8, 5), GOLDEN, F(2), F(50), F(10**30)]
+    for domain, top in [(Ellipsoid(F(1), GOLDEN), GOLDEN), (Ball(F(3, 2)), F(3, 2))]:
+        walks = 2 * sum(cutoff >= top for cutoff in grid)
+        calls.clear()
+        reports = [spectral_gap(spectrum_for(domain), cutoff) for cutoff in grid]
+        assert len(calls) == walks
+        calls.clear()
+        rows = gap_asymptotics(spectrum_for(domain), grid)
+        assert len(calls) == walks
+        assert [row["gap"] for row in rows] == [report.gap for report in reports]
