@@ -55,7 +55,7 @@ def cz_from_rotation(rot: Fraction, *, elliptic: bool = False) -> int:
     rot = _exact_rat(rot, "rotation number")
     if elliptic and rot.denominator == 1:
         raise DegenerateRotationError(
-            f"elliptic rotation number {rot} is an integer; orbit would be degenerate")
+            f"elliptic rotation number {_shown(rot, str)} is an integer; orbit would be degenerate")
     return floor(rot) + ceil(rot)
 
 
@@ -164,7 +164,7 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
 def _array_cover(values: list[int]) -> Callable[[int], int]:
     def cz(j: int) -> int:
         if j < 1:
-            raise ValidationError(f"cover degree must be >= 1, got {j}")
+            raise ValidationError(f"cover degree must be >= 1, got {_shown(j, str)}")
         return values[j - 1]
 
     return cz
@@ -255,13 +255,14 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
     a, b = _positive_axes(a, b)
     m_max = _exact_int(m_max, "m_max")
     p, q = (a / b).as_integer_ratio()
+    ps, qs = _shown(p, str), _shown(q, str)
     if q <= min(p, m_max):
-        raise PreconditionError(f"ratio collision: {q} * a / b = {q * a / b} is an integer")
+        raise PreconditionError(f"ratio collision: {qs} * a / b = {ps} is an integer")
     if p <= m_max:
-        raise PreconditionError(f"ratio collision: {p} * b / a = {p * b / a} is an integer")
+        raise PreconditionError(f"ratio collision: {ps} * b / a = {qs} is an integer")
     if a * q <= (a + b) * m_max:
         raise PreconditionError(
-            f"action collision: pairs (0, {p}) and ({q}, 0) share action {_shown(a * q, str)}")
+            f"action collision: pairs (0, {ps}) and ({qs}, 0) share action {_shown(a * q, str)}")
     an, bn, d = _scaled(a, b)
     rows = []
     for m1 in range(m_max + 1):

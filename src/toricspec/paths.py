@@ -45,9 +45,10 @@ class LatticePath:
             if not (type(dx) is type(dy) is type(mult) is int):  # inline: paths are built per scan
                 _plain_ints((dx, dy, mult), "edge data")
             if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
-                raise ValidationError(f"direction ({dx}, {dy}) must point weakly right and down")
+                raise ValidationError(
+                    f"direction {_shown((dx, dy), str)} must point weakly right and down")
             if gcd(dx, -dy) != 1:
-                raise ValidationError(f"direction ({dx}, {dy}) is not primitive")
+                raise ValidationError(f"direction {_shown((dx, dy), str)} is not primitive")
             if mult < 1:
                 raise ValidationError("multiplicities must be positive")
             if -dy * lp <= lq * dx:  # -dy/dx must rise past lq/lp; vertical (dx = 0) only last
@@ -74,7 +75,8 @@ class LatticePath:
             if mult < 0:
                 raise ValidationError("multiplicities must be nonnegative")
             if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
-                raise ValidationError(f"direction ({dx}, {dy}) must point weakly right and down")
+                raise ValidationError(
+                    f"direction {_shown((dx, dy), str)} must point weakly right and down")
             g = gcd(dx, -dy)
             d = (dx // g, dy // g)
             merged[d] = merged.get(d, 0) + g * mult
@@ -253,7 +255,7 @@ def direction_table(
                 continue
             w = _exact_rat(omega_length(LatticePath((((p, -q), 1),))), "unit edge length")
             if w <= 0:
-                raise ValidationError(f"unit edge ({p}, {-q}) has nonpositive length {w}")
+                raise ValidationError(f"unit edge ({p}, {-q}) has nonpositive length {_shown(w, str)}")
             if w < max_length or (inclusive and w == max_length):
                 raw.append((_direction_key(p, -q), p, q, w))
     raw.sort(key=lambda r: r[0])

@@ -55,8 +55,12 @@ def parse_rat(text: str) -> Fraction:
 def _shown(value: object, form: Callable[[object], str] = repr) -> str:
     """How a message echoes an outside value: form(value) when the value's text
     (a string itself, anything else form(value)) has at most 32 characters,
-    otherwise the first 24 characters of that text and its length."""
-    text = value if isinstance(value, str) else form(value)
+    otherwise the first 24 characters of that text and its length; a value
+    with an int past the int-to-text digit limit is named by its type."""
+    try:
+        text = value if isinstance(value, str) else form(value)
+    except ValueError:
+        return f"<{type(value).__name__} with over {_int_text_limit()} digits>"
     return form(value) if len(text) <= 32 else f"{text[:24]!r}... ({len(text)} characters)"
 
 
@@ -114,7 +118,8 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     integers a, b, in O(log m) Euclid-style steps: reduce a and b modulo m,
     then count the lattice points under the line from the other axis."""
     if n < 0 or m < 1:
-        raise ValidationError(f"floor_sum needs n >= 0 and m >= 1, got n={n}, m={m}")
+        raise ValidationError(f"floor_sum needs n >= 0 and m >= 1, got n={_shown(n, str)}, "
+                              f"m={_shown(m, str)}")
     total = 0
     while True:
         qa, a = divmod(a, m)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
 from math import floor, gcd, isqrt, lcm
-from operator import le
+from operator import add, le
 from typing import Optional, Sequence
 
 from .domains import (
@@ -416,8 +416,11 @@ class ToricSpectrum(Spectrum):
 
 
 class UnionSpectrum(Spectrum):
-    """Max-plus convolution of the part spectra over partitions of k, on the
-    parts' integer prefixes rescaled to the lcm of their denominators."""
+    """c_k(X_1 + ... + X_m) = max over k_1 + ... + k_m = k of the sum of the
+    c_{k_i}(X_i) (Hutchings, arXiv:2201.03143): one max-plus convolution on the
+    parts' integer prefixes, rescaled to the lcm of their denominators. The
+    table carries each budget's partition; ties go to the smallest budget for
+    the earlier parts."""
 
     kind = "union"
 
@@ -433,35 +436,20 @@ class UnionSpectrum(Spectrum):
                 prefixes.append(p._scaled_prefix(k_max))
             except UnavailableError as exc:
                 raise UnavailableError(f"union part {idx} ({p.kind}): {exc}") from exc
-        # one convolution up to k_max, over the parts' numerators rescaled to the lcm d
-        n = k_max + 1
+        # dp[j]: the best total of the parts so far at budget j; splits[j]: its partition
         d = lcm(*(den for den, _nums, _wits in prefixes))
-        scaled = [[v * (d // den) for v in nums] for den, nums, _wits in prefixes]
-        dp = scaled[0]  # dp[j] = best total over the parts so far at budget j
-        back: list[list[int]] = []  # back[i - 1][j]: share of parts 0..i-1 when 0..i share j
-        for vals in scaled[1:]:
-            nxt: list[int] = []
-            arg: list[int] = []
-            for j in range(n):
-                row = [dp[t] + vals[j - t] for t in range(j + 1)]
-                best = max(row)
+        dp, splits = [0], [[]]  # before any part, only budget 0 is spent
+        for den, nums, _wits in prefixes:
+            vals = [v * (d // den) for v in nums]
+            nxt, nxt_splits = [], []
+            for j in range(k_max + 1):
+                row = list(map(add, dp, vals[j::-1]))  # dp[t] + vals[j - t]
+                t = row.index(best := max(row))  # the smallest t on ties
                 nxt.append(best)
-                arg.append(row.index(best))  # the smallest t on ties
-            dp = nxt
-            back.append(arg)
-        witnesses = []
-        for k in range(n):
-            partition = []
-            j = k
-            for arg in reversed(back):
-                t = arg[j]
-                partition.append(j - t)
-                j = t
-            partition.append(j)
-            partition.reverse()
-            witnesses.append({"partition": partition,
-                              "parts": [w[ki] for (_d, _n, w), ki in zip(prefixes, partition)]})
-        return d, dp, witnesses
+                nxt_splits.append(splits[t] + [j - t])
+            dp, splits = nxt, nxt_splits
+        return d, dp, [{"partition": ks, "parts": [w[ki] for (_d, _n, w), ki in zip(prefixes, ks)]}
+                       for ks in splits]
 
     def domain(self) -> Domain:
         return DisjointUnion(tuple(p.domain() for p in self._parts))

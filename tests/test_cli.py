@@ -179,6 +179,14 @@ class TestGapAndCloseCommands:
          "5285a3161e77cdaa26a046d15b6d871f5176bd5d1dfaf9a8533eb04283c984cb"),
         (["index", "--orbit-file", "orbits.json"],
          "2c2716c237c69a9c467720cf9c09fc4a7ee0bc51bd4636e720179d9713546f75"),
+        (["gap", "--domain", "toric.json", "--L", "7"],
+         "6e1d25e38372826d0fa35f6a9a833571e595cfa535523f379a8f378938dfc30a"),
+        (["gap", "--domain", "union.json", "--L", "7"],
+         "afe1157527958d0f07cf3047f9d33c21c211e8c61eb0c143e479a9d6826bd7f6"),
+        (["weyl", "--domain", "union.json", "--k", "1,5,20"],
+         "cee7c5994f38edc1bb75d51337eed0ca1b1a9963615bd1760c0410cc46c92675"),
+        (["weyl", "--domain", "toric.json", "--k", "1,5,20"],
+         "953d7e14027649e359ea45f6ad9fcdcafe314c5cbc6b28eac9a7b5011c68435e"),
     ])
     def test_row_output_is_pinned(self, capsys, tmp_path, monkeypatch, argv, digest):
         # digests recorded before rendering moved out of the commands

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from toricspec import (
     Ball,
     BallSpectrum,
+    DegenerateRotationError,
     Ellipsoid,
     EllipsoidSpectrum,
     LatticePath,
     OrbitRecord,
+    PreconditionError,
     ToricSpectrum,
     ValidationError,
     approx_string,
@@ -18,6 +20,7 @@ from toricspec import (
     best_approx_below,
     close_gap_consistency,
     conformal_scale,
+    contact_volume,
     count_action_pairs,
     cz_from_rotation,
     dual_norm,
@@ -36,6 +39,7 @@ from toricspec import (
     rat_cmp,
     scale_domain,
     spectral_gap,
+    spectrum_for,
     square_profile,
     to_string,
     toric_capacity_detail,
@@ -115,6 +119,34 @@ def test_parse_messages_show_a_short_prefix_and_the_length(text, reason):
 
 def test_parse_counts_digits_not_underscores():
     assert parse_rat("9_" * 4299 + "9") == 10 ** 4300 - 1
+
+
+_BIG = 10 ** 5000  # past Python's default 4300-digit int-to-text limit
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ellipsoid_close(1, 2, Fraction(1, _BIG)), PreconditionError),
+    (lambda: ellipsoid_close(Fraction(_BIG), 2, 1), PreconditionError),
+    (lambda: spectrum_for(_BIG), ValidationError),
+    (lambda: contact_volume(_BIG), ValidationError),
+    (lambda: nk_sequence(1, 2, -_BIG), ValidationError),
+    (lambda: weyl_report(BallSpectrum(Ball(Fraction(1))), [-_BIG]), ValidationError),
+    (lambda: OrbitRecord("g", 1, -1, lambda j: 1, -_BIG), ValidationError),
+    (lambda: orbit_set_from_jsonable(_orbit_json()).orbits[0].cz(-_BIG), ValidationError),
+    (lambda: cz_from_rotation(Fraction(_BIG), elliptic=True), DegenerateRotationError),
+    (lambda: LatticePath.from_edges([((_BIG, 1), 1)]), ValidationError),
+    (lambda: LatticePath((((2 * _BIG, -2), 1),)), ValidationError),
+    (lambda: floor_sum(-_BIG, 1, 1, 1), ValidationError),
+    (lambda: index_action_scan(Fraction(_BIG + 1, _BIG), 1, 10 ** 5001), PreconditionError),
+], ids=["close-cutoff", "close-axis", "spectrum-for", "contact-volume", "nk-sequence", "weyl",
+        "orbit-multiplicity", "cover-degree", "cz", "from-edges", "path", "floor-sum",
+        "index-scan"])
+def test_a_value_past_the_digit_limit_is_refused_with_a_short_message(call, error):
+    # writing such a value out raises Python's own ValueError; the message names it instead
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert "with over 4300 digits>" in str(info.value) and len(str(info.value)) < 110
 
 
 def test_to_string_round_trips():

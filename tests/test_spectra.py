@@ -434,7 +434,7 @@ _small_domains = st.one_of(
 
 def _brute_union(parts, k):
     """Best partition of k by exhaustion; ties go to the reversed partition that
-    is largest, which is the one the union backtrack picks."""
+    is largest, which is the one the union convolution carries."""
     lists = [p.entries(k) for p in parts]
     split = max((s for s in product(range(k + 1), repeat=len(parts)) if sum(s) == k),
                 key=lambda s: (sum(l[ki][0] for l, ki in zip(lists, s)), s[::-1]))
@@ -450,6 +450,22 @@ def test_union_matches_brute_force_partitions(toric, others, k_max, data):
     parts = [spectrum_for(d) for d in domains]
     entries = UnionSpectrum(parts).entries(k_max)
     assert entries == [_brute_union(parts, k) for k in range(k_max + 1)]
+
+
+def test_union_ties_in_every_stage_follow_the_brute_force_rule():
+    # the three parts tie at every budget, so both convolution stages meet ties
+    parts = [BallSpectrum(Ball(F(1))), BallSpectrum(Ball(F(1))),
+             EllipsoidSpectrum(Ellipsoid(F(1), F(1)))]
+    entries = UnionSpectrum(parts).entries(12)
+    assert entries == [_brute_union(parts, k) for k in range(13)]
+    assert entries[12][1]["partition"] == [3, 3, 6]
+
+
+def test_one_part_union_gives_each_budget_to_its_part():
+    ball = BallSpectrum(Ball(F(1)))
+    entries = UnionSpectrum([ball]).entries(5)
+    assert [wit["partition"] for _val, wit in entries] == [[k] for k in range(6)]
+    assert [val for val, _wit in entries] == ball.values(5)
 
 
 @settings(max_examples=25, deadline=None)
