@@ -41,6 +41,13 @@ def _rat_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from exc
+
+
 def _list_arg(parse: Callable[[str], object]) -> Callable[[str], list]:
     """Argument type for a nonempty comma-separated list of values read by `parse`."""
     def convert(text: str) -> list:
@@ -86,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="spectral invariants c_0..c_k with witnesses")
     _add_domain_flags(p)
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=_int_arg, required=True)
     _add_output_flags(p)
 
     p = sub.add_parser("close", help="ellipsoid closing bound at a cutoff")
@@ -116,15 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="orbit-set index: closed form, scan, or file")
     p.add_argument("--a", type=_rat_arg)
     p.add_argument("--b", type=_rat_arg)
-    p.add_argument("--m1", type=int)
-    p.add_argument("--m2", type=int)
-    p.add_argument("--scan", type=int, default=None, metavar="M_MAX")
+    p.add_argument("--m1", type=_int_arg)
+    p.add_argument("--m2", type=_int_arg)
+    p.add_argument("--scan", type=_int_arg, default=None, metavar="M_MAX")
     p.add_argument("--orbit-file", default=None, metavar="FILE")
     _add_output_flags(p)
 
     p = sub.add_parser("union", help="spectrum of a disjoint union with partitions")
     p.add_argument("--domain", required=True, metavar="FILE")
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=_int_arg, required=True)
     p.set_defaults(ellipsoid=None, ball=None)
     _add_output_flags(p)
 

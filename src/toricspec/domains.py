@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Union
 
 from .errors import ValidationError
-from .paths import LatticePath, _chain_twice_area
+from .paths import LatticePath, _chain_twice_area, _slope_cmp
 from .rationals import _exact_rat, _scaled, _shown, parse_rat, to_string
 
 
@@ -72,21 +72,15 @@ class ToricProfile:
         for x, y in v[1:-1]:
             if x <= 0 or y <= 0:
                 raise ValidationError("interior profile vertices must be strictly positive")
-        prev_slope: Fraction | None = None
-        prev_vertical = False
+        last = (1, -1)  # LatticePath's rule: a direction before every other
         for (ax, ay), (bx, by) in zip(v, v[1:]):
             dx, dy = bx - ax, by - ay
             if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
                 raise ValidationError("profile edges must point weakly right and down")
-            if prev_vertical:
-                raise ValidationError("vertical edge allowed only as the final edge")
-            if dx == 0:
-                prev_vertical = True  # slope -inf, strictly below any finite slope
-                continue
-            slope = Fraction(dy, dx)
-            if prev_slope is not None and slope >= prev_slope:
-                raise ValidationError("profile slopes must strictly decrease")
-            prev_slope = slope
+            if _slope_cmp(last, cur := (dx, -dy)) >= 0:
+                raise ValidationError("vertical edge allowed only as the final edge" if last[0] == 0
+                                      else "profile slopes must strictly decrease")
+            last = cur
 
     @cached_property
     def scaled_vertices(self) -> tuple[tuple[tuple[int, int], ...], int]:

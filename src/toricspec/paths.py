@@ -9,13 +9,15 @@ region whose lattice points are what the capacity minimizations count.
 Three counting routes are provided: a direct column scan, Pick's theorem,
 and the running count of the path scan, which adds integer unit costs over
 one denominator (a toric profile's vertex denominator). Tests hold the
-three to agreement on random paths and on every scanned path.
+three to agreement on random paths and on every scanned path. The scan's
+only bound is its length budget, as every unit cost is positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -26,11 +28,15 @@ from .rationals import _exact_rat, _plain_ints, _scaled, _shown
 Edge = tuple[tuple[int, int], int]
 
 
-def _direction_key(dx: int, dy: int) -> tuple[int, Fraction]:
-    # sort key realizing strictly decreasing slope: 0 > -1/2 > -1 > ... > -inf
-    if dx == 0:
-        return (1, Fraction(0))
-    return (0, Fraction(-dy, dx))
+def _slope_cmp(u: Sequence, v: Sequence) -> int:
+    """Negative when direction u = (p, q, ...), the edge (p, -q), comes before v
+    on a convex chain: slopes strictly decrease, 0 > -1/2 > ... > -inf, so q / p
+    increases, vertical last. Cross-multiplication, with no division: exact on
+    the ints of a path and the Fractions of a profile alike."""
+    return u[1] * v[0] - v[1] * u[0]
+
+
+_slope_key = cmp_to_key(_slope_cmp)  # the one sort key of that order
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,7 @@ class LatticePath:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        lp, lq = 1, -1  # a slope key -1/1 below every direction's
+        last = (1, -1)  # a direction before every other: q / p = -1
         for (dx, dy), mult in self.edges:
             if not (type(dx) is type(dy) is type(mult) is int):  # inline: paths are built per scan
                 _plain_ints((dx, dy, mult), "edge data")
@@ -51,9 +57,9 @@ class LatticePath:
                 raise ValidationError(f"direction {_shown((dx, dy), str)} is not primitive")
             if mult < 1:
                 raise ValidationError("multiplicities must be positive")
-            if -dy * lp <= lq * dx:  # -dy/dx must rise past lq/lp; vertical (dx = 0) only last
+            if _slope_cmp(last, cur := (dx, -dy)) >= 0:
                 raise ValidationError("edge slopes must strictly decrease; use from_edges to canonicalize")
-            lp, lq = dx, -dy
+            last = cur
 
     @classmethod
     def empty(cls) -> "LatticePath":
@@ -80,7 +86,7 @@ class LatticePath:
             g = gcd(dx, -dy)
             d = (dx // g, dy // g)
             merged[d] = merged.get(d, 0) + g * mult
-        ordered = sorted(merged.items(), key=lambda item: _direction_key(*item[0]))
+        ordered = sorted(merged.items(), key=lambda item: _slope_key((item[0][0], -item[0][1])))
         return cls(tuple(ordered))
 
     @classmethod
@@ -186,13 +192,13 @@ def lattice_count_pick(path: LatticePath) -> int:
 def _scan_paths(
     dirs: Sequence[tuple[int, int, int]],
     bound: int,
-    cap: int,
     stack: list[list[int]],
 ) -> Iterator[tuple[int, int]]:
-    """Depth-first walk over all admissible paths in scaled-integer arithmetic.
+    """Depth-first walk over all paths of scaled length <= bound.
 
     dirs: (p, q, unit_cost) sorted by decreasing slope of (p, -q); every
-    unit_cost is positive and <= bound; both extents stay <= cap. Yields
+    unit_cost is positive and <= bound, so the budget alone ends the walk;
+    a frame holds the length, the end abscissa a and the count. Yields
     (length, count) once per path, parents before children, where count
     is the number of enclosed lattice points: a unit of (p, -q) leaving
     abscissa a raises the whole chain before it by q and adds its own
@@ -202,26 +208,25 @@ def _scan_paths(
     """
     n = len(dirs)
 
-    def walk(j0: int, ln: int, a: int, b: int, count: int):
+    def walk(j0: int, ln: int, a: int, count: int):
         yield ln, count
         for j in range(j0, n):
             p, q, w = dirs[j]
-            if ln + w > bound or a + p > cap or b + q > cap:
+            if ln + w > bound:
                 continue
             half = (p + 1) * (q + 1) // 2
             entry = [p, q, 0]
             stack.append(entry)
-            ln2, a2, b2, count2 = ln, a, b, count
-            while ln2 + w <= bound and a2 + p <= cap and b2 + q <= cap:
+            ln2, a2, count2 = ln, a, count
+            while ln2 + w <= bound:
                 ln2 += w
                 count2 += q * a2 + half
                 a2 += p
-                b2 += q
                 entry[2] += 1
-                yield from walk(j + 1, ln2, a2, b2, count2)
+                yield from walk(j + 1, ln2, a2, count2)
             stack.pop()
 
-    yield from walk(0, 0, 0, 0, 1)
+    yield from walk(0, 0, 0, 1)
 
 
 def _stack_path(stack: Sequence[Sequence[int]]) -> LatticePath:
@@ -234,34 +239,33 @@ def direction_table(
     rho: Fraction,
     omega_length: Callable[[LatticePath], Fraction],
     inclusive: bool,
-) -> tuple[list[tuple[int, int, int]], int, int, int]:
-    """Admissible primitive directions with scaled unit costs.
+) -> tuple[list[tuple[int, int, int]], int, int]:
+    """Admissible primitive directions with scaled unit costs, in slope order.
 
-    Returns (dirs, scaled bound, denominator, extent cap): the bound and
-    every unit cost are numerators over that common denominator, so a
-    scanned length ln is the exact value Fraction(ln, denominator).
-    Direction (p, -q) is kept when a single unit of it fits the length
-    budget; rho must satisfy omega_length >= rho * (x_extent + y_extent)
-    so the extent cap is sound, and then only p + q <= cap can fit.
+    Returns (dirs, scaled bound, denominator): the bound and every unit cost
+    are numerators over that common denominator, so a scanned length ln is
+    the exact value Fraction(ln, denominator). Direction (p, -q) is kept
+    when a single unit of it fits the length budget; rho must satisfy
+    omega_length >= rho * (x_extent + y_extent), so only p + q <=
+    max_length / rho can fit and no other direction is measured.
     """
     rho = _exact_rat(rho, "rho")
     if rho <= 0:
         raise ValidationError("rho must be positive")
-    cap = int(max_length / rho)
-    raw: list[tuple[tuple[int, Fraction], int, int, Fraction]] = []
-    for p in range(cap + 1):
-        for q in range(cap + 1 - p):
+    reach = int(max_length / rho)
+    raw: list[tuple[int, int, Fraction]] = []
+    for p in range(reach + 1):
+        for q in range(reach + 1 - p):
             if gcd(p, q) != 1:  # gcd(0, 0) == 0 drops the zero vector too
                 continue
             w = _exact_rat(omega_length(LatticePath((((p, -q), 1),))), "unit edge length")
             if w <= 0:
                 raise ValidationError(f"unit edge ({p}, {-q}) has nonpositive length {_shown(w, str)}")
             if w < max_length or (inclusive and w == max_length):
-                raw.append((_direction_key(p, -q), p, q, w))
-    raw.sort(key=lambda r: r[0])
-    bound, *costs, den = _scaled(max_length, *(w for _k, _p, _q, w in raw))
-    dirs = [(p, q, cost) for (_k, p, q, _w), cost in zip(raw, costs)]
-    return dirs, bound, den, cap
+                raw.append((p, q, w))
+    raw.sort(key=_slope_key)
+    bound, *costs, den = _scaled(max_length, *(w for _p, _q, w in raw))
+    return [(p, q, cost) for (p, q, _w), cost in zip(raw, costs)], bound, den
 
 
 def enumerate_paths(
@@ -275,9 +279,10 @@ def enumerate_paths(
 
     `omega_length` must be additive over the edge multiset (true for any
     dual-norm length); per-direction unit costs are measured on one-edge
-    paths and partial sums drive the branch-and-bound pruning. `rho` is a
-    positive lower bound with omega_length >= rho * (x_extent + y_extent),
-    which caps both extents by max_length / rho.
+    paths, and partial sums against the budget, the walk's only bound,
+    prune it. `rho` is a positive lower bound with omega_length >= rho *
+    (x_extent + y_extent), which limits the candidate directions to
+    p + q <= max_length / rho.
 
     Order is deterministic: a path precedes its extensions, extensions are
     tried by decreasing slope, then by ascending multiplicity. The empty
@@ -287,9 +292,9 @@ def enumerate_paths(
     max_length = _exact_rat(max_length, "max_length")
     if max_length <= 0:
         return
-    dirs, bound, _den, cap = direction_table(max_length, rho, omega_length, inclusive)
+    dirs, bound, _den = direction_table(max_length, rho, omega_length, inclusive)
     if not inclusive:
         bound -= 1  # integer budgets make strict < equivalent to <= bound-1
     stack: list[list[int]] = []
-    for _state in _scan_paths(dirs, bound, cap, stack):
+    for _state in _scan_paths(dirs, bound, stack):
         yield _stack_path(stack)

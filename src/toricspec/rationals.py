@@ -40,6 +40,11 @@ def parse_rat(text: str) -> Fraction:
     runs = re.findall(r"\d+", text.replace("_", "")) if 0 < limit < len(text) else ()
     if max(map(len, runs), default=0) > limit:
         raise ValidationError(f"rational literal {shown} has more than {limit} digits in a row")
+    # Fraction builds 10**|e|; each exponent past limit + len(text) gives a nonzero mantissa
+    # a numerator (e > 0) or denominator of more than limit digits, so the first stands in
+    exp = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", text) if limit else None
+    if exp and int(exp[1]) > (reach := limit + len(text)):
+        text = f"{text[:exp.start(1)]}{reach + 1}"
     try:
         x = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import islice
 from math import floor, gcd, isqrt, lcm
 from operator import add, le
@@ -37,7 +36,7 @@ from .domains import (
     scale_domain,
 )
 from .errors import UnavailableError, ValidationError
-from .paths import LatticePath, _scan_paths, _stack_path, lattice_count_pick
+from .paths import LatticePath, _scan_paths, _slope_key, _stack_path, lattice_count_pick
 from .rationals import _exact_int, _exact_rat, _positive_axes, _scaled, _shown, floor_sum
 
 
@@ -128,9 +127,12 @@ class ToricCapacityResult:
     paths_scanned: int
 
 
-def _greedy_feasible_path(profile: ToricProfile, k: int) -> LatticePath:
-    # hull of {(x, y) >= 0 : b x + a y <= N_k(a, b)} encloses >= k+1 points,
-    # where a, b are the intercepts; its boundary is a feasible path
+def _greedy_bound(profile: ToricProfile, k: int) -> int:
+    """Length of a greedy feasible path for k, which bounds c_k above, as an
+    integer over the profile's vertex denominator.
+
+    The hull of {(x, y) >= 0 : b x + a y <= N_k(a, b)}, a and b the
+    intercepts, encloses at least k + 1 points; its boundary is the path."""
     an, bn, _d = _scaled(profile.x_intercept, profile.y_intercept)
     ln = _nk_scaled(an, bn, k)
     xmax = ln // bn
@@ -146,39 +148,23 @@ def _greedy_feasible_path(profile: ToricProfile, k: int) -> LatticePath:
         hull.append(p)
     if hull[-1][1] > 0:
         hull.append((hull[-1][0], 0))
-    if len(hull) == 1:
-        return LatticePath.empty()
-    return LatticePath.from_vertex_chain(hull)
-
-
-def _greedy_scan_table(profile: ToricProfile, k: int) -> tuple[Fraction, list, int, int, int]:
-    """(bound, dirs, scaled bound, denominator, extent cap) for an inclusive
-    path scan at the length of the greedy feasible path for k, which bounds
-    c_k above."""
-    greedy = _greedy_feasible_path(profile, k)
+    greedy = LatticePath.from_vertex_chain(hull)  # one vertex: the empty path
     if lattice_count_pick(greedy) < k + 1:
         raise AssertionError("greedy path must be feasible")
-    bound = omega_length(profile, greedy)
-    return (bound, *_scan_table(profile, bound))
+    return floor(omega_length(profile, greedy) * profile.scaled_vertices[1])
 
 
-def _scan_table(profile: ToricProfile, bound: Fraction) -> tuple[list, int, int, int]:
-    """(dirs, scaled bound, denominator, extent cap) for an inclusive path scan at bound.
-
-    Costs are integers over the vertex denominator; (p, -q) costs at least
-    max(q A, p B) for the scaled intercepts A, B, which caps q, p and path extents."""
-    verts, den = profile.scaled_vertices
-    bound_int = floor(bound * den)
-    p_max, q_max = bound_int // verts[0][1], bound_int // verts[-1][0]
-    dirs = []
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            # gcd(0, 0) == 0 drops the zero vector too
-            if gcd(p, q) == 1 and (w := max(q * x + p * y for x, y in verts)) <= bound_int:
-                dirs.append((p, q, w))
-    # _direction_key's order, cross-multiplied: increasing q / p, vertical last
-    dirs.sort(key=cmp_to_key(lambda u, v: u[1] * v[0] - v[1] * u[0]))
-    return dirs, bound_int, den, max(p_max, q_max)
+def _scan_table(profile: ToricProfile, bound: int) -> list[tuple[int, int, int]]:
+    """Directions (p, q, unit cost) in slope order for an inclusive path scan
+    at the scaled budget `bound`. Costs are integers over the vertex
+    denominator; (p, -q) costs at least max(q A, p B) for the scaled
+    intercepts A, B, which bounds q and p."""
+    verts, _den = profile.scaled_vertices
+    # gcd(0, 0) == 0 drops the zero vector too
+    dirs = [(p, q, w) for p in range(bound // verts[0][1] + 1) for q in range(bound // verts[-1][0] + 1)
+            if gcd(p, q) == 1 and (w := max(q * x + p * y for x, y in verts)) <= bound]
+    dirs.sort(key=_slope_key)
+    return dirs
 
 
 def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
@@ -194,13 +180,13 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     if not isinstance(profile, ToricProfile):
         raise ValidationError("toric_capacity needs a ToricProfile")
     k = _exact_int(k)
-    bound, dirs, bound_int, den, cap = _greedy_scan_table(profile, k)
+    bound = _greedy_bound(profile, k)
     need = k + 1
     stack: list[list[int]] = []
     best_ge: Optional[tuple[int, LatticePath]] = None
     best_eq: Optional[tuple[int, LatticePath]] = None
     scanned = 0
-    for ln, count in _scan_paths(dirs, bound_int, cap, stack):
+    for ln, count in _scan_paths(_scan_table(profile, bound), bound, stack):
         scanned += 1
         if count >= need and (best_ge is None or ln < best_ge[0]):
             best_ge = (ln, _stack_path(stack))
@@ -208,12 +194,14 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
             best_eq = (ln, _stack_path(stack))
     if best_ge is None or best_eq is None:
         raise AssertionError("enumeration missed the greedy feasible path")
+    den = profile.scaled_vertices[1]
     val_ge = Fraction(best_ge[0], den)
     val_eq = Fraction(best_eq[0], den)
     if val_ge != val_eq:
         raise AssertionError(
             f"corner rounding failed: min over >= is {val_ge}, min over == is {val_eq}")
-    return ToricCapacityResult(val_eq, best_eq[1], val_ge, val_eq, best_ge[1], bound, scanned)
+    return ToricCapacityResult(val_eq, best_eq[1], val_ge, val_eq, best_ge[1],
+                               Fraction(bound, den), scanned)
 
 
 def toric_capacity(profile: ToricProfile, k: int) -> tuple[Fraction, LatticePath]:
@@ -375,16 +363,16 @@ class ToricSpectrum(Spectrum):
         k + 1" is a suffix minimum over the counts; it must equal the
         minimum over "exactly k + 1" (corner rounding).
         """
-        _bound, dirs, bound_int, den, cap = _greedy_scan_table(self._profile, k_max)
+        bound, den = _greedy_bound(self._profile, k_max), self._profile.scaled_vertices[1]
         over = k_max + 1  # one bucket for every path enclosing more than k_max + 1 points
-        lens = [bound_int + 1] * (over + 1)  # least scaled length per bucket, or past the bound
+        lens = [bound + 1] * (over + 1)  # least scaled length per bucket, or past the bound
         paths: list[Optional[tuple]] = [None] * (over + 1)  # stack snapshots
         stack: list[list[int]] = []
-        for ln, count in _scan_paths(dirs, bound_int, cap, stack):
+        for ln, count in _scan_paths(_scan_table(self._profile, bound), bound, stack):
             i = min(count, over + 1) - 1
             if ln < lens[i]:
                 lens[i], paths[i] = ln, tuple(map(tuple, stack))
-        if min(lens[k_max:]) > bound_int:
+        if min(lens[k_max:]) > bound:
             raise AssertionError("enumeration missed the greedy feasible path")
         at_least = lens[over]
         for k in range(k_max, -1, -1):
@@ -404,8 +392,8 @@ class ToricSpectrum(Spectrum):
         cutoff = _exact_rat(cutoff, "cutoff")
         if cutoff < 0:
             return 0
-        dirs, bound_int, _den, cap = _scan_table(self._profile, cutoff)
-        return max(count for _ln, count in _scan_paths(dirs, bound_int, cap, []))
+        bound = floor(cutoff * self._profile.scaled_vertices[1])
+        return max(count for _ln, count in _scan_paths(_scan_table(self._profile, bound), bound, []))
 
     def domain(self) -> Domain:
         return self._profile

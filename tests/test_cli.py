@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -455,7 +456,12 @@ class TestParsingAndIo:
         ["close", "--a", "1", "--b", "2", "--L", "1" * 5000],
         ["spectrum", "--domain", "long.json", "--k-max", "1"],
         ["union", "--domain", "long-union.json", "--k-max", "1"],
-    ], ids=["close", "domain", "union-denominator"])
+        # short literals whose exponent alone passes the limit, refused before 10**e is built
+        ["close", "--a", "1", "--b", "2", "--L", "1e30000000"],
+        ["close", "--a", "1", "--b", "2", "--L", "1e-30000000"],
+        ["spectrum", "--domain", "exponent.json", "--k-max", "1"],
+    ], ids=["close", "domain", "union-denominator", "exponent", "negative-exponent",
+            "domain-exponent"])
     def test_a_literal_past_the_digit_limit_is_named_briefly(self, capsys, tmp_path, monkeypatch,
                                                              argv):
         monkeypatch.chdir(tmp_path)
@@ -463,7 +469,10 @@ class TestParsingAndIo:
         (tmp_path / "long-union.json").write_text(json.dumps(
             {"type": "union", "parts": [{"type": "ball", "a": "1"},
                                         {"type": "ellipsoid", "a": "1", "b": "1/" + "7" * 5000}]}))
+        (tmp_path / "exponent.json").write_text(json.dumps({"type": "ball", "a": "2.5e30000000"}))
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
         assert f"more than {sys.get_int_max_str_digits()} digits" in err and "Traceback" not in err
         assert len(err.encode()) < 300
@@ -477,7 +486,18 @@ class TestParsingAndIo:
         (["index", "--orbit-file", "label.json"], "orbit 'llllllllllllllllllllllll'..."),
         (["index", "--orbit-file", "cover.json"], "orbit 'llllllllllllllllllllllll'..."),
         (["weyl", "--ball", "1", "--k", "1," * 50000], "empty list item: '1,1,1,1,1,1,1,1,1,1,1,1,'"),
-    ], ids=["cutoff", "type", "vertex", "key", "record", "label", "cover", "list"])
+        (["spectrum", "--ball", "1", "--k-max", "1" * 5000],
+         "argument --k-max: invalid int value: '111111111111111111111111'... (5000 characters)"),
+        (["union", "--domain", "in.json", "--k-max", "x" * 100_000],
+         "argument --k-max: invalid int value: 'xxxxxxxxxxxxxxxxxxxxxxxx'..."),
+        (["index", "--a", "1", "--b", "2", "--m1", "1" * 5000, "--m2", "0"],
+         "argument --m1: invalid int value: '111111111111111111111111'..."),
+        (["index", "--a", "1", "--b", "2", "--m1", "0", "--m2", "2." * 3000],
+         "argument --m2: invalid int value: '2.2.2.2.2.2.2.2.2.2.2.2.'..."),
+        (["index", "--a", "1", "--b", "2", "--scan", "9" * 5000],
+         "argument --scan: invalid int value: '999999999999999999999999'..."),
+    ], ids=["cutoff", "type", "vertex", "key", "record", "label", "cover", "list", "k-max",
+            "union-k-max", "m1", "m2", "scan"])
     def test_a_long_outside_value_is_echoed_briefly(self, capsys, tmp_path, monkeypatch,
                                                     argv, text):
         monkeypatch.chdir(tmp_path)
@@ -497,6 +517,23 @@ class TestParsingAndIo:
         *usage, message = err.splitlines()
         assert len(message.encode()) < 300 and (not usage or usage[0].startswith("usage:"))
         assert usage or len(err.encode()) < 300
+
+    @pytest.mark.parametrize("argv, line", [
+        (["spectrum", "--ball", "1", "--k-max", "x"],
+         "toricspec spectrum: error: argument --k-max: invalid int value: 'x'"),
+        (["union", "--domain", "u.json", "--k-max", "1.5"],
+         "toricspec union: error: argument --k-max: invalid int value: '1.5'"),
+        (["index", "--a", "1", "--b", "2", "--m1", "", "--m2", "0"],
+         "toricspec index: error: argument --m1: invalid int value: ''"),
+        (["index", "--a", "1", "--b", "2", "--m1", "0", "--m2", "1e3"],
+         "toricspec index: error: argument --m2: invalid int value: '1e3'"),
+        (["index", "--a", "1", "--b", "2", "--scan", "7'"],
+         "toricspec index: error: argument --scan: invalid int value: \"7'\""),
+    ], ids=["k-max", "union-k-max", "m1", "m2", "scan"])
+    def test_a_short_bad_int_is_echoed_as_argparse_does(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0].startswith("usage:") and err.splitlines()[-1] == line
 
     def test_output_to_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"

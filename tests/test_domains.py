@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricspec import (
     Ball,
@@ -73,6 +74,41 @@ class TestValidateProfile:
             validate_profile([(0, "x"), (1, 0)])
         with pytest.raises(ValidationError):
             validate_profile("nope")
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=st.sampled_from([F(1), F(2), F(3)]), a=st.sampled_from([F(1), F(2), F(3)]),
+           interior=st.lists(st.tuples(*[st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3)])] * 2),
+                             max_size=4),
+           monotone=st.booleans())
+    def test_edge_check_matches_the_fraction_slopes(self, b, a, interior, monotone):
+        # the Fraction-slope check that the integer cross-multiplication replaced,
+        # with its three messages; the small coordinate set makes ties and
+        # vertical edges common, and monotone chains reach the slope checks
+        if monotone:
+            interior = sorted(interior, key=lambda v: (v[0], -v[1]))
+        verts = ((F(0), b), *interior, (a, F(0)))
+        expected = None
+        prev_slope, prev_vertical = None, False
+        for (ax, ay), (bx, by) in zip(verts, verts[1:]):
+            dx, dy = bx - ax, by - ay
+            if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
+                expected = "profile edges must point weakly right and down"
+            elif prev_vertical:
+                expected = "vertical edge allowed only as the final edge"
+            elif dx == 0:
+                prev_vertical = True
+                continue
+            elif prev_slope is not None and F(dy, dx) >= prev_slope:
+                expected = "profile slopes must strictly decrease"
+            if expected:
+                break
+            prev_slope = F(dy, dx)
+        try:
+            ToricProfile(verts)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected
 
     def test_vertical_final_edge_allowed(self):
         p = validate_profile([(0, 2), (1, 2), (1, 0)])

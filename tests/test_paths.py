@@ -1,10 +1,10 @@
 """Lattice path core: canonical form, both counting routes, enumeration."""
 
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toricspec import (
     LatticePath,
@@ -21,8 +21,15 @@ from toricspec import (
     triangle_profile,
     validate_profile,
 )
-from toricspec.paths import _direction_key, _scan_paths, _stack_path, direction_table
+from toricspec.paths import _scan_paths, _slope_key, _stack_path, direction_table
 from toricspec.spectra import _scan_table
+
+
+def _direction_key(dx, dy):
+    # the Fraction oracle of the slope order: 0 > -1/2 > -1 > ... > -inf
+    if dx == 0:
+        return (1, Fraction(0))
+    return (0, Fraction(-dy, dx))
 
 
 def random_path(rng, max_coord=6, max_mult=4):
@@ -137,18 +144,52 @@ def naive_paths(dirs, max_length, omega, inclusive):
     return out
 
 
+# convex profiles: up to three edges of strictly decreasing slope from a short
+# list (0 allowed first), then an optional vertical edge; heights kept positive
+_profile_slopes = st.lists(
+    st.sampled_from([Fraction(s) for s in ("0", "-1/3", "-1/2", "-1", "-3/2", "-2", "-3")]),
+    min_size=1, max_size=3, unique=True).map(lambda s: sorted(s, reverse=True))
+
+
+@st.composite
+def convex_profiles(draw):
+    slopes = draw(_profile_slopes)
+    dxs = [draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]))
+           for _ in slopes]
+    drop = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+    if drop == 0 and slopes == [0]:
+        drop = Fraction(1)
+    y = drop - sum(s * dx for s, dx in zip(slopes, dxs))
+    x = Fraction(0)
+    verts = [(x, y)]
+    for s, dx in zip(slopes, dxs):
+        x, y = x + dx, y + s * dx
+        verts.append((x, y))
+    if drop:
+        verts.append((x, Fraction(0)))
+    return validate_profile(verts)
+
+
 class TestEnumeration:
-    def test_stream_matches_naive_enumeration(self):
-        prof = square_profile(Fraction(1))
+    @settings(max_examples=40, deadline=None)
+    @given(prof=convex_profiles(),
+           budget_ratio=st.sampled_from([Fraction(1), Fraction(2), Fraction(4), Fraction(6)]),
+           inclusive=st.booleans())
+    @example(prof=square_profile(Fraction(1)), budget_ratio=Fraction(3), inclusive=False)
+    @example(prof=square_profile(Fraction(1)), budget_ratio=Fraction(3), inclusive=True)
+    @example(prof=square_profile(Fraction(1)), budget_ratio=Fraction(2), inclusive=True)
+    def test_stream_matches_naive_enumeration(self, prof, budget_ratio, inclusive):
+        # the naive stream tries every primitive direction with p + q at most
+        # budget / norm_floor and stops only at the budget
         omega = lambda p: omega_length(prof, p)
-        dirs = sorted(
-            [(p, -q) for p in range(4) for q in range(4) if (p or q) and gcd(p, q) == 1],
-            key=lambda d: (1, Fraction(0)) if d[0] == 0 else (0, Fraction(-d[1], d[0])))
-        for bound, inclusive in [(Fraction(3), False), (Fraction(3), True), (Fraction(2), True)]:
-            got = list(enumerate_paths(bound, Fraction(1, 2), omega, inclusive=inclusive))
-            expected = naive_paths(dirs, bound, omega, inclusive)
-            assert sorted(got, key=repr) == sorted(expected, key=repr), (bound, inclusive)
-            assert len(set(got)) == len(got)
+        bound = budget_ratio * min(prof.x_intercept, prof.y_intercept)
+        reach = int(bound / norm_floor(prof))
+        dirs = [(p, -q) for p in range(reach + 1) for q in range(reach + 1 - p)
+                if (p or q) and gcd(p, q) == 1]
+        got = list(enumerate_paths(bound, norm_floor(prof), omega, inclusive=inclusive))
+        expected = naive_paths(dirs, bound, omega, inclusive)
+        assert sorted(got, key=repr) == sorted(expected, key=repr)
+        assert len(set(got)) == len(got)
 
     def test_stream_is_deterministic_and_starts_empty(self):
         prof = triangle_profile(Fraction(2), Fraction(3))
@@ -181,32 +222,6 @@ class TestEnumeration:
             list(enumerate_paths(Fraction(1), Fraction(0), omega))
 
 
-# convex profiles: up to three edges of strictly decreasing slope from a short
-# list (0 allowed first), then an optional vertical edge; heights kept positive
-_profile_slopes = st.lists(
-    st.sampled_from([Fraction(s) for s in ("0", "-1/3", "-1/2", "-1", "-3/2", "-2", "-3")]),
-    min_size=1, max_size=3, unique=True).map(lambda s: sorted(s, reverse=True))
-
-
-@st.composite
-def convex_profiles(draw):
-    slopes = draw(_profile_slopes)
-    dxs = [draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]))
-           for _ in slopes]
-    drop = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
-    if drop == 0 and slopes == [0]:
-        drop = Fraction(1)
-    y = drop - sum(s * dx for s, dx in zip(slopes, dxs))
-    x = Fraction(0)
-    verts = [(x, y)]
-    for s, dx in zip(slopes, dxs):
-        x, y = x + dx, y + s * dx
-        verts.append((x, y))
-    if drop:
-        verts.append((x, Fraction(0)))
-    return validate_profile(verts)
-
-
 @settings(max_examples=60, deadline=None)
 @given(prof=convex_profiles(),
        budget_ratio=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4),
@@ -218,12 +233,12 @@ def test_scan_state_matches_the_slow_routes(prof, budget_ratio, inclusive):
     # column scan and the Fraction length of the path on the stack
     omega = lambda p: omega_length(prof, p)
     budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
-    dirs, bound, den, cap = direction_table(budget, norm_floor(prof), omega, inclusive)
+    dirs, bound, den = direction_table(budget, norm_floor(prof), omega, inclusive)
     if not inclusive:
         bound -= 1
     stack: list[list[int]] = []
     scanned = 0
-    for length, count in _scan_paths(dirs, bound, cap, stack):
+    for length, count in _scan_paths(dirs, bound, stack):
         path = _stack_path(stack)
         assert count == lattice_count_direct(path), path
         assert length == omega(path) * den, path
@@ -264,9 +279,11 @@ def test_integer_omega_length_matches_the_fraction_dual_norms(prof, path):
 @settings(max_examples=300, deadline=None)
 @given(dirs=st.lists(_primitive_dirs, max_size=5), presort=st.booleans())
 def test_integer_slope_check_matches_the_direction_key(dirs, presort):
+    # the integer sort key orders as the Fraction oracle does
+    assert sorted(dirs, key=_slope_key) == sorted(dirs, key=lambda d: _direction_key(d[0], -d[1]))
     # presorted lists reach the accepting side; repeats still reject there
     if presort:
-        dirs = sorted(dirs, key=lambda d: _direction_key(d[0], -d[1]))
+        dirs = sorted(dirs, key=_slope_key)
     keys = [_direction_key(p, -q) for p, q in dirs]
     edges = tuple(((p, -q), 1) for p, q in dirs)
     if all(k0 < k1 for k0, k1 in zip(keys, keys[1:])):
@@ -283,18 +300,16 @@ def test_integer_slope_check_matches_the_direction_key(dirs, presort):
        inclusive=st.booleans())
 def test_profile_table_matches_the_generic_table(prof, budget_ratio, inclusive):
     budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
-    dirs, bound, den, cap = direction_table(
+    dirs, bound, den = direction_table(
         budget, norm_floor(prof), lambda p: fraction_length(prof, p), inclusive)
     _verts, vden = prof.scaled_vertices
     # the profile table is inclusive: for a strict budget, take the largest
     # length over the vertex denominator that lies below it
-    top = budget if inclusive else Fraction(ceil(budget * vden) - 1, vden)
-    pdirs, pbound, pden, pcap = _scan_table(prof, top)
-    assert pden == vden
-    assert [(p, q, Fraction(w, pden)) for p, q, w in pdirs] == \
+    pbound = floor(budget * vden) if inclusive else ceil(budget * vden) - 1
+    pdirs = _scan_table(prof, pbound)
+    assert [(p, q, Fraction(w, vden)) for p, q, w in pdirs] == \
         [(p, q, Fraction(w, den)) for p, q, w in dirs]
-    # the extent caps differ, but neither cuts a path within the budget
     if not inclusive:
         bound -= 1
-    assert [(Fraction(ln, pden), count) for ln, count in _scan_paths(pdirs, pbound, pcap, [])] == \
-        [(Fraction(ln, den), count) for ln, count in _scan_paths(dirs, bound, cap, [])]
+    assert [(Fraction(ln, vden), count) for ln, count in _scan_paths(pdirs, pbound, [])] == \
+        [(Fraction(ln, den), count) for ln, count in _scan_paths(dirs, bound, [])]

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,11 +92,53 @@ def test_parse_rejects_non_string():
 
 
 @pytest.mark.parametrize("text, part", [("1e4300", "numerator"), ("-1e4300", "numerator"),
-                                        ("1e-4300", "denominator"), ("-3.5e-4300", "denominator")])
+                                        ("1e-4300", "denominator"), ("-3.5e-4300", "denominator"),
+                                        ("1e30000000", "numerator"),
+                                        ("-2.5E-30_000_000", "denominator")])
 def test_parse_refuses_a_literal_past_the_digit_limit(text, part):
-    # 10**4300 has 4301 digits, one past Python's default int-to-text limit
+    # 10**4300 has 4301 digits, one past Python's default int-to-text limit;
+    # a long exponent is refused before 10**e is built
+    start = time.perf_counter()
     with pytest.raises(ValidationError, match=f"{part} of more than 4300 digits"):
         parse_rat(text)
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("text, value", [("0e30000000", 0), (" -0.00E-30000000 ", 0),
+                                         ("1/2e30000000", None), ("1e30000000x", None),
+                                         ("1.2.3e30000000", None)])
+def test_a_long_exponent_is_screened_before_it_is_raised(text, value):
+    # a zero mantissa stays 0 and a malformed literal stays malformed
+    start = time.perf_counter()
+    if value is None:
+        with pytest.raises(ValidationError, match="not a rational literal"):
+            parse_rat(text)
+    else:
+        assert parse_rat(text) == value
+    assert time.perf_counter() - start < 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.from_regex(r"\A ?[-+]?(\d{1,3}(_\d)?(\.\d{0,3})?|\.\d{1,3}|\d{1,3}/[1-9]\d{0,2})"
+                          r"([eE][-+]?\d{1,4})? ?\Z"))
+def test_short_literals_parse_as_fraction_does(text):
+    # exponents up to 9999 reach past the screen's threshold (4300 plus the
+    # length of the text), where the refusal must name the part Fraction's
+    # own value would have too many digits in
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValidationError, match="not a rational literal"):
+            parse_rat(text)
+        return
+    long_part = next((part for part, n in (("numerator", expected.numerator),
+                                           ("denominator", expected.denominator))
+                      if abs(n) >= 10 ** 4300), None) if expected else None
+    if long_part:
+        with pytest.raises(ValidationError, match=f"{long_part} of more than 4300 digits"):
+            parse_rat(text)
+    else:
+        assert parse_rat(text) == expected
 
 
 @pytest.mark.parametrize("text", ["1e4299", "-1e-4299", "9" * 4300, "1/" + "9" * 4300])
