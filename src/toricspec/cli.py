@@ -1,11 +1,11 @@
 """Command line interface.
 
 Subcommands: spectrum, close, gap, weyl, gap-asymptotics, index, union,
-validate. Exit codes: 0 success, 2 validation or precondition failure,
-3 I/O failure. Each command returns exact rows: Fractions, integers,
-booleans, None and raw witnesses. The only text a command makes itself
-is an advisory 12-digit `*_approx` column and the "inf" marker; io turns
-the rest into CSV (default) or JSON.
+validate. Exit codes: 0 success, 2 validation or precondition failure or
+a request too large for memory, 3 I/O failure. Each command returns exact
+rows: Fractions, integers, booleans, None and raw witnesses. The only text
+a command makes itself is an advisory 12-digit `*_approx` column and the
+"inf" marker; io turns the rest into CSV (default) or JSON.
 """
 
 from __future__ import annotations
@@ -263,6 +263,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except ToricSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a stopgap until requests are sized before any work starts
+        print(f"error: {args.command} ran out of memory; try a smaller --k-max or cutoff",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

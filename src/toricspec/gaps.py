@@ -5,9 +5,12 @@ consecutive entries whose upper member still fits under L; it is infinite
 when even the first positive entry exceeds L. The closing bound of E(a, b)
 at L >= max(a, b) comes from the two one-sided best rational approximations
 of the axis ratio. One core, _close_scaled, finds them in integers over a
-common denominator by mediant walks whose batched steps are Euclid
-divisions, so large denominators cost logarithmic time;
-ellipsoid_close_detail is its only Fraction edge.
+common denominator by one mediant walk toward a/b whose batched steps are
+Euclid divisions, so large denominators cost logarithmic time. The walk
+toward b/a is the same walk with its fences swapped (the continued
+fraction of b/a is that of a/b shifted by one term), so the lower fence
+gives one approximant and the upper fence the other;
+ellipsoid_close_detail is the core's only Fraction edge.
 
 Ellipsoid and ball gaps (a ball is E(a, a)) call the same core: for
 L >= max(a, b) the least gap is the closing bound (three-distance setting:
@@ -131,46 +134,47 @@ class Approximant:
             raise ValidationError("above approximant needs n >= 1, m >= 0")
 
 
-def _best_frac_le(x: Fraction, max_den: int) -> tuple[int, int]:
-    """Largest fraction <= x with denominator at most max_den, reduced.
+def _approximants(p: int, q: int, n1: int, n2: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((n-, m-), (n+, m+)): the largest fraction n-/m- <= p/q with m- <= n1
+    and the least n+/m+ >= p/q with n+ <= n2, both reduced, for p/q in lowest
+    terms and caps n1 = floor(l/a), n2 = floor(l/b) with a/b = p/q.
 
-    Mediant walk between 0/1 and 1/0 with run-length batching: any
-    fraction strictly between the walk's fences has denominator beyond
-    both, so once the fence denominators exceed the cap the lower fence
-    is the answer. For x = p/q it keeps the remainders el = p ld - q ln >= 0
-    and er = q rn - p rd > 0: the mediant is <= x iff el >= er, and t steps
-    take t er from el or t el from er, Euclid's algorithm in plain integers.
+    One mediant walk between the fences 0/1 and 1/0 finds both: the upper
+    one is the walk toward q/p with its fences swapped. The walk keeps the
+    remainders el = p ld - q ln >= 0 and er = q rn - p rd > 0: the mediant is
+    <= p/q iff el >= er, and t steps take t er from el or t el from er,
+    Euclid's algorithm in plain integers. The first batch that would pass
+    its fence's cap stops there and ends the walk. Every later mediant n/m
+    then has a m > l or b n > l; as b n > a m above p/q and a m >= b n below
+    it, none fits under the other cap either, so the other fence is final.
+    A mediant equals p/q only at m = q > n1, past the walk's end.
     """
-    if x <= 0:
-        raise ValidationError("target must be positive")
-    if max_den < 1:
-        raise ValidationError("denominator cap must be at least 1")
-    el, er = x.numerator, x.denominator  # the remainders at the fences 0/1 and 1/0
-    if er <= max_den:
-        return el, er
-    ln, ld, rn, rd = 0, 1, 1, 0
-    while ld + rd <= max_den:
-        if el >= er:
-            # batch steps toward the target from below
+    if q <= n1:  # a q = b p <= l: both caps admit p/q itself
+        return (p, q), (p, q)
+    ln, ld, rn, rd, el, er = 0, 1, 1, 0, p, q
+    while True:
+        if el >= er:  # batch steps toward p/q from below
             t = el // er
-            if rd:
-                t = min(t, (max_den - ld) // rd)
+            if ld + t * rd > n1:
+                t = (n1 - ld) // rd
+                return (ln + t * rn, ld + t * rd), (rn, rd)
             ln, ld, el = ln + t * rn, ld + t * rd, el - t * er
-        else:
-            # batch steps tightening the upper fence
+        else:  # batch steps tightening the upper fence
             t = (er - 1) // el
+            if rn + t * ln > n2:
+                t = (n2 - rn) // ln
+                return (ln, ld), (rn + t * ln, rd + t * ld)
             rn, rd, er = rn + t * ln, rd + t * ld, er - t * el
-    return ln, ld
 
 
 def _close_scaled(an: int, bn: int, ln: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """(g, (m-, n-), (m+, n+)) for E(an, bn) at ln >= max(an, bn), in integers:
     n-/m- and m+/n+ are the best approximations <= an/bn and <= bn/an under
     an m- <= ln and bn n+ <= ln, and g = min(an m- - bn n-, bn n+ - an m+).
-    The walks return reduced fractions, so a zero numerator comes as 0/1."""
-    ratio = Fraction(an, bn)
-    n_lo, m_lo = _best_frac_le(ratio, ln // an)
-    m_hi, n_hi = _best_frac_le(1 / ratio, ln // bn)
+    Both come from one walk toward an/bn; m+/n+ <= bn/an is n+/m+ >= an/bn.
+    The walk returns reduced fractions, so a zero numerator comes as 0/1."""
+    e = gcd(an, bn)
+    (n_lo, m_lo), (n_hi, m_hi) = _approximants(an // e, bn // e, ln // an, ln // bn)
     d_below, d_above = an * m_lo - bn * n_lo, bn * n_hi - an * m_hi
     if d_below < 0 or d_above < 0:
         raise AssertionError("approximant on the wrong side of the ratio")

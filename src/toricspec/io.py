@@ -13,7 +13,6 @@ ValidationError before anything is written.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io as _io
 import json
 import os
@@ -97,6 +96,8 @@ def render_json(command: str, params: dict, columns: Sequence[str],
 
 def _canonical_sha256(obj: object) -> str:
     """SHA-256 of the compact, key-sorted JSON text of obj."""
+    import hashlib  # here, not at the top: loading OpenSSL slows every CLI start-up
+
     canon = json.dumps(obj, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 

@@ -120,17 +120,17 @@ class TestGapAndCloseCommands:
 
     def test_close_runs_each_mediant_walk_once(self, capsys, monkeypatch):
         calls = []
-        walk = gaps._best_frac_le
+        walk = gaps._approximants
 
-        def counted(x, max_den):
-            calls.append((x, max_den))
-            return walk(x, max_den)
-        monkeypatch.setattr(gaps, "_best_frac_le", counted)
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+        monkeypatch.setattr(gaps, "_approximants", counted)
         code, out, _ = run(capsys, "close", "--a", "1", "--b", "89/55", "--L", "10000")
         assert code == 0
         assert out == ("cutoff,close,close_approx,m_minus,n_minus,m_plus,n_plus\n"
                        "10000,0,0,89,55,89,55\n")
-        assert len(calls) == 2
+        assert len(calls) == 1  # one walk finds both approximants
 
     def test_close_below_max_axis_fails(self, capsys):
         code, _, err = run(capsys, "close", "--a", "1", "--b", "89/55", "--L", "1")
@@ -219,6 +219,32 @@ class TestGapAndCloseCommands:
         _, rows = rows_of(done.stdout)
         first, second = ("gap", "achieving_k") if argv[0] == "gap" else ("k", "value")
         assert (rows[0][first], rows[0][second]) == expected
+
+    def test_out_of_memory_is_a_short_error(self, capsys, monkeypatch):
+        def exhausted(self, k_max):
+            raise MemoryError
+        monkeypatch.delenv("TORICSPEC_CACHE_DIR", raising=False)
+        monkeypatch.setattr(toricspec.spectra.EllipsoidSpectrum, "_extend", exhausted)
+        code, out, err = run(capsys, "spectrum", "--ball", "1", "--k-max", "7")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: spectrum ") and "--k-max" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX resource limits")
+    def test_huge_k_max_under_a_memory_limit_exits_2(self):
+        import resource
+        limit = 256 * 2**20  # address space: the listing for 10^9 entries cannot fit
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        env = dict(os.environ, PYTHONPATH=str(Path(toricspec.__file__).resolve().parents[1]))
+        env.pop("TORICSPEC_CACHE_DIR", None)
+        done = subprocess.run([sys.executable, "-m", "toricspec.cli", "spectrum", "--ball", "1",
+                               "--k-max", "1000000000"], env=env, preexec_fn=cap_memory,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: spectrum ") and "--k-max" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_gap_asymptotics_rows(self, capsys):
         code, out, _ = run(capsys, "gap-asymptotics", "--ellipsoid", "1", "1",

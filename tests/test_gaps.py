@@ -27,7 +27,7 @@ from toricspec import (
     validate_profile,
 )
 from toricspec import gaps
-from toricspec.gaps import _best_frac_le, _close_scaled, _gap_scan, _gaps, ellipsoid_close_detail
+from toricspec.gaps import _approximants, _close_scaled, _gap_scan, _gaps, ellipsoid_close_detail
 from toricspec.rationals import _scaled
 
 F = Fraction
@@ -232,6 +232,31 @@ def test_batched_gap_scan_matches_entrywise_scan(domain, cutoff):
     assert (report.gap, report.achieving_k) == _entrywise_gap(spectrum_for(domain), cutoff)
 
 
+def _best_frac_le(x, max_den):
+    """Largest fraction <= x with denominator at most max_den, reduced: the
+    library's former walk, one side at a time, kept as the two-walk oracle.
+
+    Mediant walk between 0/1 and 1/0 with run-length batching. For x = p/q
+    it keeps the remainders el = p ld - q ln >= 0 and er = q rn - p rd > 0:
+    the mediant is <= x iff el >= er, and t steps take t er from el or t el
+    from er.
+    """
+    el, er = x.numerator, x.denominator  # the remainders at the fences 0/1 and 1/0
+    if er <= max_den:
+        return el, er
+    ln, ld, rn, rd = 0, 1, 1, 0
+    while ld + rd <= max_den:
+        if el >= er:
+            t = el // er
+            if rd:
+                t = min(t, (max_den - ld) // rd)
+            ln, ld, el = ln + t * rn, ld + t * rd, el - t * er
+        else:
+            t = (er - 1) // el
+            rn, rd, er = rn + t * ln, rd + t * ld, er - t * el
+    return ln, ld
+
+
 def _fraction_walk(x, max_den):
     """The mediant walk as it was written over Fractions, kept as the oracle."""
     if x.denominator <= max_den:
@@ -278,6 +303,69 @@ def test_integer_walk_matches_search_over_denominators():
                     if n * bm > bn * m:
                         bn, bm = n, m
                 assert _best_frac_le(F(p, q), cap) == (bn, bm), (p, q, cap)
+
+
+def _two_walks(p, q, n1, n2):
+    """Both approximants of p/q from two one-sided oracle walks."""
+    n_lo, m_lo = _best_frac_le(F(p, q), n1)
+    m_hi, n_hi = _best_frac_le(F(q, p), n2)
+    return (n_lo, m_lo), (n_hi, m_hi)
+
+
+@st.composite
+def _approximant_inputs(draw):
+    """p/q in lowest terms (small, up to 10^30, Fibonacci F(n + 1)/F(n) or a
+    320-digit ratio in (1, 2), either way round) and a cutoff l with one of
+    the caps floor(l/a), floor(l/b) at 1, q - 1, q, q + 1, p - 1, p or p + 1."""
+    kind = draw(st.sampled_from(["small", "wide", "fibonacci", "digits"]))
+    if kind == "small":
+        x = F(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    elif kind == "wide":
+        x = F(draw(st.integers(1, 10**30)), draw(st.integers(1, 10**30)))
+    elif kind == "fibonacci":
+        n = draw(st.integers(1, 1510))
+        x = F(_fib(n + 1), _fib(n))
+    else:
+        q = draw(st.integers(10**319, 10**320 // 2))
+        x = F(draw(st.integers(q + 1, 2 * q - 1)), q)
+    p, q = (x.numerator, x.denominator) if draw(st.booleans()) else (x.denominator, x.numerator)
+    g = draw(st.integers(1, 6))
+    a, b = g * p, g * q
+    cap = draw(st.sampled_from([1, q - 1, q, q + 1, p - 1, p, p + 1]))
+    axis = draw(st.sampled_from([a, b]))
+    cutoff = max(a, b, cap * axis + draw(st.integers(0, axis - 1)))
+    return p, q, cutoff // a, cutoff // b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_approximant_inputs())
+def test_one_walk_matches_two_oracle_walks(inputs):
+    assert _approximants(*inputs) == _two_walks(*inputs)
+
+
+def test_one_walk_matches_search_over_both_caps():
+    for p in range(1, 31):
+        for q in range(1, 31):
+            if gcd(p, q) > 1:
+                continue
+            # below[c]: the largest floor(p m / q) / m over m <= c, first m reached;
+            # above[c]: the least n / floor(n q / p) over n <= c (1/0 first), first n reached
+            below, above = [None], [None]
+            bn, bm, an, am = 0, 1, 1, 0
+            for c in range(1, 36):
+                n = p * c // q
+                if n * bm > bn * c:
+                    bn, bm = n, c
+                m = c * q // p
+                if c * am < an * m:
+                    an, am = c, m
+                below.append((bn, bm))
+                above.append((an, am))
+            # every pair of caps (floor(l/p), floor(l/q)) up to 35 first shows at a multiple of p or q
+            for cutoff in sorted({k * p for k in range(1, 36)} | {k * q for k in range(1, 36)}):
+                n1, n2 = cutoff // p, cutoff // q
+                if cutoff >= max(p, q) and max(n1, n2) <= 35:
+                    assert _approximants(p, q, n1, n2) == (below[n1], above[n2]), (p, q, cutoff)
 
 
 def _fib(n):
@@ -519,16 +607,16 @@ def test_closed_form_gaps_build_no_approximant(monkeypatch):
     def refuse(*args):
         raise AssertionError("the closed-form gap built an Approximant")
     calls = []
-    walk = gaps._best_frac_le
+    walk = gaps._approximants
 
-    def counted(x, max_den):
-        calls.append((x, max_den))
-        return walk(x, max_den)
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
     monkeypatch.setattr(gaps, "Approximant", refuse)
-    monkeypatch.setattr(gaps, "_best_frac_le", counted)
+    monkeypatch.setattr(gaps, "_approximants", counted)
     grid = [F(1, 2), F(1), F(3, 2), F(8, 5), GOLDEN, F(2), F(50), F(10**30)]
     for domain, top in [(Ellipsoid(F(1), GOLDEN), GOLDEN), (Ball(F(3, 2)), F(3, 2))]:
-        walks = 2 * sum(cutoff >= top for cutoff in grid)
+        walks = sum(cutoff >= top for cutoff in grid)  # one walk per closed-form cutoff
         calls.clear()
         reports = [spectral_gap(spectrum_for(domain), cutoff) for cutoff in grid]
         assert len(calls) == walks
