@@ -46,9 +46,12 @@ class LatticePath:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        last = (1, -1)  # a direction before every other: q / p = -1
+        # inline checks, as every scanned path is built here: the slope test is
+        # _slope_cmp((p, q), (dx, -dy)) >= 0 on the previous direction, from
+        # (1, -1), a direction before every other (q / p = -1)
+        p, q = 1, -1
         for (dx, dy), mult in self.edges:
-            if not (type(dx) is type(dy) is type(mult) is int):  # inline: paths are built per scan
+            if not (type(dx) is type(dy) is type(mult) is int):
                 _plain_ints((dx, dy, mult), "edge data")
             if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
                 raise ValidationError(
@@ -57,9 +60,9 @@ class LatticePath:
                 raise ValidationError(f"direction {_shown((dx, dy), str)} is not primitive")
             if mult < 1:
                 raise ValidationError("multiplicities must be positive")
-            if _slope_cmp(last, cur := (dx, -dy)) >= 0:
+            if q * dx + dy * p >= 0:
                 raise ValidationError("edge slopes must strictly decrease; use from_edges to canonicalize")
-            last = cur
+            p, q = dx, -dy
 
     @classmethod
     def empty(cls) -> "LatticePath":
@@ -192,46 +195,62 @@ def lattice_count_pick(path: LatticePath) -> int:
 def _scan_paths(
     dirs: Sequence[tuple[int, int, int]],
     bound: int,
-    stack: list[list[int]],
+    stack: list[Edge],
 ) -> Iterator[tuple[int, int]]:
     """Depth-first walk over all paths of scaled length <= bound.
 
     dirs: (p, q, unit_cost) sorted by decreasing slope of (p, -q); every
-    unit_cost is positive and <= bound, so the budget alone ends the walk;
-    a frame holds the length, the end abscissa a and the count. Yields
-    (length, count) once per path, parents before children, where count
-    is the number of enclosed lattice points: a unit of (p, -q) leaving
-    abscissa a raises the whole chain before it by q and adds its own
-    columns, q*a + (p+1)(q+1)/2 points in all (an integer, as gcd(p, q)
-    is 1). `stack` holds the live edge list as [p, q, mult] entries and
-    must be copied by the consumer if kept.
+    unit_cost is positive and <= bound, so the budget alone ends the walk.
+    Yields (length, count) once per path, parents before children, where
+    count is the number of enclosed lattice points: a unit of (p, -q)
+    leaving abscissa a raises the whole chain before it by q and adds its
+    own columns, q*a + (p+1)(q+1)/2 points in all (an integer, as gcd(p, q)
+    is 1). `stack` holds the live path's edges ((p, -q), mult), so
+    tuple(stack) is its LatticePath's edges; an entry is replaced, never
+    changed, so a tuple snapshot stays valid, and the consumer must take
+    one to keep a path.
+
+    One flat loop, no recursion: `frames` holds, for each stack entry, its
+    direction's index and the (length, abscissa, count) before it. A path
+    first extends by the next direction that fits its budget, then its last
+    edge gains a unit, then that edge leaves and its parent tries the next
+    direction: slopes decrease, then multiplicities go up.
     """
-    n = len(dirs)
-
-    def walk(j0: int, ln: int, a: int, count: int):
-        yield ln, count
-        for j in range(j0, n):
-            p, q, w = dirs[j]
-            if ln + w > bound:
+    table = [(w, q, (p + 1) * (q + 1) // 2, p, (p, -q)) for p, q, w in dirs]
+    costs = [w for _p, _q, w in dirs]
+    n = len(table)
+    frames: list[tuple[int, int, int, int]] = []
+    j, ln, a, count = 0, 0, 0, 1
+    yield ln, count
+    while True:
+        room = bound - ln
+        while j < n and costs[j] > room:
+            j += 1
+        if j < n:  # a new last edge: one unit of direction j
+            frames.append((j, ln, a, count))
+            w, q, half, p, d = table[j]
+            stack.append((d, 1))
+        elif frames:  # no direction left: the last edge gains a unit, or leaves
+            j = frames[-1][0]
+            w, q, half, p, d = table[j]
+            if w > room:
+                j, ln, a, count = frames.pop()
+                stack.pop()
+                j += 1
                 continue
-            half = (p + 1) * (q + 1) // 2
-            entry = [p, q, 0]
-            stack.append(entry)
-            ln2, a2, count2 = ln, a, count
-            while ln2 + w <= bound:
-                ln2 += w
-                count2 += q * a2 + half
-                a2 += p
-                entry[2] += 1
-                yield from walk(j + 1, ln2, a2, count2)
-            stack.pop()
-
-    yield from walk(0, 0, 0, 1)
+            stack[-1] = (d, stack[-1][1] + 1)
+        else:
+            return
+        ln += w
+        count += q * a + half
+        a += p
+        yield ln, count
+        j += 1
 
 
-def _stack_path(stack: Sequence[Sequence[int]]) -> LatticePath:
-    """The path held by a _scan_paths stack of [p, q, mult] entries."""
-    return LatticePath(tuple(((p, -q), m) for p, q, m in stack))
+def _stack_path(stack: Sequence[Edge]) -> LatticePath:
+    """The path held by a _scan_paths stack (or a tuple snapshot of it)."""
+    return LatticePath(tuple(stack))
 
 
 def direction_table(
@@ -295,6 +314,6 @@ def enumerate_paths(
     dirs, bound, _den = direction_table(max_length, rho, omega_length, inclusive)
     if not inclusive:
         bound -= 1  # integer budgets make strict < equivalent to <= bound-1
-    stack: list[list[int]] = []
+    stack: list[Edge] = []
     for _state in _scan_paths(dirs, bound, stack):
         yield _stack_path(stack)

@@ -36,7 +36,7 @@ from .domains import (
     scale_domain,
 )
 from .errors import UnavailableError, ValidationError
-from .paths import LatticePath, _scan_paths, _slope_key, _stack_path, lattice_count_pick
+from .paths import Edge, LatticePath, _scan_paths, _slope_key, _stack_path, lattice_count_pick
 from .rationals import _exact_int, _exact_rat, _positive_axes, _scaled, _shown, floor_sum
 
 
@@ -182,7 +182,7 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     k = _exact_int(k)
     bound = _greedy_bound(profile, k)
     need = k + 1
-    stack: list[list[int]] = []
+    stack: list[Edge] = []
     best_ge: Optional[tuple[int, LatticePath]] = None
     best_eq: Optional[tuple[int, LatticePath]] = None
     scanned = 0
@@ -366,12 +366,12 @@ class ToricSpectrum(Spectrum):
         bound, den = _greedy_bound(self._profile, k_max), self._profile.scaled_vertices[1]
         over = k_max + 1  # one bucket for every path enclosing more than k_max + 1 points
         lens = [bound + 1] * (over + 1)  # least scaled length per bucket, or past the bound
-        paths: list[Optional[tuple]] = [None] * (over + 1)  # stack snapshots
-        stack: list[list[int]] = []
+        paths: list[Optional[tuple[Edge, ...]]] = [None] * (over + 1)  # stack snapshots
+        stack: list[Edge] = []
         for ln, count in _scan_paths(_scan_table(self._profile, bound), bound, stack):
             i = min(count, over + 1) - 1
             if ln < lens[i]:
-                lens[i], paths[i] = ln, tuple(map(tuple, stack))
+                lens[i], paths[i] = ln, tuple(stack)
         if min(lens[k_max:]) > bound:
             raise AssertionError("enumeration missed the greedy feasible path")
         at_least = lens[over]

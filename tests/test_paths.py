@@ -21,7 +21,7 @@ from toricspec import (
     triangle_profile,
     validate_profile,
 )
-from toricspec.paths import _scan_paths, _slope_key, _stack_path, direction_table
+from toricspec.paths import Edge, _scan_paths, _slope_key, _stack_path, direction_table
 from toricspec.spectra import _scan_table
 
 
@@ -57,17 +57,21 @@ class TestCanonicalForm:
     def test_from_edges_drops_zero_mult(self):
         assert LatticePath.from_edges([((1, 0), 0)]).is_empty
 
-    @pytest.mark.parametrize("edges", [
-        (((-1, 0), 1),),
-        (((1, 1), 1),),
-        (((0, 0), 1),),
-        (((2, -2), 1),),
-        (((1, -1), 0),),
-        (((0, -1), 1), ((1, 0), 1)),
-        (((1, -1), 1), ((1, -1), 1)),
-    ])
-    def test_constructor_rejects_non_canonical(self, edges):
-        with pytest.raises(ValidationError):
+    _rejected = [
+        ((((-1, 0), 1),), r"direction \(-1, 0\) must point weakly right and down"),
+        ((((1, 1), 1),), r"direction \(1, 1\) must point weakly right and down"),
+        ((((0, 0), 1),), r"direction \(0, 0\) must point weakly right and down"),
+        ((((2, -2), 1),), r"direction \(2, -2\) is not primitive"),
+        ((((1, -1), 0),), "multiplicities must be positive"),
+        ((((0, -1), 1), ((1, 0), 1)), "edge slopes must strictly decrease"),
+        ((((1, -1), 1), ((1, -1), 1)), "edge slopes must strictly decrease"),
+        ((((1, 0), True),), "edge data must be ints, got bool True"),
+    ]
+
+    @pytest.mark.parametrize("edges, match", _rejected,
+                             ids=[f"edges{i}" for i in range(len(_rejected))])
+    def test_constructor_rejects_non_canonical(self, edges, match):
+        with pytest.raises(ValidationError, match=match):
             LatticePath(edges)
 
     def test_vertices(self):
@@ -236,7 +240,7 @@ def test_scan_state_matches_the_slow_routes(prof, budget_ratio, inclusive):
     dirs, bound, den = direction_table(budget, norm_floor(prof), omega, inclusive)
     if not inclusive:
         bound -= 1
-    stack: list[list[int]] = []
+    stack: list[Edge] = []
     scanned = 0
     for length, count in _scan_paths(dirs, bound, stack):
         path = _stack_path(stack)
@@ -244,6 +248,64 @@ def test_scan_state_matches_the_slow_routes(prof, budget_ratio, inclusive):
         assert length == omega(path) * den, path
         scanned += 1
     assert scanned >= 1
+
+
+def recursive_scan(dirs, bound):
+    # the order oracle: the scan as a recursive generator over mutable
+    # [p, q, mult] entries, yielding (length, count, edges) for every path
+    stack = []
+
+    def walk(j0, ln, a, count):
+        yield ln, count, tuple(((p, -q), m) for p, q, m in stack)
+        for j in range(j0, len(dirs)):
+            p, q, w = dirs[j]
+            if ln + w > bound:
+                continue
+            half = (p + 1) * (q + 1) // 2
+            entry = [p, q, 0]
+            stack.append(entry)
+            ln2, a2, count2 = ln, a, count
+            while ln2 + w <= bound:
+                ln2 += w
+                count2 += q * a2 + half
+                a2 += p
+                entry[2] += 1
+                yield from walk(j + 1, ln2, a2, count2)
+            stack.pop()
+
+    return list(walk(0, 0, 0, 1))
+
+
+def flat_scan(dirs, bound):
+    stack: list[Edge] = []
+    return [(ln, count, tuple(stack)) for ln, count in _scan_paths(dirs, bound, stack)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(prof=convex_profiles(),
+       budget_ratio=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4),
+                                     Fraction(6), Fraction(8)]),
+       inclusive=st.booleans())
+def test_flat_scan_matches_the_recursive_walk(prof, budget_ratio, inclusive):
+    budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
+    dirs, bound, _den = direction_table(budget, norm_floor(prof), lambda p: omega_length(prof, p),
+                                        inclusive)
+    if not inclusive:
+        bound -= 1
+    assert flat_scan(dirs, bound) == recursive_scan(dirs, bound)
+
+
+@pytest.mark.parametrize("dirs, bound, expected", [
+    # budget 0: only the empty path fits
+    ([(1, 0, 1), (1, 1, 2), (0, 1, 1)], 0, [(0, 1, ())]),
+    # no direction at all
+    ([], 5, [(0, 1, ())]),
+    # one direction: a pure multiplicity chain of triangles 3, 6, 10 points
+    ([(1, 1, 2)], 7, [(0, 1, ()), (2, 3, (((1, -1), 1),)), (4, 6, (((1, -1), 2),)),
+                      (6, 10, (((1, -1), 3),))]),
+], ids=["budget-0", "no-directions", "one-direction"])
+def test_flat_scan_edge_cases(dirs, bound, expected):
+    assert flat_scan(dirs, bound) == recursive_scan(dirs, bound) == expected
 
 
 def test_capacity_at_k0_is_the_empty_path_from_one_scan():

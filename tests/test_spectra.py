@@ -59,7 +59,7 @@ class TestEllipsoidSequence:
         for val, (m, n) in nk_sequence(a, b, 60):
             assert val == a * m + b * n
 
-    def test_heap_route_matches_counting_inversion(self, rng):
+    def test_sorted_listing_matches_counting_inversion(self, rng):
         for _ in range(6):
             a = F(rng.randint(1, 12), rng.randint(1, 5))
             b = F(rng.randint(1, 12), rng.randint(1, 5))
@@ -86,7 +86,7 @@ _axes = st.one_of(st.tuples(_axis, _axis), _axis.map(lambda x: (x, x)))
 
 @settings(max_examples=40, deadline=None)
 @given(axes=_axes, k_max=st.integers(0, 30))
-def test_heap_matches_brute_force_and_counting_inversion(axes, k_max):
+def test_sorted_listing_matches_brute_force_and_counting_inversion(axes, k_max):
     a, b = axes
     # the first k_max + 1 entries have m, n <= k_max: each (m', n) with
     # m' < m, or (m, n') with n' < n, has strictly smaller action
@@ -189,7 +189,7 @@ class TestBall:
 
     @pytest.mark.parametrize("a", [F(1), F(5, 4), F(7, 3), F(2, 9)])
     def test_sweep_matches_closed_form(self, a):
-        # the heap on E(a, a) against the second route, values and witnesses
+        # the sorted listing on E(a, a) against the second route, values and witnesses
         ball = BallSpectrum(Ball(a))
         assert ball.entries(2000) == [ball_capacity(a, k) for k in range(2001)]
         assert all(ball.check_witness(k) for k in range(0, 2001, 97))
@@ -425,6 +425,37 @@ def test_toric_sweep_matches_per_k_route(prof, k_max):
         assert (val, wit) == (res.value, res.witness), k
 
 
+# closed forms that share no code with the path scan (Hutchings, arXiv:1005.2260)
+def _polydisk_value(a, b, k):
+    # c_k(P(a, b)) = min{a m + b n : (m + 1)(n + 1) >= k + 1}; for each m the
+    # least such n is k // (m + 1)
+    return min(a * m + b * (k // (m + 1)) for m in range(k + 1))
+
+
+def _ellipsoid_value(a, b, k):
+    # entry k of the sorted multiset {a m + b n}; its first k + 1 entries have m, n <= k
+    return sorted(a * m + b * n for m in range(k + 1) for n in range(k + 1))[k]
+
+
+@pytest.mark.parametrize("a, b", [(F(1), F(1)), (F(2), F(3)), (F(1, 2), F(5, 3)),
+                                  (F(3), F(1)), (F(7, 4), F(7, 4))],
+                         ids=["unit-square", "2-3", "1/2-5/3", "3-1", "square-7/4"])
+def test_rectangle_spectrum_matches_the_polydisk_closed_form(a, b):
+    spec = ToricSpectrum(validate_profile([(0, b), (a, b), (a, 0)]))
+    assert spec.values(30) == [_polydisk_value(a, b, k) for k in range(31)]
+    assert all(spec.check_witness(k) for k in range(31))
+
+
+@settings(max_examples=30, deadline=None)
+@given(prof=convex_profiles())
+def test_convex_spectrum_lies_between_the_triangle_and_the_rectangle(prof):
+    # the triangle with the profile's intercepts lies inside it, and it lies
+    # inside their rectangle, so monotonicity brackets every c_k
+    a, b = prof.x_intercept, prof.y_intercept
+    for k, value in enumerate(ToricSpectrum(prof).values(12)):
+        assert _ellipsoid_value(a, b, k) <= value <= _polydisk_value(a, b, k), k
+
+
 _small_domains = st.one_of(
     st.builds(Ball, st.sampled_from([F(1), F(3, 2), F(2)])),
     st.builds(Ellipsoid, st.sampled_from([F(1), F(2), F(5, 3)]),
@@ -569,9 +600,9 @@ def test_count_le_counts_the_swept_values(sized, data):
                                   EllipsoidSpectrum(Ellipsoid(F(7, 3), F(1000003, 10**6))),
                                   BallSpectrum(Ball(F(3, 2)))],
                          ids=["2-3", "golden", "near-tie", "ball"])
-def test_random_access_values_match_the_heap(spec):
-    heap = spectrum_for(spec.domain()).values(3000)
-    assert [spec.value(k) for k in range(3001)] == heap
+def test_random_access_values_match_the_sorted_listing(spec):
+    listed = spectrum_for(spec.domain()).values(3000)
+    assert [spec.value(k) for k in range(3001)] == listed
     far = spec.value(10**15)  # the least value with more than 10^15 entries up to it
     assert spec.count_le(far) > 10**15 >= spec.count_le(far - F(1, 10**9))
     assert spec._prefix == (1, (), ())  # the store is still empty after random access
