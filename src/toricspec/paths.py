@@ -10,7 +10,8 @@ Three counting routes are provided: a direct column scan, Pick's theorem,
 and the running count of the path scan, which adds integer unit costs over
 one denominator (a toric profile's vertex denominator). Tests hold the
 three to agreement on random paths and on every scanned path. The scan's
-only bound is its length budget, as every unit cost is positive.
+only bound is its length budget, as every unit cost is positive; a sweep
+lets it fall to the shortest path met that encloses enough points.
 """
 
 from __future__ import annotations
@@ -196,11 +197,16 @@ def _scan_paths(
     dirs: Sequence[tuple[int, int, int]],
     bound: int,
     stack: list[Edge],
+    need: int | None = None,
 ) -> Iterator[tuple[int, int]]:
     """Depth-first walk over all paths of scaled length <= bound.
 
     dirs: (p, q, unit_cost) sorted by decreasing slope of (p, -q); every
     unit_cost is positive and <= bound, so the budget alone ends the walk.
+    Given `need`, once a path enclosing at least `need` points is yielded,
+    the budget falls to its length (ties stay in). The order does not
+    depend on the budget, so every path of the fixed walk up to the final
+    budget still comes, in the same order.
     Yields (length, count) once per path, parents before children, where
     count is the number of enclosed lattice points: a unit of (p, -q)
     leaving abscissa a raises the whole chain before it by q and adds its
@@ -222,6 +228,8 @@ def _scan_paths(
     frames: list[tuple[int, int, int, int]] = []
     j, ln, a, count = 0, 0, 0, 1
     yield ln, count
+    if need is not None and count >= need:
+        bound = ln
     while True:
         room = bound - ln
         while j < n and costs[j] > room:
@@ -245,6 +253,8 @@ def _scan_paths(
         count += q * a + half
         a += p
         yield ln, count
+        if need is not None and count >= need:
+            bound = ln
         j += 1
 
 

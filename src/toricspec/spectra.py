@@ -11,8 +11,8 @@ floor sum counts entries, its inversion gives single values and the level
 that bounds a sweep, and a sweep sorts the pairs under that level. A ball
 is E(a, a) on that core, with the closed form ball_capacity as its second
 route. Profiles have two routes as well (one path scan per sweep in
-ToricSpectrum, and the per-k scan toric_capacity_detail); tests hold each
-pair to exact agreement.
+ToricSpectrum, its budget falling to c_{k_max}, and the fixed-budget per-k
+scan toric_capacity_detail); tests hold each pair to exact agreement.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def _greedy_bound(profile: ToricProfile, k: int) -> int:
 
     The hull of {(x, y) >= 0 : b x + a y <= N_k(a, b)}, a and b the
     intercepts, encloses at least k + 1 points; its boundary is the path."""
-    an, bn, _d = _scaled(profile.x_intercept, profile.y_intercept)
+    verts, _den = profile.scaled_vertices
+    an, bn = verts[-1][0], verts[0][1]
     ln = _nk_scaled(an, bn, k)
     xmax = ln // bn
     pts = [(x, (ln - bn * x) // an) for x in range(xmax + 1)]
@@ -148,10 +149,9 @@ def _greedy_bound(profile: ToricProfile, k: int) -> int:
         hull.append(p)
     if hull[-1][1] > 0:
         hull.append((hull[-1][0], 0))
-    greedy = LatticePath.from_vertex_chain(hull)  # one vertex: the empty path
-    if lattice_count_pick(greedy) < k + 1:
-        raise AssertionError("greedy path must be feasible")
-    return floor(omega_length(profile, greedy) * profile.scaled_vertices[1])
+    # a chain edge (dx, dy) costs max(dx Y - dy X) over the scaled vertices, as in omega_length
+    return sum(max(x * (y0 - y1) + y * (x1 - x0) for x, y in verts)
+               for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
 
 
 def _scan_table(profile: ToricProfile, bound: int) -> list[tuple[int, int, int]]:
@@ -354,26 +354,30 @@ class ToricSpectrum(Spectrum):
         self._profile = profile
 
     def _extend(self, k_max: int) -> tuple[int, list[int], list[LatticePath]]:
-        """Every c_k up to k_max from one inclusive scan at the greedy bound for k_max.
+        """Every c_k up to k_max from one inclusive scan whose budget falls to c_{k_max}.
 
-        Each k <= k_max has c_k <= c_{k_max} <= that bound, and the scan
-        meets paths in an order that does not depend on the bound, so the
-        first minimal path per exact enclosed count is the witness the per-k
-        route toric_capacity_detail returns. The minimum over "at least
-        k + 1" is a suffix minimum over the counts; it must equal the
-        minimum over "exactly k + 1" (corner rounding).
+        The budget starts at the shorter of the greedy path and the polydisk
+        bound, the best rectangle path of width m and height k_max // (m + 1),
+        and falls to each shorter path with k_max + 1 points or more, so it
+        ends at c_{k_max} >= c_k. The scan meets paths in an order that does
+        not depend on the budget, so the first minimal path per exact count
+        is the witness the per-k route toric_capacity_detail returns. The
+        minimum over "at least k + 1" is a suffix minimum over the counts; it
+        must equal the minimum over "exactly k + 1" (corner rounding).
         """
-        bound, den = _greedy_bound(self._profile, k_max), self._profile.scaled_vertices[1]
+        verts, den = self._profile.scaled_vertices
+        bound = min(_greedy_bound(self._profile, k_max),
+                    *(m * verts[0][1] + k_max // (m + 1) * verts[-1][0] for m in range(k_max + 1)))
         over = k_max + 1  # one bucket for every path enclosing more than k_max + 1 points
         lens = [bound + 1] * (over + 1)  # least scaled length per bucket, or past the bound
         paths: list[Optional[tuple[Edge, ...]]] = [None] * (over + 1)  # stack snapshots
         stack: list[Edge] = []
-        for ln, count in _scan_paths(_scan_table(self._profile, bound), bound, stack):
+        for ln, count in _scan_paths(_scan_table(self._profile, bound), bound, stack, over):
             i = min(count, over + 1) - 1
             if ln < lens[i]:
                 lens[i], paths[i] = ln, tuple(stack)
         if min(lens[k_max:]) > bound:
-            raise AssertionError("enumeration missed the greedy feasible path")
+            raise AssertionError("enumeration missed the feasible start path")
         at_least = lens[over]
         for k in range(k_max, -1, -1):
             at_least = min(at_least, lens[k])

@@ -276,9 +276,9 @@ def recursive_scan(dirs, bound):
     return list(walk(0, 0, 0, 1))
 
 
-def flat_scan(dirs, bound):
+def flat_scan(dirs, bound, need=None):
     stack: list[Edge] = []
-    return [(ln, count, tuple(stack)) for ln, count in _scan_paths(dirs, bound, stack)]
+    return [(ln, count, tuple(stack)) for ln, count in _scan_paths(dirs, bound, stack, need)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,6 +306,50 @@ def test_flat_scan_matches_the_recursive_walk(prof, budget_ratio, inclusive):
 ], ids=["budget-0", "no-directions", "one-direction"])
 def test_flat_scan_edge_cases(dirs, bound, expected):
     assert flat_scan(dirs, bound) == recursive_scan(dirs, bound) == expected
+
+
+def is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(item in rest for item in part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prof=convex_profiles(),
+       budget_ratio=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4),
+                                     Fraction(6)]),
+       need=st.integers(1, 60))
+def test_falling_budget_walk_keeps_the_oracle_order_up_to_its_final_budget(prof, budget_ratio,
+                                                                           need):
+    budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
+    dirs, bound, _den = direction_table(budget, norm_floor(prof), lambda p: omega_length(prof, p),
+                                        True)
+    oracle = recursive_scan(dirs, bound)
+    got = flat_scan(dirs, bound, need)
+    # the final budget is the shortest oracle path with at least `need` points
+    final = min([ln for ln, count, _e in oracle if count >= need], default=bound)
+    assert is_subsequence(got, oracle)
+    assert [y for y in oracle if y[0] <= final] == [y for y in got if y[0] <= final]
+
+
+@pytest.mark.parametrize("dirs, bound, need, expected", [
+    # the empty path encloses 1 point, so need = 1 ends the walk at once
+    ([(1, 0, 1), (1, 1, 2), (0, 1, 1)], 5, 1, [(0, 1, ())]),
+    # budget 0: only the empty path fits, whatever the need
+    ([(1, 0, 1), (1, 1, 2), (0, 1, 1)], 0, 4, [(0, 1, ())]),
+    # one direction: 6 points at length 4 cut the chain 3, 6, 10
+    ([(1, 1, 2)], 7, 6, [(0, 1, ()), (2, 3, (((1, -1), 1),)), (4, 6, (((1, -1), 2),))]),
+], ids=["need-1", "budget-0", "one-direction"])
+def test_falling_budget_edge_cases(dirs, bound, need, expected):
+    assert flat_scan(dirs, bound, need) == expected
+
+
+def test_a_need_above_every_count_leaves_the_walk_fixed():
+    prof = validate_profile([(0, 2), (1, Fraction(7, 4)), (2, 1), (Fraction(5, 2), 0)])
+    dirs, bound, _den = direction_table(Fraction(12), norm_floor(prof),
+                                        lambda p: omega_length(prof, p), True)
+    fixed = flat_scan(dirs, bound)
+    assert flat_scan(dirs, bound, max(count for _ln, count, _e in fixed) + 1) == fixed
+    assert fixed == recursive_scan(dirs, bound) and len(fixed) > 100
 
 
 def test_capacity_at_k0_is_the_empty_path_from_one_scan():

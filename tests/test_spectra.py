@@ -4,9 +4,10 @@ union convolution, scaling, Weyl diagnostics."""
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd
+from operator import le
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricspec import (
     Ball,
@@ -444,6 +445,53 @@ def test_rectangle_spectrum_matches_the_polydisk_closed_form(a, b):
     spec = ToricSpectrum(validate_profile([(0, b), (a, b), (a, 0)]))
     assert spec.values(30) == [_polydisk_value(a, b, k) for k in range(31)]
     assert all(spec.check_witness(k) for k in range(31))
+
+
+def test_unit_square_at_k_100_matches_the_polydisk_closed_form():
+    # many ties; the polydisk start is exact here, far below the greedy bound
+    spec = ToricSpectrum(square_profile(F(1)))
+    assert spec.values(100) == [_polydisk_value(F(1), F(1), k) for k in range(101)]
+    assert all(spec.check_witness(k) for k in range(101))
+
+
+@pytest.mark.parametrize("prof", [
+    validate_profile([(0, 2), (1, F(7, 4)), (2, 1), (F(5, 2), 0)]),
+    square_profile(F(1)),
+], ids=["ci-profile", "unit-square"])
+def test_sweep_at_k_40_matches_the_fixed_budget_per_k_route(prof):
+    entries = ToricSpectrum(prof).entries(40)
+    for k, entry in enumerate(entries):
+        res = toric_capacity_detail(prof, k)
+        assert entry == (res.value, res.witness), k
+
+
+@st.composite
+def _outward_moves(draw):
+    # a convex profile and a copy with one vertex moved up and to the right:
+    # the region under a chain of nonpositive slopes is closed downwards, so
+    # the moved region holds the old vertices and hence the old region
+    prof = draw(convex_profiles())
+    verts = list(prof.vertices)
+    i = draw(st.integers(0, len(verts) - 1))
+    steps = st.sampled_from([F(0), F(1, 4), F(1, 2), F(1)])
+    (x, y), dx, dy = verts[i], draw(steps), draw(steps)
+    # the axis endpoints move along their axes
+    verts[i] = (x + (dx if i else 0), y + (dy if i < len(verts) - 1 else 0))
+    assume(verts[i] != prof.vertices[i])
+    try:
+        moved = validate_profile(verts)
+    except ValidationError:
+        assume(False)
+    return prof, moved
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=_outward_moves())
+def test_moving_a_vertex_outward_lowers_no_capacity(pair):
+    # monotonicity under inclusion (Hutchings, arXiv:1005.2260)
+    inner, outer = pair
+    small, large = ToricSpectrum(inner).values(12), ToricSpectrum(outer).values(12)
+    assert all(map(le, small, large)), (small, large)
 
 
 @settings(max_examples=30, deadline=None)
