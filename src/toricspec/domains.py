@@ -175,8 +175,10 @@ def omega_length(profile: ToricProfile, path: LatticePath) -> Fraction:
     integers over the profile's vertex denominator; additive over edges.
     """
     verts, den = profile.scaled_vertices
-    return Fraction(sum(m * max(-dy * x + dx * y for x, y in verts)
-                        for (dx, dy), m in path.edges), den)
+    total = 0
+    for (dx, dy), m in path.edges:
+        total += m * max([dx * y - dy * x for x, y in verts])
+    return Fraction(total, den)
 
 
 def norm_floor(profile: ToricProfile) -> Fraction:

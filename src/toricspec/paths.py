@@ -276,21 +276,24 @@ def direction_table(
     the exact value Fraction(ln, denominator). Direction (p, -q) is kept
     when a single unit of it fits the length budget; rho must satisfy
     omega_length >= rho * (x_extent + y_extent), so only p + q <=
-    max_length / rho can fit and no other direction is measured.
+    max_length / rho can fit: one omega_length call per such primitive
+    (p, q), O((max_length / rho)**2) calls, each cost compared as integers.
     """
     rho = _exact_rat(rho, "rho")
     if rho <= 0:
         raise ValidationError("rho must be positive")
-    reach = int(max_length / rho)
+    reach, (mn, md) = int(max_length / rho), max_length.as_integer_ratio()
     raw: list[tuple[int, int, Fraction]] = []
     for p in range(reach + 1):
         for q in range(reach + 1 - p):
             if gcd(p, q) != 1:  # gcd(0, 0) == 0 drops the zero vector too
                 continue
-            w = _exact_rat(omega_length(LatticePath((((p, -q), 1),))), "unit edge length")
-            if w <= 0:
+            w = omega_length(LatticePath((((p, -q), 1),)))
+            w = w if type(w) is Fraction else _exact_rat(w, "unit edge length")
+            if w.numerator <= 0:
                 raise ValidationError(f"unit edge ({p}, {-q}) has nonpositive length {_shown(w, str)}")
-            if w < max_length or (inclusive and w == max_length):
+            lhs, rhs = w.numerator * md, mn * w.denominator  # w, max_length in lowest terms
+            if lhs < rhs or (inclusive and lhs == rhs):
                 raw.append((p, q, w))
     raw.sort(key=_slope_key)
     bound, *costs, den = _scaled(max_length, *(w for _p, _q, w in raw))
@@ -307,11 +310,11 @@ def enumerate_paths(
     """Stream every path whose omega_length is below max_length.
 
     `omega_length` must be additive over the edge multiset (true for any
-    dual-norm length); per-direction unit costs are measured on one-edge
-    paths, and partial sums against the budget, the walk's only bound,
-    prune it. `rho` is a positive lower bound with omega_length >= rho *
-    (x_extent + y_extent), which limits the candidate directions to
-    p + q <= max_length / rho.
+    dual-norm length). `rho` is a positive lower bound with omega_length >=
+    rho * (x_extent + y_extent): each primitive (p, q) with p + q <=
+    max_length / rho is measured once on its one-edge path, O((max_length /
+    rho)**2) calls, and the unit costs, the budget and the partial sums
+    that prune the walk (its only bound) are compared as integers.
 
     Order is deterministic: a path precedes its extensions, extensions are
     tried by decreasing slope, then by ascending multiplicity. The empty

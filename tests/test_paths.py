@@ -1,7 +1,8 @@
 """Lattice path core: canonical form, both counting routes, enumeration."""
 
+import re
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -419,3 +420,105 @@ def test_profile_table_matches_the_generic_table(prof, budget_ratio, inclusive):
         bound -= 1
     assert [(Fraction(ln, vden), count) for ln, count in _scan_paths(pdirs, pbound, [])] == \
         [(Fraction(ln, den), count) for ln, count in _scan_paths(dirs, bound, [])]
+
+
+@pytest.mark.parametrize("unit, message", [
+    (1.5, "unit edge length must be exact; floats are rejected: 1.5"),
+    (None, "unit edge length must be rational: None"),
+    ("x", "unit edge length must be rational: 'x'"),
+    (Fraction(-1), "unit edge (0, -1) has nonpositive length -1"),
+    (0, "unit edge (0, -1) has nonpositive length 0"),
+], ids=["float", "none", "text", "negative", "zero"])
+def test_a_bad_unit_length_is_refused_by_name(unit, message):
+    # (0, -1) is the first candidate measured, so it names the refusal
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        direction_table(Fraction(3), Fraction(1, 2), lambda p: unit, False)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        list(enumerate_paths(Fraction(3), Fraction(1, 2), lambda p: unit, inclusive=True))
+
+
+class _Length(Fraction):
+    """A Fraction subclass, as a caller's own length type might be."""
+
+
+def _additive_cost(path):
+    # an additive length that is not a profile's: m (2p + 3q) per edge (p, -q),
+    # at least 2 (p + q), so rho = 2
+    return sum(m * (2 * dx - 3 * dy) for (dx, dy), m in path.edges)
+
+
+@pytest.mark.parametrize("budget", [Fraction(2), Fraction(3), Fraction(25, 2), Fraction(14)])
+@pytest.mark.parametrize("inclusive", [False, True])
+def test_int_and_fraction_subclass_lengths_act_as_their_fraction(budget, inclusive):
+    def run(wrap):
+        omega = lambda p: wrap(_additive_cost(p))
+        return (direction_table(budget, Fraction(2), omega, inclusive),
+                list(enumerate_paths(budget, Fraction(2), omega, inclusive=inclusive)))
+
+    plain = run(Fraction)
+    assert run(int) == run(_Length) == plain
+    # budgets 2, 3 and 14 are unit lengths: the inclusive mode keeps that edge
+    units = {2 * p + 3 * q for p, q, _w in plain[0][0]}
+    assert (budget in units) == (inclusive and budget.denominator == 1)
+
+
+def _fraction_direction_table(max_length, rho, omega, inclusive):
+    """The Fraction route to direction_table: each unit length compared as a
+    Fraction, the table sorted by the Fraction slope key and scaled by one lcm."""
+    reach = int(max_length / rho)
+    raw = []
+    for p in range(reach + 1):
+        for q in range(reach + 1 - p):
+            if gcd(p, q) == 1:
+                w = Fraction(omega(LatticePath((((p, -q), 1),))))
+                assert w > 0
+                if w < max_length or (inclusive and w == max_length):
+                    raw.append((p, q, w))
+    raw.sort(key=lambda d: _direction_key(d[0], -d[1]))
+    den = lcm(max_length.denominator, *(w.denominator for _p, _q, w in raw))
+    return [(p, q, int(w * den)) for p, q, w in raw], int(max_length * den), den
+
+
+_unit_dirs = st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(prof=convex_profiles(), data=st.data(), inclusive=st.booleans())
+def test_integer_direction_table_matches_the_fraction_table(prof, data, inclusive):
+    omega = lambda p: omega_length(prof, p)
+    # a budget on the profile's scale, or a small multiple of a unit length,
+    # which puts that unit on the inclusive edge
+    if data.draw(st.booleans()):
+        ratio = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(5, 2),
+                                           Fraction(4), Fraction(8)]))
+        budget = ratio * min(prof.x_intercept, prof.y_intercept)
+    else:
+        p, q = data.draw(_unit_dirs)
+        budget = data.draw(st.integers(1, 2)) * omega(LatticePath((((p, -q), 1),)))
+    rho = norm_floor(prof)
+    assert direction_table(budget, rho, omega, inclusive) == \
+        _fraction_direction_table(budget, rho, omega, inclusive)
+
+
+@settings(max_examples=80, deadline=None)
+@given(budget=st.one_of(st.integers(1, 40).map(Fraction),
+                        st.fractions(Fraction(1, 2), 40, max_denominator=7)),
+       wrap=st.sampled_from([Fraction, int]), inclusive=st.booleans())
+@example(budget=Fraction(2), wrap=Fraction, inclusive=True)
+@example(budget=Fraction(2), wrap=Fraction, inclusive=False)
+def test_integer_direction_table_matches_the_fraction_table_off_profiles(budget, wrap, inclusive):
+    omega = lambda p: wrap(_additive_cost(p))
+    assert direction_table(budget, Fraction(2), omega, inclusive) == \
+        _fraction_direction_table(budget, Fraction(2), omega, inclusive)
+
+
+def test_the_ci_profiles_horizontal_unit_is_on_the_inclusive_edge():
+    # the profile that CI hashes enumerate_paths on, at its budget 2
+    prof = validate_profile([(0, 2), (1, Fraction(7, 4)), (2, 1), (Fraction(5, 2), 0)])
+    omega = lambda p: omega_length(prof, p)
+    rho = norm_floor(prof)
+    unit = LatticePath((((1, 0), 1),))
+    assert rho == 1 and omega(unit) == 2
+    assert list(enumerate_paths(Fraction(2), rho, omega)) == [LatticePath.empty()]
+    assert list(enumerate_paths(Fraction(2), rho, omega, inclusive=True)) == \
+        [LatticePath.empty(), unit]

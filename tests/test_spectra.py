@@ -7,7 +7,7 @@ from math import ceil, floor, gcd
 from operator import le
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toricspec import (
     Ball,
@@ -29,6 +29,7 @@ from toricspec import (
     nk_sequence,
     nk_via_lattice,
     omega_length,
+    scale_domain,
     spectrum_for,
     toric_capacity,
     toric_capacity_detail,
@@ -581,6 +582,20 @@ def test_entries_are_the_integer_prefix_over_its_denominator(sized, data):
     extended.entries(data.draw(st.integers(0, k_max)))
     assert extended.entries(k_max) == entries
     assert extended._scaled_prefix(k_max) == (den, nums, witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized=_prefix_domains,
+       r=st.one_of(st.sampled_from([F(2), F(1, 3), F(7, 5)]),
+                   st.fractions(F(1, 9), F(9), max_denominator=9)))
+@example(sized=(square_profile(F(1)), 12), r=F(7, 5))
+def test_every_provider_is_conformal(sized, r):
+    # the dilate's spectrum, computed afresh, is r c_k with the same witnesses:
+    # ties compare the same after scaling, so they break the same way
+    domain, k_max = sized
+    entries = spectrum_for(domain).entries(k_max)
+    assert spectrum_for(scale_domain(domain, r)).entries(k_max) == \
+        [(r * value, witness) for value, witness in entries]
 
 
 def test_provider_without_a_rule_is_unavailable():
