@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, floor
 from typing import Callable
 
@@ -64,9 +65,9 @@ class OrbitRecord:
     """One orbit with its trivialized index data.
 
     cz_of_cover maps the cover degree j >= 1 to the Conley-Zehnder index
-    of the j-th iterate; it is only ever called lazily for j up to the
-    multiplicity. self_linking and chern are the writhe-type and relative
-    first Chern numbers in the same trivialization.
+    of the j-th iterate; cz_sum (and cz, its one-cover case) calls it lazily
+    for j up to the multiplicity. self_linking and chern are the writhe-type
+    and relative first Chern numbers in the same trivialization.
     """
 
     label: str
@@ -78,16 +79,23 @@ class OrbitRecord:
     def __post_init__(self) -> None:
         _exact_int(self.multiplicity, "orbit multiplicity", least=1)
 
+    def cz_sum(self, first: int, last: int) -> int:
+        """Sum of cz_of_cover(j) over covers j = first..last, each called once, in order."""
+        cover, total = self.cz_of_cover, 0
+        for j in range(first, last + 1):
+            try:
+                value = cover(j)
+            except LookupError as exc:
+                raise MissingCoverError(
+                    f"orbit {_shown(self.label)} has no index data for cover {j}") from exc
+            if type(value) is not int:
+                raise MissingCoverError(
+                    f"orbit {_shown(self.label)} returned non-integer index for cover {j}")
+            total += value
+        return total
+
     def cz(self, j: int) -> int:
-        try:
-            value = self.cz_of_cover(j)
-        except LookupError as exc:
-            raise MissingCoverError(
-                f"orbit {_shown(self.label)} has no index data for cover {j}") from exc
-        if type(value) is not int:
-            raise MissingCoverError(
-                f"orbit {_shown(self.label)} returned non-integer index for cover {j}")
-        return value
+        return self.cz_sum(j, j)
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,7 @@ def star_shaped_index(orbit_set: OrbitSet) -> int:
     orbits = orbit_set.orbits
     for i, o in enumerate(orbits):
         m = o.multiplicity
-        total += (m * m + m) * o.chern + m * m * o.self_linking
-        total += sum(o.cz(j) for j in range(1, m + 1))
+        total += (m * m + m) * o.chern + m * m * o.self_linking + o.cz_sum(1, m)
         for j2, other in enumerate(orbits):
             if j2 != i:
                 total += m * other.multiplicity * orbit_set.linking[i][j2]
@@ -136,9 +143,9 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
     once, and the iterate indices are 2 floor(j a / b) + 1 for the short
     generator and 2 floor(j b / a) + 1 for the long one. With a / b = p / q
     in lowest terms, each cover is evaluated as 2 (j p // q) + 1 (and
-    2 (j q // p) + 1) in plain integers, so star_shaped_index takes O(m)
-    integer steps and calls no floor sum. Multiplicity-zero generators are
-    omitted from the set.
+    2 (j q // p) + 1) in plain integers, so star_shaped_index, one
+    OrbitRecord.cz_sum loop per orbit, takes O(m) integer steps and calls
+    no floor sum. Multiplicity-zero generators are omitted from the set.
     """
     a, b = _positive_axes(a, b)
     if _exact_int(m1, "m1") + _exact_int(m2, "m2") == 0:
@@ -250,7 +257,9 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
     m_max, and all actions up to (a + b) m_max must be pairwise distinct.
     With a / b = p / q in lowest terms, the first collisions are j = q,
     j = p and the pairs (0, p), (q, 0); violations raise PreconditionError
-    naming the collision. Each row's index and counts are floor sums.
+    naming the collision. The index comes from running sums of j p // q and
+    j q // p, O(m_max) steps for the whole grid, and rank and the tangent
+    count from floor sums: the identity compares two routes sharing no code.
     """
     a, b = _positive_axes(a, b)
     m_max = _exact_int(m_max, "m_max")
@@ -264,11 +273,13 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
         raise PreconditionError(
             f"action collision: pairs (0, {ps}) and ({qs}, 0) share action {_shown(a * q, str)}")
     an, bn, d = _scaled(a, b)
+    s1 = list(accumulate(j * p // q for j in range(m_max + 1)))
+    s2 = list(accumulate(j * q // p for j in range(m_max + 1)))
     rows = []
     for m1 in range(m_max + 1):
         for m2 in range(m_max + 1):
             v = an * m1 + bn * m2
-            idx = _index_pq(p, q, m1, m2)
+            idx = 2 * (m1 + m2 + m1 * m2 + s1[m1] + s2[m2])
             rank = _count_scaled(an, bn, v - 1)
             tangent = _count_scaled(an, bn, v)
             if idx != 2 * rank:

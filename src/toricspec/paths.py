@@ -93,12 +93,6 @@ class LatticePath:
         ordered = sorted(merged.items(), key=lambda item: _slope_key((item[0][0], -item[0][1])))
         return cls(tuple(ordered))
 
-    @classmethod
-    def from_vertex_chain(cls, vertices: Sequence[tuple[int, int]]) -> "LatticePath":
-        """Path whose vertices are the given chain from the y-axis endpoint."""
-        return cls.from_edges(((x1 - x0, y1 - y0), 1)
-                              for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]))
-
     @property
     def x_extent(self) -> int:
         """End abscissa a: the path runs from (0, y_extent) to (x_extent, 0)."""

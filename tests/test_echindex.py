@@ -1,9 +1,10 @@
 """Index formulas: closed form vs first principles, rotation indices,
 orbit set plumbing, path bounds, the index-action scan."""
 
+import re
 import time
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,10 @@ class TestRotationIndex:
             cz_from_rotation(F(0), elliptic=True)
 
 
+def _whole(message):
+    return "^" + re.escape(message) + "$"
+
+
 class TestOrbitSets:
     def test_first_principles_match_closed_form(self, rng):
         for _ in range(40):
@@ -124,21 +129,64 @@ class TestOrbitSets:
             OrbitSet((o, o3), ((0, 1), (2, 0)))
 
     def test_missing_cover_surfaces(self):
-        bad = OrbitRecord("b", 1, -1, lambda j: [1][j], 2)
-        with pytest.raises(MissingCoverError, match="'b'"):
+        bad = OrbitRecord("b", 1, -1, lambda j: [1][j - 1], 2)
+        with pytest.raises(MissingCoverError,
+                           match=_whole("orbit 'b' has no index data for cover 2")) as caught:
             star_shaped_index(OrbitSet((bad,), ((0,),)))
+        assert type(caught.value.__cause__) is IndexError
         fractional = OrbitRecord("f", 1, -1, lambda j: j / 2, 1)
-        with pytest.raises(MissingCoverError):
+        with pytest.raises(MissingCoverError,
+                           match=_whole("orbit 'f' returned non-integer index for cover 1")):
             star_shaped_index(OrbitSet((fractional,), ((0,),)))
         boolean = OrbitRecord("t", 0, 0, lambda j: True, 3)
-        with pytest.raises(MissingCoverError, match="'t'"):
+        with pytest.raises(MissingCoverError,
+                           match=_whole("orbit 't' returned non-integer index for cover 1")):
             star_shaped_index(OrbitSet((boolean,), ((0,),)))
+        with pytest.raises(MissingCoverError,
+                           match=_whole("orbit 't' returned non-integer index for cover 2")):
+            boolean.cz(2)
 
     def test_unrelated_cover_error_propagates(self):
         # only a missing cover (a lookup failure) becomes MissingCoverError
         broken = OrbitRecord("z", 1, -1, lambda j: j // 0, 1)
         with pytest.raises(ZeroDivisionError):
             star_shaped_index(OrbitSet((broken,), ((0,),)))
+
+    def test_each_cover_is_called_once_in_order(self):
+        calls = []
+
+        def recording(label):
+            def cover(j):
+                calls.append((label, j))
+                return 2 * j + 1
+            return cover
+
+        x = OrbitRecord("x", 1, -1, recording("x"), 3)
+        y = OrbitRecord("y", 1, -1, recording("y"), 4)
+        # (12 - 9 + 15) + (20 - 16 + 24) + 2 * 3 * 4 * 1
+        assert star_shaped_index(OrbitSet((x, y), ((0, 1), (1, 0)))) == 18 + 28 + 24
+        assert calls == [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("y", 2), ("y", 3), ("y", 4)]
+
+    @pytest.mark.parametrize("failing, error", [
+        (lambda j: [][j], MissingCoverError),
+        (lambda j: {}[j], MissingCoverError),
+        (lambda j: 0.5, MissingCoverError),
+        (lambda j: True, MissingCoverError),
+        (lambda j: j // 0, ZeroDivisionError),
+    ], ids=["index-error", "key-error", "float", "bool", "unrelated-error"])
+    def test_no_cover_is_called_after_the_first_failure(self, failing, error):
+        calls = []
+
+        def cover(j):
+            calls.append(j)
+            return failing(j) if j == 3 else 2 * j + 1
+
+        later = OrbitRecord("later", 1, -1, cover, 2)
+        orbit = OrbitRecord("r", 1, -1, cover, 5)
+        with pytest.raises(error) as caught:
+            star_shaped_index(OrbitSet((orbit, later), ((0, 1), (1, 0))))
+        assert type(caught.value) is error
+        assert calls == [1, 2, 3]
 
 
 class TestOrbitJson:
@@ -338,3 +386,49 @@ def test_index_is_twice_rank_at_large_multiplicities():
     for m1, m2 in [(10**5, 0), (0, 10**5), (10**5, 10**5), (99_991, 3)]:
         action = ellipsoid_action(a, b, m1, m2)
         assert ellipsoid_index(a, b, m1, m2) == 2 * count_action_pairs(a, b, action, strict=True)
+
+
+_coprime_pair = st.tuples(st.integers(1000, 2000), st.integers(1000, 2000)).filter(
+    lambda pq: gcd(*pq) == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pq=_coprime_pair, m_max=st.integers(0, 14), swap=st.booleans())
+def test_scan_matches_closed_form_and_counts_at_benchmark_sizes(pq, m_max, swap):
+    # the index-count benchmark scans p / q against 1 with 10^3 <= p, q <= 2 * 10^3
+    a, b = F(*pq), F(1)
+    if swap:
+        a, b = b, a
+    report = index_action_scan(a, b, m_max)
+    assert len(report.rows) == (m_max + 1) ** 2
+    for r in report.rows:
+        assert r.index == ellipsoid_index(a, b, r.m1, r.m2)
+        assert r.rank == count_action_pairs(a, b, r.action, strict=True)
+        assert r.tangent_count == count_action_pairs(a, b, r.action)
+
+
+def test_scan_index_calls_no_floor_sum(monkeypatch):
+    expected = index_action_scan(F(1297, 1595), F(1), 14)
+
+    def refuse(*args):
+        raise AssertionError("the scan's index must come from its running sums")
+    monkeypatch.setattr(echindex, "_index_pq", refuse)
+    monkeypatch.setattr(echindex, "floor_sum", refuse)
+    assert index_action_scan(F(1297, 1595), F(1), 14) == expected
+
+
+@pytest.mark.parametrize("off_by, message", [
+    (1, r"index 848 != 2 \* rank 425 at \(m1, m2\) = \(14, 14\)"),
+    (0, r"index 848 != 2 \* \(tangent count - 1\) at \(14, 14\)"),
+], ids=["rank", "tangent-count"])
+def test_both_scan_identities_are_checked_on_the_last_row(monkeypatch, off_by, message):
+    # a / b = 1297 / 1595 scales to the integer axes (1297, 1595), so the last row's
+    # rank counts the pairs of scaled action <= 2892 * 14 - 1, its tangent count <= 2892 * 14
+    count = echindex._count_scaled
+    last = 2892 * 14
+
+    def skewed(an, bn, ln):
+        return count(an, bn, ln) + (ln == last - off_by)
+    monkeypatch.setattr(echindex, "_count_scaled", skewed)
+    with pytest.raises(AssertionError, match=message):
+        index_action_scan(F(1297, 1595), F(1), 14)
