@@ -3,15 +3,16 @@
 Subcommands: spectrum, close, gap, weyl, gap-asymptotics, index, union,
 validate. Exit codes: 0 success, 2 validation or precondition failure or
 a request too large for memory, 3 I/O failure. Each command returns exact
-rows: Fractions, integers, booleans, None and raw witnesses. The only text
-a command makes itself is an advisory 12-digit `*_approx` column and the
-"inf" marker; io turns the rest into CSV (default) or JSON.
+rows: Fractions, integers, booleans, None and raw witnesses, which each
+handler turns once into JSON data (io.jsonable_rows); cached rows are in
+that form already. The only text a command makes itself is an advisory
+12-digit `*_approx` column and the "inf" marker; io renders the rows as CSV
+(default) or JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import cache
@@ -29,7 +30,7 @@ from .errors import ToricSpecError, ValidationError
 # perfbench's traced runs wrap best_approx_* and ellipsoid_close under these names
 from .gaps import (best_approx_above, best_approx_below, ellipsoid_close,  # noqa: F401
                    ellipsoid_close_detail, gap_asymptotics, spectral_gap)
-from .io import RowCache, render_csv, render_json, write_manifest
+from .io import RowCache, json_text, jsonable_rows, render_csv, render_json, write_manifest
 from .rationals import _shown, approx_string, parse_rat
 from .spectra import spectrum_for, weyl_report
 
@@ -144,15 +145,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
     if args.k_max < 0:
         raise ValidationError("--k-max must be nonnegative")
-    domain = _domain_from_args(args)
-    key = {"op": "spectrum", "domain": domain.to_jsonable(), "k_max": args.k_max}
-    cache = RowCache()
-    rows = cache.load(key)
+    domain, cols = _domain_from_args(args), ["k", "exact", "approx", "witness"]
+    cache = RowCache({"op": "spectrum", "domain": domain.to_jsonable(), "k_max": args.k_max})
+    rows = cache.load()
     if rows is None:
-        rows = [{"k": k, "exact": value, "approx": approx_string(value), "witness": witness}
-                for k, (value, witness) in enumerate(spectrum_for(domain).entries(args.k_max))]
-        cache.store(key, rows)
-    return ["k", "exact", "approx", "witness"], rows, domain.to_jsonable()
+        rows = jsonable_rows(cols, [
+            {"k": k, "exact": value, "approx": approx_string(value), "witness": witness}
+            for k, (value, witness) in enumerate(spectrum_for(domain).entries(args.k_max))])
+        cache.store(rows)
+    return cols, rows, domain.to_jsonable()
 
 
 def _cmd_close(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
@@ -162,8 +163,8 @@ def _cmd_close(args: argparse.Namespace) -> tuple[list[str], list[dict], Optiona
            "close_approx": approx_string(value),
            "m_minus": below.m, "n_minus": below.n,
            "m_plus": above.m, "n_plus": above.n}
-    domain = Ellipsoid(a, b).to_jsonable()
-    return ["cutoff", "close", "close_approx", "m_minus", "n_minus", "m_plus", "n_plus"], [row], domain
+    cols = ["cutoff", "close", "close_approx", "m_minus", "n_minus", "m_plus", "n_plus"]
+    return cols, jsonable_rows(cols, [row]), Ellipsoid(a, b).to_jsonable()
 
 
 def _cmd_gap(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
@@ -173,7 +174,8 @@ def _cmd_gap(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[
            "gap": "inf" if report.is_infinite else report.gap,
            "gap_approx": None if report.is_infinite else approx_string(report.gap),
            "achieving_k": report.achieving_k}
-    return ["cutoff", "gap", "gap_approx", "achieving_k"], [row], domain.to_jsonable()
+    cols = ["cutoff", "gap", "gap_approx", "achieving_k"]
+    return cols, jsonable_rows(cols, [row]), domain.to_jsonable()
 
 
 def _cmd_weyl(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
@@ -184,7 +186,7 @@ def _cmd_weyl(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional
             r[f"{col}_approx"] = approx_string(r[col])
     cols = ["k", "value", "value_approx", "ratio", "ratio_approx",
             "deviation", "deviation_approx"]
-    return cols, rows, domain.to_jsonable()
+    return cols, jsonable_rows(cols, rows), domain.to_jsonable()
 
 
 def _cmd_gap_asymptotics(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
@@ -193,13 +195,14 @@ def _cmd_gap_asymptotics(args: argparse.Namespace) -> tuple[list[str], list[dict
     for r in rows:
         if r["infinite"]:
             r["gap"] = "inf"
-    return ["cutoff", "gap", "scaled", "suffix_sup", "infinite"], rows, domain.to_jsonable()
+    cols = ["cutoff", "gap", "scaled", "suffix_sup", "infinite"]
+    return cols, jsonable_rows(cols, rows), domain.to_jsonable()
 
 
 def _cmd_index(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
     if args.orbit_file is not None:
         orbit_set = orbit_set_from_jsonable(read_json(args.orbit_file, "orbit JSON"))
-        return ["index"], [{"index": star_shaped_index(orbit_set)}], None
+        return ["index"], jsonable_rows(["index"], [{"index": star_shaped_index(orbit_set)}]), None
     if args.a is None or args.b is None:
         raise ValidationError("index needs --a and --b unless --orbit-file is given")
     domain = Ellipsoid(args.a, args.b).to_jsonable()
@@ -210,19 +213,20 @@ def _cmd_index(args: argparse.Namespace) -> tuple[list[str], list[dict], Optiona
                  "rank": r.rank, "tangent_count": r.tangent_count}
                 for r in report.rows]
         cols = ["m1", "m2", "action", "action_approx", "index", "rank", "tangent_count"]
-        return cols, rows, domain
+        return cols, jsonable_rows(cols, rows), domain
     if args.m1 is None or args.m2 is None:
         raise ValidationError("index needs --m1 and --m2, or --scan, or --orbit-file")
     action = ellipsoid_action(args.a, args.b, args.m1, args.m2)
     row = {"m1": args.m1, "m2": args.m2, "action": action,
            "action_approx": approx_string(action),
            "index": ellipsoid_index(args.a, args.b, args.m1, args.m2)}
-    return ["m1", "m2", "action", "action_approx", "index"], [row], domain
+    cols = ["m1", "m2", "action", "action_approx", "index"]
+    return cols, jsonable_rows(cols, [row]), domain
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     domain = load_domain(args.file)
-    sys.stdout.write(json.dumps(domain.to_jsonable(), indent=2) + "\n")
+    sys.stdout.write(json_text(domain.to_jsonable(), "\n") + "\n")
     return 0
 
 

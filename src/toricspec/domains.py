@@ -10,70 +10,67 @@ the profile's vertex denominator; the Fraction dual_norm is their second route.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
 from .errors import ValidationError
 from .paths import LatticePath, _chain_twice_area, _slope_cmp
-from .rationals import _exact_rat, _scaled, _shown, parse_rat, to_string
+from .rationals import _Frozen, _exact_rat, _scaled, _shown, parse_rat, to_string
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
-    a: Fraction
-    b: Fraction
+class Ellipsoid(_Frozen):
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.a, Fraction) and isinstance(self.b, Fraction)):
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
             raise ValidationError("ellipsoid axes must be Fractions")
-        if self.a <= 0 or self.b <= 0:
+        if a <= 0 or b <= 0:
             raise ValidationError("ellipsoid axes must be positive")
+        self._set("a", a)
+        self._set("b", b)
 
     def to_jsonable(self) -> dict:
         return {"type": "ellipsoid", "a": to_string(self.a), "b": to_string(self.b)}
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_Frozen):
     """Round ball, the ellipsoid E(a, a); its spectrum witnesses carry the defining integer d."""
 
-    a: Fraction
+    __slots__ = _fields = ("a",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, Fraction):
+    def __init__(self, a: Fraction) -> None:
+        if not isinstance(a, Fraction):
             raise ValidationError("ball radius parameter must be a Fraction")
-        if self.a <= 0:
+        if a <= 0:
             raise ValidationError("ball radius parameter must be positive")
+        self._set("a", a)
 
     def to_jsonable(self) -> dict:
         return {"type": "ball", "a": to_string(self.a)}
 
 
-@dataclass(frozen=True)
-class ToricProfile:
+class ToricProfile(_Frozen):
     """Validated convex chain from (0, b) to (a, 0); vertices are exact pairs."""
 
-    vertices: tuple[tuple[Fraction, Fraction], ...]
+    _fields = ("vertices",)  # no __slots__: scaled_vertices is cached in __dict__
 
-    def __post_init__(self) -> None:
-        v = self.vertices
-        if len(v) < 2:
+    def __init__(self, vertices: tuple[tuple[Fraction, Fraction], ...]) -> None:
+        if len(vertices) < 2:
             raise ValidationError("profile needs at least two vertices")
-        for x, y in v:
+        for x, y in vertices:
             if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
                 raise ValidationError("profile vertices must be Fraction pairs")
-        (x0, y0), (xn, yn) = v[0], v[-1]
+        (x0, y0), (xn, yn) = vertices[0], vertices[-1]
         if x0 != 0 or y0 <= 0:
             raise ValidationError("profile must start at (0, b) with b > 0")
         if yn != 0 or xn <= 0:
             raise ValidationError("profile must end at (a, 0) with a > 0")
-        for x, y in v[1:-1]:
+        for x, y in vertices[1:-1]:
             if x <= 0 or y <= 0:
                 raise ValidationError("interior profile vertices must be strictly positive")
         last = (1, -1)  # LatticePath's rule: a direction before every other
-        for (ax, ay), (bx, by) in zip(v, v[1:]):
+        for (ax, ay), (bx, by) in zip(vertices, vertices[1:]):
             dx, dy = bx - ax, by - ay
             if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
                 raise ValidationError("profile edges must point weakly right and down")
@@ -81,6 +78,7 @@ class ToricProfile:
                 raise ValidationError("vertical edge allowed only as the final edge" if last[0] == 0
                                       else "profile slopes must strictly decrease")
             last = cur
+        self._set("vertices", vertices)
 
     @cached_property
     def scaled_vertices(self) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -103,16 +101,16 @@ class ToricProfile:
         }
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
-    parts: tuple["Domain", ...]
+class DisjointUnion(_Frozen):
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[Domain, ...]) -> None:
+        if not parts:
             raise ValidationError("union needs at least one part")
-        for p in self.parts:
+        for p in parts:
             if isinstance(p, DisjointUnion):
                 raise ValidationError("nested unions are not supported; flatten the parts")
+        self._set("parts", parts)
 
     def to_jsonable(self) -> dict:
         return {"type": "union", "parts": [p.to_jsonable() for p in self.parts]}

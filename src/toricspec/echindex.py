@@ -10,7 +10,6 @@ that identity degree by degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, floor
@@ -23,8 +22,8 @@ from .errors import (
     ValidationError,
 )
 from .paths import LatticePath, _twice_area
-from .rationals import (_exact_int, _exact_rat, _plain_ints, _positive_axes, _scaled, _shown,
-                        floor_sum)
+from .rationals import (_Frozen, _exact_int, _exact_rat, _plain_ints, _positive_axes, _scaled,
+                        _shown, floor_sum)
 from .spectra import _count_scaled
 
 
@@ -60,8 +59,7 @@ def cz_from_rotation(rot: Fraction, *, elliptic: bool = False) -> int:
     return floor(rot) + ceil(rot)
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(_Frozen):
     """One orbit with its trivialized index data.
 
     cz_of_cover maps the cover degree j >= 1 to the Conley-Zehnder index
@@ -70,14 +68,16 @@ class OrbitRecord:
     and relative first Chern numbers in the same trivialization.
     """
 
-    label: str
-    chern: int
-    self_linking: int
-    cz_of_cover: Callable[[int], int]
-    multiplicity: int
+    __slots__ = _fields = ("label", "chern", "self_linking", "cz_of_cover", "multiplicity")
 
-    def __post_init__(self) -> None:
-        _exact_int(self.multiplicity, "orbit multiplicity", least=1)
+    def __init__(self, label: str, chern: int, self_linking: int,
+                 cz_of_cover: Callable[[int], int], multiplicity: int) -> None:
+        _exact_int(multiplicity, "orbit multiplicity", least=1)
+        self._set("label", label)
+        self._set("chern", chern)
+        self._set("self_linking", self_linking)
+        self._set("cz_of_cover", cz_of_cover)
+        self._set("multiplicity", multiplicity)
 
     def cz_sum(self, first: int, last: int) -> int:
         """Sum of cz_of_cover(j) over covers j = first..last, each called once, in order."""
@@ -98,24 +98,24 @@ class OrbitRecord:
         return self.cz_sum(j, j)
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(_Frozen):
     """Orbits plus a symmetric pairwise linking matrix (diagonal ignored)."""
 
-    orbits: tuple[OrbitRecord, ...]
-    linking: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("orbits", "linking")
 
-    def __post_init__(self) -> None:
-        n = len(self.orbits)
-        labels = [o.label for o in self.orbits]
+    def __init__(self, orbits: tuple[OrbitRecord, ...], linking: tuple[tuple[int, ...], ...]) -> None:
+        n = len(orbits)
+        labels = [o.label for o in orbits]
         if len(set(labels)) != n:
             raise ValidationError("orbit labels must be distinct")
-        if len(self.linking) != n or any(len(row) != n for row in self.linking):
+        if len(linking) != n or any(len(row) != n for row in linking):
             raise ValidationError("linking matrix shape must match the orbit count")
         for i in range(n):
             for j in range(n):
-                if i != j and self.linking[i][j] != self.linking[j][i]:
+                if i != j and linking[i][j] != linking[j][i]:
                     raise ValidationError("linking matrix must be symmetric")
+        self._set("orbits", orbits)
+        self._set("linking", linking)
 
 
 def star_shaped_index(orbit_set: OrbitSet) -> int:
@@ -228,22 +228,27 @@ def path_index_bounds(path: LatticePath) -> tuple[int, int]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class IndexScanRow:
-    m1: int
-    m2: int
-    action: Fraction
-    index: int
-    rank: int
-    tangent_count: int
+class IndexScanRow(_Frozen):
+    __slots__ = _fields = ("m1", "m2", "action", "index", "rank", "tangent_count")
+
+    def __init__(self, m1: int, m2: int, action: Fraction, index: int, rank: int,
+                 tangent_count: int) -> None:
+        self._set("m1", m1)
+        self._set("m2", m2)
+        self._set("action", action)
+        self._set("index", index)
+        self._set("rank", rank)
+        self._set("tangent_count", tangent_count)
 
 
-@dataclass(frozen=True)
-class IndexScanReport:
-    a: Fraction
-    b: Fraction
-    m_max: int
-    rows: tuple[IndexScanRow, ...]
+class IndexScanReport(_Frozen):
+    __slots__ = _fields = ("a", "b", "m_max", "rows")
+
+    def __init__(self, a: Fraction, b: Fraction, m_max: int, rows: tuple[IndexScanRow, ...]) -> None:
+        self._set("a", a)
+        self._set("b", b)
+        self._set("m_max", m_max)
+        self._set("rows", rows)
 
 
 def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:

@@ -23,23 +23,24 @@ entries up to the largest cutoff, which answers a whole grid of cutoffs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import floor, gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, PreconditionError, ValidationError
-from .rationals import _exact_rat, _positive_axes, _scaled, _shown
+from .rationals import _Frozen, _exact_rat, _positive_axes, _scaled, _shown
 from .spectra import EllipsoidSpectrum, Spectrum, _count_scaled
 from .domains import Ellipsoid
 
 
-@dataclass(frozen=True)
-class GapReport:
-    cutoff: Fraction
-    gap: Optional[Fraction]  # None encodes +infinity
-    achieving_k: Optional[int]
+class GapReport(_Frozen):
+    __slots__ = _fields = ("cutoff", "gap", "achieving_k")
+
+    def __init__(self, cutoff: Fraction, gap: Optional[Fraction], achieving_k: Optional[int]) -> None:
+        self._set("cutoff", cutoff)
+        self._set("gap", gap)  # None encodes +infinity
+        self._set("achieving_k", achieving_k)
 
     @property
     def is_infinite(self) -> bool:
@@ -117,21 +118,21 @@ def _gap_scan(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport
     return [GapReport(c, None if k is None else Fraction(diffs[k], d), k) for c, k in zip(cutoffs, ks)]
 
 
-@dataclass(frozen=True)
-class Approximant:
+class Approximant(_Frozen):
     """One-sided best rational approximation n/m or m/n under a denominator cap."""
 
-    side: str  # "below" or "above"
-    m: int
-    n: int
+    __slots__ = _fields = ("side", "m", "n")
 
-    def __post_init__(self) -> None:
-        if self.side not in ("below", "above"):
+    def __init__(self, side: str, m: int, n: int) -> None:  # side is "below" or "above"
+        if side not in ("below", "above"):
             raise ValidationError("side must be 'below' or 'above'")
-        if self.side == "below" and (self.m < 1 or self.n < 0):
+        if side == "below" and (m < 1 or n < 0):
             raise ValidationError("below approximant needs m >= 1, n >= 0")
-        if self.side == "above" and (self.n < 1 or self.m < 0):
+        if side == "above" and (n < 1 or m < 0):
             raise ValidationError("above approximant needs n >= 1, m >= 0")
+        self._set("side", side)
+        self._set("m", m)
+        self._set("n", n)
 
 
 def _approximants(p: int, q: int, n1: int, n2: int) -> tuple[tuple[int, int], tuple[int, int]]:

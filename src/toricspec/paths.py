@@ -16,14 +16,13 @@ lets it fall to the shortest path met that encloses enough points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .rationals import _exact_rat, _plain_ints, _scaled, _shown
+from .rationals import _Frozen, _exact_rat, _plain_ints, _scaled, _shown
 
 # ((dx, dy), multiplicity): dx >= 0, dy <= 0, gcd(dx, -dy) == 1, multiplicity >= 1
 Edge = tuple[tuple[int, int], int]
@@ -40,18 +39,17 @@ def _slope_cmp(u: Sequence, v: Sequence) -> int:
 _slope_key = cmp_to_key(_slope_cmp)  # the one sort key of that order
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(_Frozen):
     """Canonical convex path: primitive directions, merged, slope-sorted."""
 
-    edges: tuple[Edge, ...]
+    __slots__ = _fields = ("edges",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, edges: tuple[Edge, ...]) -> None:
         # inline checks, as every scanned path is built here: the slope test is
         # _slope_cmp((p, q), (dx, -dy)) >= 0 on the previous direction, from
         # (1, -1), a direction before every other (q / p = -1)
         p, q = 1, -1
-        for (dx, dy), mult in self.edges:
+        for (dx, dy), mult in edges:
             if not (type(dx) is type(dy) is type(mult) is int):
                 _plain_ints((dx, dy, mult), "edge data")
             if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
@@ -64,6 +62,7 @@ class LatticePath:
             if q * dx + dy * p >= 0:
                 raise ValidationError("edge slopes must strictly decrease; use from_edges to canonicalize")
             p, q = dx, -dy
+        self._set("edges", edges)
 
     @classmethod
     def empty(cls) -> "LatticePath":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Callable, Iterable
-from decimal import Decimal, localcontext
+from decimal import Context
 from fractions import Fraction
 from math import lcm
 
@@ -19,6 +19,33 @@ from .errors import ValidationError
 Rat = Fraction
 
 APPROX_DIGITS = 12
+
+
+class _Frozen:
+    """Frozen-dataclass behaviour: __init__ sets _fields once via _set; ==, hash, repr use them."""
+
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
 
 
 def parse_rat(text: str) -> Fraction:
@@ -159,7 +186,5 @@ def approx_string(x: Fraction, digits: int = APPROX_DIGITS) -> str:
     """
     if digits < 1:
         raise ValidationError("digits must be positive")
-    with localcontext() as ctx:
-        ctx.prec = digits
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-    return str(d)
+    # a context of its own: the caller's thread-wide decimal context plays no part
+    return str(Context(prec=digits).divide(x.numerator, x.denominator))

@@ -18,7 +18,6 @@ scan toric_capacity_detail); tests hold each pair to exact agreement.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import floor, gcd, isqrt, lcm
@@ -37,7 +36,7 @@ from .domains import (
 )
 from .errors import UnavailableError, ValidationError
 from .paths import Edge, LatticePath, _scan_paths, _slope_key, _stack_path, lattice_count_pick
-from .rationals import _exact_int, _exact_rat, _positive_axes, _scaled, _shown, floor_sum
+from .rationals import _Frozen, _exact_int, _exact_rat, _positive_axes, _scaled, _shown, floor_sum
 
 
 def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tuple[int, int]]]:
@@ -114,17 +113,18 @@ def ball_capacity(a: Fraction, k: int) -> tuple[Fraction, dict]:
     return d * a, {"d": d}
 
 
-@dataclass(frozen=True)
-class ToricCapacityResult:
+class ToricCapacityResult(_Frozen):
     """Outcome of one profile minimization, both minima recorded."""
 
-    value: Fraction
-    witness: LatticePath
-    min_over_at_least: Fraction
-    min_over_exact: Fraction
-    witness_at_least: LatticePath
-    enumeration_bound: Fraction
-    paths_scanned: int
+    __slots__ = _fields = ("value", "witness", "min_over_at_least", "min_over_exact",
+                           "witness_at_least", "enumeration_bound", "paths_scanned")
+
+    def __init__(self, value: Fraction, witness: LatticePath, min_over_at_least: Fraction,
+                 min_over_exact: Fraction, witness_at_least: LatticePath,
+                 enumeration_bound: Fraction, paths_scanned: int) -> None:
+        for name, field in zip(self._fields, (value, witness, min_over_at_least, min_over_exact,
+                                              witness_at_least, enumeration_bound, paths_scanned)):
+            self._set(name, field)
 
 
 def _greedy_bound(profile: ToricProfile, k: int) -> int:

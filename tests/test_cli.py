@@ -12,10 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import toricspec
-from toricspec import Ball, DisjointUnion, Ellipsoid, UnionSpectrum, spectrum_for
+from toricspec import Ball, DisjointUnion, Ellipsoid, UnionSpectrum, ValidationError, spectrum_for
 from toricspec import cli, gaps
+from toricspec import io as tio
 from toricspec.cli import main
 
 F = Fraction
@@ -672,3 +674,95 @@ class TestRowCache:
             raise AssertionError("a warm run must not compute the spectrum")
         monkeypatch.setattr(cli, "spectrum_for", no_compute)
         assert run(capsys, *args) == cold
+
+
+# JSON data as rows and manifests hold it: text of any script, bools, None, long ints
+JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**300, 10**300) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+class TestJsonText:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_DATA)
+    @example({"k": 0, "witness": {"d": 0}, "empty": [{}, [], ""], "none": None, "bool": [True, False]})
+    @example(["\u00e9\u2028\x00\"\\/", {"\U0001f600": "\ud800"}])
+    @example([10**299, -10**299, 0])
+    def test_writes_the_bytes_json_dumps_writes(self, value):
+        assert tio.json_text(value) == json.dumps(value, separators=(",", ":"), sort_keys=True)
+        assert tio.json_text(value, "\n") == json.dumps(value, indent=2)
+
+    def test_a_float_is_refused_as_the_row_conversion_refuses_it(self):
+        for write in (tio.json_text, tio.jsonable_witness):
+            with pytest.raises(ValidationError, match=r"^cannot serialize witness: 1\.5$"):
+                write([{"x": 1.5}])
+
+    def test_an_int_past_the_digit_limit_raises_what_json_dumps_raises(self):
+        big = [10 ** (sys.get_int_max_str_digits() + 1)]
+        with pytest.raises(ValueError):
+            json.dumps(big)
+        with pytest.raises(ValueError):
+            tio.json_text(big)
+
+
+class TestOneJsonPass:
+    ARGV = ("spectrum", "--domain", "union.json", "--k-max", "6")
+
+    def counting_conversion(self, monkeypatch):
+        calls = []
+        real = tio.jsonable_witness
+        monkeypatch.setattr(tio, "jsonable_witness", lambda w: calls.append(w) or real(w))
+        return calls
+
+    def test_rows_are_converted_once_whatever_the_outputs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(write_pinned_inputs(tmp_path))
+        monkeypatch.delenv("TORICSPEC_CACHE_DIR", raising=False)
+        calls = self.counting_conversion(monkeypatch)
+        assert run(capsys, *self.ARGV)[0] == 0
+        csv_only = len(calls)
+        calls.clear()
+        monkeypatch.setenv("TORICSPEC_CACHE_DIR", str(tmp_path / "cache"))
+        assert run(capsys, *self.ARGV, "--format", "json", "--manifest", "m.json")[0] == 0
+        assert len(calls) == csv_only > 7 * 4  # one walk over 7 rows of 4 cells, nested ones too
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cached_rows_are_handed_on_as_read(self, capsys, tmp_path, monkeypatch, fmt):
+        monkeypatch.chdir(write_pinned_inputs(tmp_path))
+        monkeypatch.setenv("TORICSPEC_CACHE_DIR", str(tmp_path / "cache"))
+        argv = (*self.ARGV, "--format", fmt, "--manifest", "m.json")
+        cold = run(capsys, *argv)
+        cold_manifest = (tmp_path / "m.json").read_bytes()
+        calls = self.counting_conversion(monkeypatch)
+        assert run(capsys, *argv) == cold and cold[0] == 0
+        assert (tmp_path / "m.json").read_bytes() == cold_manifest
+        assert calls == []
+
+    def test_the_cache_key_is_hashed_once_per_request(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TORICSPEC_CACHE_DIR", str(tmp_path / "cache"))
+        hashed = []
+        real = tio._canonical_sha256
+        monkeypatch.setattr(tio, "_canonical_sha256", lambda obj: hashed.append(obj) or real(obj))
+        for _ in range(2):  # a miss that stores the rows, then a hit
+            hashed.clear()
+            assert run(capsys, "spectrum", "--ball", "1", "--k-max", "3")[0] == 0
+            assert [obj["op"] for obj in hashed] == ["spectrum"]
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--domain", "union.json", "--k-max", "6", "--format", "json",
+         "--manifest", "m.json"),
+        ("union", "--domain", "union.json", "--k-max", "4", "--manifest", "m.json"),
+        ("weyl", "--domain", "toric.json", "--k", "1,5", "--format", "json"),
+        ("index", "--orbit-file", "orbits.json", "--format", "json", "--manifest", "m.json"),
+        ("validate", "union.json"),
+    ])
+    def test_no_json_encoder_is_built_for_an_uncached_request(self, capsys, tmp_path, monkeypatch,
+                                                              argv):
+        monkeypatch.chdir(write_pinned_inputs(tmp_path))
+        monkeypatch.delenv("TORICSPEC_CACHE_DIR", raising=False)
+        expected = run(capsys, *argv)
+
+        def refuse(self, value):
+            raise AssertionError("a JSONEncoder was used")
+        monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+        assert run(capsys, *argv) == expected and expected[0] == 0

@@ -69,6 +69,21 @@ def test_bare_import_loads_no_submodule():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the value classes are plain classes: dataclasses would pull in inspect, and it ast
+    src = str(Path(toricspec.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import toricspec.cli",
+        "loaded = sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules))",
+        "assert loaded == [], loaded",
+    ])
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 # what perfbench/worker.py:install_spans wraps in traced benchmark runs
 @pytest.mark.parametrize("owner, name", [
     (toricspec.spectra, "toric_capacity_detail"),

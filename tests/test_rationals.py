@@ -1,3 +1,4 @@
+import decimal
 import time
 from fractions import Fraction
 
@@ -219,6 +220,37 @@ def test_approx_comes_from_exact_value():
     assert approx_string(Fraction(1, 3), digits=3) == "0.333"
     with pytest.raises(ValidationError):
         approx_string(Fraction(1), digits=0)
+
+
+def _approx_in_local_context(x, digits=12):
+    # the former route: divide in a copy of the caller's decimal context, at `digits` places
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return str(decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**40), st.integers(1, 30))
+def test_approx_matches_the_local_context_route(n, d, digits):
+    x = Fraction(n, d)
+    assert approx_string(x, digits) == _approx_in_local_context(x, digits)
+
+
+@pytest.mark.parametrize("x, text", [
+    (Fraction(2, 3), "0.666666666667"),
+    (Fraction(-2, 3), "-0.666666666667"),
+    (Fraction(10**13 - 1), "1.00000000000E+13"),
+    (Fraction(2, 3 * 10**10), "6.66666666667E-11"),
+])
+def test_approx_ignores_the_callers_decimal_context(x, text):
+    assert approx_string(x) == _approx_in_local_context(x) == text
+    with decimal.localcontext() as ctx:
+        ctx.rounding = decimal.ROUND_DOWN
+        assert approx_string(x) == text
+        assert _approx_in_local_context(x) != text  # the former route rounded down here
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.traps[decimal.Inexact] = 3, True
+        assert approx_string(x) == text
 
 
 @pytest.mark.parametrize("call, args", [
