@@ -25,7 +25,7 @@ _EXPORTS = {
         close_gap_consistency ellipsoid_close gap_asymptotics spectral_gap""",
     "paths": """LatticePath enclosed_area enumerate_paths lattice_count_direct
         lattice_count_pick""",
-    "rationals": "Rat approx_string parse_rat rat_cmp to_string",
+    "rationals": "Rat approx_string parse_rat to_string",
     "spectra": """BallSpectrum EllipsoidSpectrum Spectrum ToricCapacityResult ToricSpectrum
         UnionSpectrum ball_capacity conformal_scale count_action_pairs nk_sequence
         nk_via_lattice spectrum_for toric_capacity toric_capacity_detail union_capacity

@@ -25,7 +25,7 @@ class Ellipsoid(_Frozen):
     def __init__(self, a: Fraction, b: Fraction) -> None:
         if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
             raise ValidationError("ellipsoid axes must be Fractions")
-        if a <= 0 or b <= 0:
+        if a.numerator <= 0 or b.numerator <= 0:
             raise ValidationError("ellipsoid axes must be positive")
         self._set("a", a)
         self._set("b", b)
@@ -42,7 +42,7 @@ class Ball(_Frozen):
     def __init__(self, a: Fraction) -> None:
         if not isinstance(a, Fraction):
             raise ValidationError("ball radius parameter must be a Fraction")
-        if a <= 0:
+        if a.numerator <= 0:
             raise ValidationError("ball radius parameter must be positive")
         self._set("a", a)
 

@@ -22,15 +22,15 @@ from .errors import (
     ValidationError,
 )
 from .paths import LatticePath, _twice_area
-from .rationals import (_Frozen, _exact_int, _exact_rat, _plain_ints, _positive_axes, _scaled,
-                        _shown, floor_sum)
+from .rationals import (_Frozen, _exact_int, _exact_rat, _plain_ints, _positive_axes, _ratio,
+                        _scaled, _shown, floor_sum)
 from .spectra import _count_scaled
 
 
 def ellipsoid_index(a: Fraction, b: Fraction, m1: int, m2: int) -> int:
     """Closed form: 2 (m1 + m2 + m1 m2 + sum floor(j a / b) + sum floor(j b / a))."""
     a, b = _positive_axes(a, b)
-    return _index_pq(*(a / b).as_integer_ratio(), _exact_int(m1, "m1"), _exact_int(m2, "m2"))
+    return _index_pq(*_ratio(a, b), _exact_int(m1, "m1"), _exact_int(m2, "m2"))
 
 
 def _index_pq(p: int, q: int, m1: int, m2: int) -> int:
@@ -150,7 +150,7 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
     a, b = _positive_axes(a, b)
     if _exact_int(m1, "m1") + _exact_int(m2, "m2") == 0:
         raise ValidationError("need multiplicities m1, m2 not both zero")
-    p, q = (a / b).as_integer_ratio()
+    p, q = _ratio(a, b)
 
     def cz1(j: int) -> int:
         return 2 * (j * p // q) + 1
@@ -268,7 +268,7 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
     """
     a, b = _positive_axes(a, b)
     m_max = _exact_int(m_max, "m_max")
-    p, q = (a / b).as_integer_ratio()
+    p, q = _ratio(a, b)
     ps, qs = _shown(p, str), _shown(q, str)
     if q <= min(p, m_max):
         raise PreconditionError(f"ratio collision: {qs} * a / b = {ps} is an integer")

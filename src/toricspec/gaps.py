@@ -25,11 +25,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, PreconditionError, ValidationError
-from .rationals import _Frozen, _exact_rat, _positive_axes, _scaled, _shown
+from .rationals import _Frozen, _exact_rat, _floor_times, _positive_axes, _scaled, _shown
 from .spectra import EllipsoidSpectrum, Spectrum, _count_scaled
 from .domains import Ellipsoid
 
@@ -64,7 +64,7 @@ def _gaps(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport]:
     an, bn, d = spectrum._an, spectrum._bn, spectrum._d
     reports = []
     for cutoff in cutoffs:
-        found = _ellipsoid_gap(an, bn, floor(cutoff * d))
+        found = _ellipsoid_gap(an, bn, _floor_times(cutoff, d))
         gap, k = (None, None) if found is None else (Fraction(found[0], d), found[1])
         reports.append(GapReport(cutoff, gap, k))
     return reports
@@ -114,7 +114,7 @@ def _gap_scan(spectrum: Spectrum, cutoffs: Sequence[Fraction]) -> list[GapReport
     diffs = [y - x for x, y in zip(s, s[1:])]
     # first[n]: the achieving k when exactly c_0..c_{n-1} fit under a cutoff
     first = [None, None, *accumulate(range(len(diffs)), lambda i, k: k if diffs[k] < diffs[i] else i)]
-    ks = [first[bisect_right(s, floor(cutoff * d))] for cutoff in cutoffs]
+    ks = [first[bisect_right(s, _floor_times(cutoff, d))] for cutoff in cutoffs]
     return [GapReport(c, None if k is None else Fraction(diffs[k], d), k) for c, k in zip(cutoffs, ks)]
 
 

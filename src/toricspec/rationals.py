@@ -12,7 +12,7 @@ import sys
 from collections.abc import Callable, Iterable
 from decimal import Context
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ValidationError
 
@@ -104,10 +104,15 @@ def _int_text_limit() -> int:
 def _exact_rat(x: object, what: str) -> Fraction:
     """Coerce an exact input (Fraction, int, or rational literal) to a Fraction.
 
-    Floats are refused: binary rounding would silently poison exact results.
+    A plain Fraction comes back as it is. Floats are refused: binary rounding
+    would silently poison exact results; so are bools, which would pass as 0 or 1.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise ValidationError(f"{what} must be exact; floats are rejected: {x!r}")
+    if isinstance(x, bool):
+        raise ValidationError(f"{what} must be rational, got bool {x!r}")
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -131,9 +136,20 @@ def _plain_ints(values: Iterable[object], what: str) -> None:
 def _positive_axes(a: object, b: object) -> tuple[Fraction, Fraction]:
     """Exact ellipsoid axes (a, b), both positive."""
     a, b = _exact_rat(a, "axis"), _exact_rat(b, "axis")
-    if a <= 0 or b <= 0:
+    if a.numerator <= 0 or b.numerator <= 0:
         raise ValidationError("axes must be positive")
     return a, b
+
+
+def _floor_times(x: Fraction, d: int) -> int:
+    """floor(x d) for an integer d, in one integer division."""
+    return x.numerator * d // x.denominator
+
+
+def _ratio(a: Fraction, b: Fraction) -> tuple[int, int]:
+    """Lowest-terms p, q of a / b for a, b > 0: cancel the numerators' and denominators' gcds."""
+    g, h = gcd(a.numerator, b.numerator), gcd(a.denominator, b.denominator)
+    return a.numerator // g * (b.denominator // h), b.numerator // g * (a.denominator // h)
 
 
 def _scaled(*values: Fraction) -> tuple[int, ...]:
@@ -162,13 +178,6 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
             return total
         n, b = divmod(y_max, m)
         m, a = a, m
-
-
-def rat_cmp(x: Fraction, y: Fraction) -> int:
-    """Three-way comparison: -1, 0, or 1."""
-    if x < y:
-        return -1
-    return 1 if x > y else 0
 
 
 def to_string(x: Fraction) -> str:

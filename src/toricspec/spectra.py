@@ -6,13 +6,14 @@ balls, a lattice path for polygonal profiles, and a partition plus
 sub-witnesses for disjoint unions. A provider lists a prefix in integers
 (one denominator, the numerators and the witnesses); the base class checks
 it and stores those integers, and values become Fractions only on request.
-One integer core on the scaled axes answers every ellipsoid question: one
-floor sum counts entries, its inversion gives single values and the level
-that bounds a sweep, and a sweep sorts the pairs under that level. A ball
-is E(a, a) on that core, with the closed form ball_capacity as its second
-route. Profiles have two routes as well (one path scan per sweep in
-ToricSpectrum, its budget falling to c_{k_max}, and the fixed-budget per-k
-scan toric_capacity_detail); tests hold each pair to exact agreement.
+One integer core on the scaled axes A, B answers every ellipsoid question:
+one floor sum counts entries, its inversion (a bisection between the count's
+area bounds, O(log(A + B)) floor sums) gives single values and the level that
+bounds a sweep, and a sweep sorts the pairs under that level. A ball is
+E(a, a) on that core, with the closed form ball_capacity as its second route.
+Profiles have two routes as well (one path scan per sweep in ToricSpectrum,
+its budget falling to c_{k_max}, and the fixed-budget per-k scan
+toric_capacity_detail); tests hold each pair to exact agreement.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
-from math import floor, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add, le
 from typing import Optional, Sequence
 
@@ -36,7 +37,8 @@ from .domains import (
 )
 from .errors import UnavailableError, ValidationError
 from .paths import Edge, LatticePath, _scan_paths, _slope_key, _stack_path, lattice_count_pick
-from .rationals import _Frozen, _exact_int, _exact_rat, _positive_axes, _scaled, _shown, floor_sum
+from .rationals import (_Frozen, _exact_int, _exact_rat, _floor_times, _positive_axes, _scaled,
+                        _shown, floor_sum)
 
 
 def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tuple[int, int]]]:
@@ -71,8 +73,9 @@ def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
     action <= L; the sorted listing takes L only as the bound of its
     enumeration, so its values do not rest on this count. The pair count
     only steps up at action values, so bisecting over integer levels (in
-    units of the axes' common denominator) lands on one. k = 0 returns 0
-    by that same convention (the empty pair has action 0).
+    units of the axes' common denominator) lands on one; between the area
+    bounds of the count that takes O(log(A + B)) floor sums on scaled axes
+    A, B. k = 0 returns 0 by that same convention (the empty pair has action 0).
     """
     a, b = _positive_axes(a, b)
     k = _exact_int(k)
@@ -81,8 +84,11 @@ def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
 
 
 def _nk_scaled(an: int, bn: int, k: int) -> int:
-    # the least integer level with at least k + 1 pairs of action <= it
-    lo, hi = 0, k * min(an, bn)  # the k + 1 multiples 0..k of the shorter axis fit
+    """The least integer level L with at least k + 1 pairs of action <= L, in O(log(an + bn))
+    floor sums: the pair count lies between the area bounds L^2 / 2 an bn and
+    (L + an + bn)^2 / 2 an bn, so r - an - bn <= L <= r for r = ceil(sqrt(2 an bn (k + 1)))."""
+    r = isqrt(2 * an * bn * (k + 1) - 1) + 1
+    lo, hi = max(0, r - an - bn), min(r, k * min(an, bn))  # the multiples 0..k of the shorter axis fit
     while lo < hi:
         mid = (lo + hi) // 2
         if _count_scaled(an, bn, mid) >= k + 1:
@@ -104,7 +110,7 @@ def ball_capacity(a: Fraction, k: int) -> tuple[Fraction, dict]:
     """Closed form for the ball: value d a, where d is the unique
     nonnegative integer with d^2 + d <= 2k <= d^2 + 3d."""
     a = _exact_rat(a, "ball parameter")
-    if a <= 0:
+    if a.numerator <= 0:
         raise ValidationError("ball parameter must be positive")
     k = _exact_int(k)
     d = (isqrt(8 * k + 1) - 1) // 2
@@ -266,10 +272,10 @@ class Spectrum:
         """
         cutoff = _exact_rat(cutoff, "cutoff")
         j = 1
-        while (prefix := self._scaled_prefix(j))[1][j] <= floor(cutoff * prefix[0]):
+        while (prefix := self._scaled_prefix(j))[1][j] <= _floor_times(cutoff, prefix[0]):
             j += 1 + j // 8
         den, nums, _witnesses = prefix
-        return bisect_right(nums, floor(cutoff * den))
+        return bisect_right(nums, _floor_times(cutoff, den))
 
     def domain(self) -> Domain:
         raise NotImplementedError
@@ -300,7 +306,7 @@ class EllipsoidSpectrum(Spectrum):
         return Fraction(_nk_scaled(self._an, self._bn, _exact_int(k)), self._d)
 
     def count_le(self, cutoff: Fraction) -> int:
-        return _count_scaled(self._an, self._bn, floor(_exact_rat(cutoff, "cutoff") * self._d))
+        return _count_scaled(self._an, self._bn, _floor_times(_exact_rat(cutoff, "cutoff"), self._d))
 
     def _extend(self, k_max: int) -> tuple[int, list[int], list[object]]:
         # Every pair (m, n) of integer action v = an m + bn n <= the level of
@@ -396,7 +402,7 @@ class ToricSpectrum(Spectrum):
         cutoff = _exact_rat(cutoff, "cutoff")
         if cutoff < 0:
             return 0
-        bound = floor(cutoff * self._profile.scaled_vertices[1])
+        bound = _floor_times(cutoff, self._profile.scaled_vertices[1])
         return max(count for _ln, count in _scan_paths(_scan_table(self._profile, bound), bound, []))
 
     def domain(self) -> Domain:

@@ -1,6 +1,7 @@
 import decimal
 import time
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +39,6 @@ from toricspec import (
     omega_length,
     orbit_set_from_jsonable,
     parse_rat,
-    rat_cmp,
     scale_domain,
     spectral_gap,
     spectrum_for,
@@ -48,7 +48,7 @@ from toricspec import (
     weyl_report,
 )
 from toricspec.gaps import ellipsoid_close_detail
-from toricspec.rationals import floor_sum
+from toricspec.rationals import _exact_rat, _floor_times, _ratio, floor_sum
 
 F = Fraction
 
@@ -200,12 +200,6 @@ def test_to_string_round_trips():
     assert to_string(Fraction(2, 3)) == "2/3"
 
 
-def test_rat_cmp():
-    assert rat_cmp(Fraction(1, 3), Fraction(1, 2)) == -1
-    assert rat_cmp(Fraction(1, 2), Fraction(1, 3)) == 1
-    assert rat_cmp(Fraction(2, 4), Fraction(1, 2)) == 0
-
-
 def test_approx_is_12_significant_digits():
     assert approx_string(Fraction(2, 3)) == "0.666666666667"
     assert approx_string(Fraction(89, 55)) == "1.61818181818"
@@ -322,6 +316,17 @@ def test_library_entry_points_refuse_floats(call, args):
     (orbit_set_from_jsonable, (_orbit_json(multiplicity=True),)),
     (orbit_set_from_jsonable, (_orbit_json(cz=[True]),)),
     (orbit_set_from_jsonable, (_orbit_json(linking=[[False]]),)),
+    # a bool axis, limit, cutoff, parameter, rotation number or scale factor
+    (count_action_pairs, (True, 2, 5)),
+    (count_action_pairs, (F(1), F(2), False)),
+    (nk_via_lattice, (F(1), True, 3)),
+    (ellipsoid_index, (True, F(3), 2, 1)),
+    (ellipsoid_action, (F(2), True, 1, 1)),
+    (ball_capacity, (True, 3)),
+    (cz_from_rotation, (True,)),
+    (spectral_gap, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), True)),
+    (EllipsoidSpectrum(Ellipsoid(F(2), F(3))).count_le, (True,)),
+    (scale_domain, (Ellipsoid(F(2), F(3)), True)),
 ])
 def test_spectrum_indices_refuse_bools(call, args):
     # bool is a subclass of int, so a bare k < 0 check took True as k = 1
@@ -349,3 +354,73 @@ def test_floor_sum_edges():
 def test_floor_sum_rejects_bad_ranges(n, m):
     with pytest.raises(ValidationError, match="floor_sum"):
         floor_sum(n, m, 1, 1)
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+def test_exact_rat_returns_a_plain_fraction_as_it_is():
+    x = F(89, 55)
+    assert _exact_rat(x, "axis") is x
+    for given_value in (_FractionSubclass(89, 55), "89/55"):
+        out = _exact_rat(given_value, "axis")
+        assert type(out) is Fraction and out == x
+    assert type(_exact_rat(3, "axis")) is Fraction
+
+
+_rats = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+_positive_rats = st.builds(F, st.one_of(st.integers(1, 60), st.integers(1, 10**30)),
+                           st.one_of(st.integers(1, 60), st.integers(1, 10**30)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(_rats, st.builds(F, st.integers(-50, 50), st.integers(1, 12))),
+       d=st.one_of(st.integers(1, 60), st.integers(1, 10**40)))
+def test_floor_times_is_the_floor_of_the_product(x, d):
+    assert _floor_times(x, d) == floor(x * d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_positive_rats, b=_positive_rats)
+def test_ratio_is_the_reduced_quotient(a, b):
+    assert _ratio(a, b) == (a / b).as_integer_ratio()
+
+
+_SPEC23 = EllipsoidSpectrum(Ellipsoid(F(2), F(3)))
+
+
+# every message written out by hand, as the edge gave it before its fast paths
+@pytest.mark.parametrize("call, args, error, message", [
+    (count_action_pairs, (1.5, F(1), F(3)), ValidationError, "axis must be exact; floats are rejected: 1.5"),
+    (count_action_pairs, (F(1), "x", F(3)), ValidationError, "axis must be rational: 'x'"),
+    (count_action_pairs, (F(1), F(1), None), ValidationError, "limit must be rational: None"),
+    (count_action_pairs, (F(0), F(1), F(3)), ValidationError, "axes must be positive"),
+    (nk_via_lattice, (F(1), F(-1, 2), 3), ValidationError, "axes must be positive"),
+    (nk_via_lattice, (F(1), F(2), -1), ValidationError, "need an int k >= 0, got int -1"),
+    (Ellipsoid, (F(0), F(1)), ValidationError, "ellipsoid axes must be positive"),
+    (Ellipsoid, (F(1), F(-1)), ValidationError, "ellipsoid axes must be positive"),
+    (Ellipsoid, (1, F(1)), ValidationError, "ellipsoid axes must be Fractions"),
+    (Ball, (F(0),), ValidationError, "ball radius parameter must be positive"),
+    (ball_capacity, (F(-1, 3), 2), ValidationError, "ball parameter must be positive"),
+    (ball_capacity, (0, 2), ValidationError, "ball parameter must be positive"),
+    (spectral_gap, (_SPEC23, 10.0), ValidationError, "cutoff must be exact; floats are rejected: 10.0"),
+    (_SPEC23.count_le, ("1/0",), ValidationError, "cutoff must be rational: '1/0'"),
+    (ellipsoid_index, (F(2), F(0), 1, 1), ValidationError, "axes must be positive"),
+    (ellipsoid_index, (F(2), F(3), -1, 1), ValidationError, "need an int m1 >= 0, got int -1"),
+    (ellipsoid_orbit_set, (F(2), F(3), 0, 0), ValidationError,
+     "need multiplicities m1, m2 not both zero"),
+    (index_action_scan, (F(2), F(1), 3), PreconditionError,
+     "ratio collision: 1 * a / b = 2 is an integer"),
+    (index_action_scan, (F(1), F(3), 5), PreconditionError,
+     "ratio collision: 1 * b / a = 3 is an integer"),
+    (index_action_scan, (F(7, 5), F(1), 4), PreconditionError,
+     "action collision: pairs (0, 7) and (5, 0) share action 7"),
+    (cz_from_rotation, (F(2),), DegenerateRotationError,
+     "elliptic rotation number 2 is an integer; orbit would be degenerate"),
+])
+def test_edge_refusal_messages_are_unchanged(call, args, error, message):
+    kwargs = {"elliptic": True} if call is cz_from_rotation else {}
+    with pytest.raises(error) as info:
+        call(*args, **kwargs)
+    assert type(info.value) is error and str(info.value) == message

@@ -3,7 +3,7 @@ union convolution, scaling, Weyl diagnostics."""
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isqrt
 from operator import le
 
 import pytest
@@ -99,6 +99,60 @@ def test_sorted_listing_matches_brute_force_and_counting_inversion(axes, k_max):
     entries = EllipsoidSpectrum(Ellipsoid(a, b)).entries(k_max)
     assert [(v, (w["m"], w["n"])) for v, w in entries] == expected
     assert [nk_via_lattice(a, b, k) for k in range(k_max + 1)] == [v for v, _w in expected]
+
+
+def _nk_full_range(an, bn, k):
+    """The former counting inversion: a bisection over all of [0, k min(an, bn)]."""
+    lo, hi = 0, k * min(an, bn)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _count_scaled(an, bn, mid) >= k + 1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+# scaled integer axes, small or of 30 digits, equal half the time; k from 0 up to 10^12
+_int_axis = st.one_of(st.integers(1, 40), st.integers(10**29, 10**30 - 1))
+_int_axes = st.one_of(st.tuples(_int_axis, _int_axis), _int_axis.map(lambda x: (x, x)))
+_big_k = st.one_of(st.just(0), st.integers(0, 60), st.integers(0, 10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(axes=_int_axes, k=_big_k)
+@example(axes=(10**30 - 1, 10**30 - 1), k=0)
+@example(axes=(1, 1), k=10**12)
+@example(axes=(10**30 + 57, 10**30), k=10**9)
+def test_bracketed_inversion_matches_the_full_range_bisection(axes, k):
+    an, bn = axes
+    level = spectra._nk_scaled(an, bn, k)
+    assert level == _nk_full_range(an, bn, k)
+    if max(an, bn) <= 40 and k <= 60:
+        # the first k + 1 pairs have m, n <= k
+        assert level == sorted(an * m + bn * n for m in range(k + 1) for n in range(k + 1))[k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(axes=_int_axes, k=_big_k)
+def test_area_bounds_bracket_the_level(axes, k):
+    # L^2 / 2AB <= count(L) <= (L + A + B)^2 / 2AB, so with r = ceil(sqrt(2AB (k + 1)))
+    # the least level with k + 1 pairs lies in [r - A - B, r]
+    an, bn = axes
+    r = isqrt(2 * an * bn * (k + 1) - 1) + 1
+    assert r * r >= 2 * an * bn * (k + 1) > (r - 1) ** 2
+    lo, hi = max(0, r - an - bn), min(r, k * min(an, bn))
+    assert _count_scaled(an, bn, lo - 1) < k + 1 <= _count_scaled(an, bn, hi)
+
+
+@pytest.mark.parametrize("an, bn, k", [(1, 1, 10**12), (55, 89, 10**6), (7, 7, 0),
+                                       (10**30 + 57, 10**30, 10**9), (3, 10**30, 10**12)])
+def test_inversion_takes_log_of_the_axes_floor_sums(monkeypatch, an, bn, k):
+    calls = []
+    monkeypatch.setattr(spectra, "_count_scaled", lambda *args: calls.append(args) or _count_scaled(*args))
+    assert spectra._nk_scaled(an, bn, k) == _nk_full_range(an, bn, k)
+    # a bisection over a window of width <= an + bn probes at most bit_length(an + bn) levels
+    assert len(calls) <= (an + bn).bit_length()
 
 
 class TestCountActionPairs:
