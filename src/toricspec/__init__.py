@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 # every public name, once, under the submodule that defines it
 _EXPORTS = {
     "domains": """Ball DisjointUnion Domain Ellipsoid ToricProfile contact_volume
-        domain_from_jsonable dual_norm load_domain norm_floor omega_length profile_area
-        scale_domain square_profile triangle_profile validate_profile""",
+        domain_from_jsonable load_domain norm_floor omega_length profile_area scale_domain
+        triangle_profile validate_profile""",
     "echindex": """IndexScanReport IndexScanRow OrbitRecord OrbitSet cz_from_rotation
         ellipsoid_action ellipsoid_index ellipsoid_orbit_set index_action_scan
         orbit_set_from_jsonable path_index_bounds star_shaped_index""",
@@ -23,13 +23,11 @@ _EXPORTS = {
         PreconditionError ToricSpecError UnavailableError ValidationError""",
     "gaps": """Approximant GapReport best_approx_above best_approx_below
         close_gap_consistency ellipsoid_close gap_asymptotics spectral_gap""",
-    "paths": """LatticePath enclosed_area enumerate_paths lattice_count_direct
-        lattice_count_pick""",
-    "rationals": "Rat approx_string parse_rat to_string",
+    "paths": "LatticePath enumerate_paths lattice_count_direct lattice_count_pick",
+    "rationals": "approx_string parse_rat to_string",
     "spectra": """BallSpectrum EllipsoidSpectrum Spectrum ToricCapacityResult ToricSpectrum
-        UnionSpectrum ball_capacity conformal_scale count_action_pairs nk_sequence
-        nk_via_lattice spectrum_for toric_capacity toric_capacity_detail union_capacity
-        weyl_report""",
+        UnionSpectrum ball_capacity count_action_pairs nk_sequence nk_via_lattice
+        spectrum_for toric_capacity_detail union_capacity weyl_report""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "cli", "io"}

@@ -3,8 +3,9 @@
 A toric domain is described by the boundary profile of its moment region:
 a convex chain from (0, b) on the y-axis to (a, 0) on the x-axis. The
 four-fold symmetrization of the region induces a dual norm on covectors,
-all that later modules need. Path unit costs and lengths are integers over
-the profile's vertex denominator; the Fraction dual_norm is their second route.
+||v|| = max(|v1| x + |v2| y) over the profile's vertices, all that later
+modules need. Path unit costs and lengths are integers over the profile's
+vertex denominator; the tests keep a Fraction form of ||v|| as their second route.
 """
 
 from __future__ import annotations
@@ -151,25 +152,10 @@ def triangle_profile(a: Fraction, b: Fraction) -> ToricProfile:
     return validate_profile([(0, b), (a, 0)])
 
 
-def square_profile(c: Fraction) -> ToricProfile:
-    return validate_profile([(0, c), (c, c), (c, 0)])
-
-
-def dual_norm(profile: ToricProfile, v: tuple[Fraction, Fraction]) -> Fraction:
-    """Support function of the symmetrized region at covector v.
-
-    By symmetry this is max over profile vertices of |v1| x + |v2| y, so the
-    symmetrized body is never built. This Fraction form is the second route
-    to the integer unit costs of omega_length and the toric path scans.
-    """
-    v1, v2 = (abs(_exact_rat(c, "covector")) for c in v)
-    return max(v1 * x + v2 * y for x, y in profile.vertices)
-
-
 def omega_length(profile: ToricProfile, path: LatticePath) -> Fraction:
     """Length of a path: each edge contributes the dual norm of its rotate.
 
-    An edge (p, -q) of multiplicity m adds m * dual_norm((q, p)), summed as
+    An edge (p, -q) of multiplicity m adds m ||(q, p)||, summed as
     integers over the profile's vertex denominator; additive over edges.
     """
     verts, den = profile.scaled_vertices
@@ -180,9 +166,9 @@ def omega_length(profile: ToricProfile, path: LatticePath) -> Fraction:
 
 
 def norm_floor(profile: ToricProfile) -> Fraction:
-    """Positive rho with dual_norm(v) >= rho * (|v1| + |v2|) for all v.
+    """Positive rho with ||v|| >= rho * (|v1| + |v2|) for every covector v.
 
-    dual_norm dominates max(a |v1|, b |v2|) with a, b the intercepts, and
+    The dual norm ||v|| dominates max(a |v1|, b |v2|) with a, b the intercepts, and
     max(s, t) >= (s + t) / 2, so min(a, b) / 2 works.
     """
     return min(profile.x_intercept, profile.y_intercept) / 2

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .paths import LatticePath, _twice_area
+from .paths import LatticePath, _chain_twice_area
 from .rationals import (_Frozen, _exact_int, _exact_rat, _plain_ints, _positive_axes, _ratio,
                         _scaled, _shown, floor_sum)
 from .spectra import _count_scaled
@@ -42,7 +42,8 @@ def _index_pq(p: int, q: int, m1: int, m2: int) -> int:
 
 def ellipsoid_action(a: Fraction, b: Fraction, m1: int, m2: int) -> Fraction:
     m1, m2 = _exact_int(m1, "m1"), _exact_int(m2, "m2")
-    return _exact_rat(a, "axis") * m1 + _exact_rat(b, "axis") * m2
+    a, b = _positive_axes(a, b)
+    return a * m1 + b * m2
 
 
 def cz_from_rotation(rot: Fraction, *, elliptic: bool = False) -> int:
@@ -223,7 +224,7 @@ def path_index_bounds(path: LatticePath) -> tuple[int, int]:
     lower plus the total multiplicity, which equals 2 (count - 1) with
     count the enclosed lattice points.
     """
-    lower = _twice_area(path) + path.x_extent + path.y_extent
+    lower = _chain_twice_area(path.vertices()) + path.x_extent + path.y_extent
     upper = lower + path.total_multiplicity
     return lower, upper
 

@@ -147,15 +147,6 @@ def _chain_twice_area(vertices: Sequence[tuple]) -> int | Fraction:
     return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])))
 
 
-def _twice_area(path: LatticePath) -> int:
-    return _chain_twice_area(path.vertices())
-
-
-def enclosed_area(path: LatticePath) -> Fraction:
-    """Area bounded by the path and the two axes."""
-    return Fraction(_twice_area(path), 2)
-
-
 def lattice_count_direct(path: LatticePath) -> int:
     """Lattice points in the enclosed region, boundary included, by column scan.
 
@@ -179,7 +170,7 @@ def lattice_count_pick(path: LatticePath) -> int:
     The identity holds for degenerate paths too: an axis segment of n
     units bounds area 0 with boundary 2n, and the empty path encloses 1.
     """
-    twice = _twice_area(path)
+    twice = _chain_twice_area(path.vertices())
     boundary = path.x_extent + path.y_extent + path.total_multiplicity
     if (twice + boundary) % 2 != 0:
         raise AssertionError(f"parity violated for {path!r}")

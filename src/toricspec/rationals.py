@@ -1,8 +1,8 @@
 """Exact rational scalars and their text forms.
 
 Every quantity in this package is an exact rational; floats appear only in
-advisory display columns. The scalar type Rat is the standard Fraction,
-which already guarantees canonical reduced form with positive denominator.
+advisory display columns. The scalar type is the standard Fraction, which
+already guarantees canonical reduced form with positive denominator.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ValidationError
-
-Rat = Fraction
 
 APPROX_DIGITS = 12
 

@@ -184,7 +184,7 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     both are reported.
     """
     if not isinstance(profile, ToricProfile):
-        raise ValidationError("toric_capacity needs a ToricProfile")
+        raise ValidationError("toric_capacity_detail needs a ToricProfile")
     k = _exact_int(k)
     bound = _greedy_bound(profile, k)
     need = k + 1
@@ -208,12 +208,6 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
             f"corner rounding failed: min over >= is {val_ge}, min over == is {val_eq}")
     return ToricCapacityResult(val_eq, best_eq[1], val_ge, val_eq, best_ge[1],
                                Fraction(bound, den), scanned)
-
-
-def toric_capacity(profile: ToricProfile, k: int) -> tuple[Fraction, LatticePath]:
-    """Value and witness path (enclosing exactly k + 1 lattice points)."""
-    res = toric_capacity_detail(profile, k)
-    return res.value, res.witness
 
 
 class Spectrum:
@@ -477,11 +471,6 @@ def spectrum_for(domain: Domain) -> Spectrum:
     if isinstance(domain, DisjointUnion):
         return UnionSpectrum([spectrum_for(p) for p in domain.parts])
     raise ValidationError(f"not a domain: {_shown(domain)}")
-
-
-def conformal_scale(spectrum: Spectrum, r: Fraction) -> Spectrum:
-    """Spectrum of the domain dilated by r; values scale linearly in r."""
-    return spectrum.scaled(r)
 
 
 def weyl_report(spectrum: Spectrum, ks: Sequence[int],

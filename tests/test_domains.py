@@ -15,17 +15,15 @@ from toricspec import (
     ValidationError,
     contact_volume,
     domain_from_jsonable,
-    dual_norm,
     load_domain,
     norm_floor,
     omega_length,
     profile_area,
     scale_domain,
-    square_profile,
     triangle_profile,
     validate_profile,
 )
-from test_paths import random_path
+from test_paths import dual_norm, random_path, square
 
 F = Fraction
 
@@ -128,19 +126,19 @@ class TestDualNorm:
         assert dual_norm(t, (F(-1), F(1))) == 3
 
     def test_square_values(self):
-        s = square_profile(F(1))
+        s = square()
         assert dual_norm(s, (F(1), F(1))) == 2
         assert dual_norm(s, (F(1), F(0))) == 1
 
     def test_norm_floor_values(self):
         assert norm_floor(triangle_profile(F(2), F(3))) == 1
-        assert norm_floor(square_profile(F(1))) == F(1, 2)
+        assert norm_floor(square()) == F(1, 2)
         assert norm_floor(triangle_profile(F(4), F(4))) == 2
 
     def test_norm_axioms_on_random_vectors(self, rng):
         profiles = [
             triangle_profile(F(2), F(3)),
-            square_profile(F(1)),
+            square(),
             validate_profile([(0, 3), (1, 2), (2, 0)]),
         ]
         for prof in profiles:
@@ -176,28 +174,28 @@ class TestVolumesAndScaling:
     def test_contact_volume(self):
         assert contact_volume(Ellipsoid(F(2), F(3))) == 6
         assert contact_volume(Ball(F(2))) == 4
-        assert contact_volume(square_profile(F(1))) == 2
+        assert contact_volume(square()) == 2
         assert contact_volume(triangle_profile(F(2), F(3))) == 6
         u = DisjointUnion((Ball(F(1)), Ellipsoid(F(2), F(3))))
         assert contact_volume(u) == 7
 
     def test_profile_area(self):
         assert profile_area(triangle_profile(F(2), F(3))) == 3
-        assert profile_area(square_profile(F(2))) == 4
+        assert profile_area(square(F(2))) == 4
         assert profile_area(validate_profile([(0, 2), (1, 2), (1, 0)])) == 2
 
     def test_scale_domain(self):
         assert scale_domain(Ellipsoid(F(2), F(3)), F(1, 2)) == Ellipsoid(F(1), F(3, 2))
         assert scale_domain(Ball(F(3)), F(2)) == Ball(F(6))
-        sq = scale_domain(square_profile(F(1)), F(3))
-        assert sq == square_profile(F(3))
+        sq = scale_domain(square(), F(3))
+        assert sq == square(F(3))
         u = scale_domain(DisjointUnion((Ball(F(1)), Ball(F(2)))), F(2))
         assert u == DisjointUnion((Ball(F(2)), Ball(F(4))))
         with pytest.raises(ValidationError):
             scale_domain(Ball(F(1)), F(0))
 
     def test_volume_scales_quadratically(self):
-        for dom in (Ellipsoid(F(2), F(3)), square_profile(F(1)),
+        for dom in (Ellipsoid(F(2), F(3)), square(),
                     DisjointUnion((Ball(F(1)), Ball(F(2))))):
             assert contact_volume(scale_domain(dom, F(5, 3))) == F(25, 9) * contact_volume(dom)
 

@@ -58,6 +58,11 @@ class TestClosedForm:
     def test_action(self):
         assert ellipsoid_action(F(2), F(3), 2, 1) == 7
 
+    @pytest.mark.parametrize("a, b, m1, m2", [(F(-1), F(2), 3, 1), (0, 0, 5, 5), (F(2), F(0), 1, 0)])
+    def test_action_refuses_nonpositive_axes(self, a, b, m1, m2):
+        with pytest.raises(ValidationError, match="^axes must be positive$"):
+            ellipsoid_action(a, b, m1, m2)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ellipsoid_index(F(0), F(1), 1, 1)

@@ -3,6 +3,7 @@
 import importlib
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,9 @@ import toricspec.cli as cli
 # written out by hand: a name that appears, disappears or moves shows up here
 PUBLIC = {
     "domains": ["Ball", "DisjointUnion", "Domain", "Ellipsoid", "ToricProfile",
-                "contact_volume", "domain_from_jsonable", "dual_norm", "load_domain",
-                "norm_floor", "omega_length", "profile_area", "scale_domain",
-                "square_profile", "triangle_profile", "validate_profile"],
+                "contact_volume", "domain_from_jsonable", "load_domain", "norm_floor",
+                "omega_length", "profile_area", "scale_domain", "triangle_profile",
+                "validate_profile"],
     "echindex": ["IndexScanReport", "IndexScanRow", "OrbitRecord", "OrbitSet",
                  "cz_from_rotation", "ellipsoid_action", "ellipsoid_index",
                  "ellipsoid_orbit_set", "index_action_scan", "orbit_set_from_jsonable",
@@ -24,19 +25,22 @@ PUBLIC = {
                "PreconditionError", "ToricSpecError", "UnavailableError", "ValidationError"],
     "gaps": ["Approximant", "GapReport", "best_approx_above", "best_approx_below",
              "close_gap_consistency", "ellipsoid_close", "gap_asymptotics", "spectral_gap"],
-    "paths": ["LatticePath", "enclosed_area", "enumerate_paths", "lattice_count_direct",
-              "lattice_count_pick"],
-    "rationals": ["Rat", "approx_string", "parse_rat", "to_string"],
+    "paths": ["LatticePath", "enumerate_paths", "lattice_count_direct", "lattice_count_pick"],
+    "rationals": ["approx_string", "parse_rat", "to_string"],
     "spectra": ["BallSpectrum", "EllipsoidSpectrum", "Spectrum", "ToricCapacityResult",
-                "ToricSpectrum", "UnionSpectrum", "ball_capacity", "conformal_scale",
-                "count_action_pairs", "nk_sequence", "nk_via_lattice", "spectrum_for",
-                "toric_capacity", "toric_capacity_detail", "union_capacity", "weyl_report"],
+                "ToricSpectrum", "UnionSpectrum", "ball_capacity", "count_action_pairs",
+                "nk_sequence", "nk_via_lattice", "spectrum_for", "toric_capacity_detail",
+                "union_capacity", "weyl_report"],
 }
 PAIRS = [(mod, name) for mod, names in PUBLIC.items() for name in names]
+# public once; README's "Removed public names" gives each one's replacement
+REMOVED = ["Rat", "conformal_scale", "dual_norm", "enclosed_area", "square_profile",
+           "toric_capacity"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_public_names_are_the_frozen_list():
-    assert len(PAIRS) == 68
+    assert len(PAIRS) == 62
     assert sorted(name for _mod, name in PAIRS) == sorted(toricspec.__all__)
     assert set(toricspec.__all__) <= set(dir(toricspec))
 
@@ -44,6 +48,35 @@ def test_public_names_are_the_frozen_list():
 @pytest.mark.parametrize("mod, name", PAIRS)
 def test_public_name_is_the_defining_modules_object(mod, name):
     assert getattr(toricspec, name) is getattr(importlib.import_module(f"toricspec.{mod}"), name)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_raises_attribute_error(name):
+    assert name not in toricspec.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(toricspec, name)
+
+
+def test_readme_quick_tour_gives_the_results_its_comments_state():
+    # a tour line that calls a removed name fails the exec
+    tour = README.read_text(encoding="utf-8").split("## Library quick tour\n", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(block, ns)
+    lines = {line.split("#")[0].strip() for line in block.splitlines()}
+    stated = {
+        "spec.values(10)": [0, 2, 3, 4, 5, 6, 6, 7, 8, 8, 9],
+        "spec.entry(5)": (F(6), {"m": 0, "n": 2}),
+        "ToricSpectrum(triangle_profile(F(2), F(3))).entry(5)":
+            (F(6), toricspec.LatticePath((((1, -1), 2),))),
+        "spectral_gap(spec, F(6)).gap": 0,
+        "spec.value(10**6)": 3462,
+        "spec.count_le(F(9))": 12,
+        "ellipsoid_close(F(1), F(89, 55), F(10))": F(1, 11),
+    }
+    for expr, expected in stated.items():
+        assert expr in lines
+        assert eval(expr, ns) == expected, expr
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -10,19 +10,17 @@ from hypothesis import example, given, settings, strategies as st
 from toricspec import (
     LatticePath,
     ValidationError,
-    dual_norm,
-    enclosed_area,
     enumerate_paths,
     lattice_count_direct,
     lattice_count_pick,
     norm_floor,
     omega_length,
-    square_profile,
     toric_capacity_detail,
     triangle_profile,
     validate_profile,
 )
-from toricspec.paths import Edge, _scan_paths, _slope_key, _stack_path, direction_table
+from toricspec.paths import (Edge, _chain_twice_area, _scan_paths, _slope_key, _stack_path,
+                             direction_table)
 from toricspec.spectra import _scan_table
 
 
@@ -31,6 +29,24 @@ def _direction_key(dx, dy):
     if dx == 0:
         return (1, Fraction(0))
     return (0, Fraction(-dy, dx))
+
+
+def dual_norm(prof, v):
+    # the Fraction form of the dual norm: max(|v1| x + |v2| y) over the profile's vertices
+    v1, v2 = abs(v[0]), abs(v[1])
+    return max(v1 * x + v2 * y for x, y in prof.vertices)
+
+
+def square(c=Fraction(1)):
+    # the profile of the square [0, c] x [0, c]
+    return validate_profile([(0, c), (c, c), (c, 0)])
+
+
+def trapezoid_area(path):
+    # the area under the path, one trapezoid per edge: a second route to the shoelace sum
+    verts = path.vertices()
+    return sum((Fraction((x1 - x0) * (y0 + y1), 2) for (x0, y0), (x1, y1) in zip(verts, verts[1:])),
+               Fraction(0))
 
 
 def random_path(rng, max_coord=6, max_mult=4):
@@ -96,15 +112,15 @@ class TestCounts:
         # unit triangle: (0,0), (0,1), (1,0)
         tri = LatticePath.from_edges([((1, -1), 1)])
         assert lattice_count_direct(tri) == 3
-        assert enclosed_area(tri) == Fraction(1, 2)
+        assert trapezoid_area(tri) == Fraction(1, 2)
         # unit square corners
         sq = LatticePath.from_edges([((1, 0), 1), ((0, -1), 1)])
         assert lattice_count_direct(sq) == 4
-        assert enclosed_area(sq) == 1
+        assert trapezoid_area(sq) == 1
         # wide triangle (0,1)-(2,0): interior column holds no extra point
         wide = LatticePath.from_edges([((2, -1), 1)])
         assert lattice_count_direct(wide) == 4
-        assert enclosed_area(wide) == 1
+        assert trapezoid_area(wide) == 1
 
     def test_pick_equals_direct_on_random_paths(self, rng):
         for _ in range(200):
@@ -120,7 +136,8 @@ class TestCounts:
 
     def test_area_is_translation_of_shoelace(self):
         p = LatticePath.from_edges([((1, 0), 1), ((2, -1), 1), ((1, -2), 1), ((0, -1), 1)])
-        assert enclosed_area(p) == Fraction(lattice_count_pick(p) - 1, 1) - Fraction(
+        assert Fraction(_chain_twice_area(p.vertices()), 2) == trapezoid_area(p)
+        assert trapezoid_area(p) == Fraction(lattice_count_pick(p) - 1, 1) - Fraction(
             p.x_extent + p.y_extent + p.total_multiplicity, 2)
 
 
@@ -180,9 +197,9 @@ class TestEnumeration:
     @given(prof=convex_profiles(),
            budget_ratio=st.sampled_from([Fraction(1), Fraction(2), Fraction(4), Fraction(6)]),
            inclusive=st.booleans())
-    @example(prof=square_profile(Fraction(1)), budget_ratio=Fraction(3), inclusive=False)
-    @example(prof=square_profile(Fraction(1)), budget_ratio=Fraction(3), inclusive=True)
-    @example(prof=square_profile(Fraction(1)), budget_ratio=Fraction(2), inclusive=True)
+    @example(prof=square(), budget_ratio=Fraction(3), inclusive=False)
+    @example(prof=square(), budget_ratio=Fraction(3), inclusive=True)
+    @example(prof=square(), budget_ratio=Fraction(2), inclusive=True)
     def test_stream_matches_naive_enumeration(self, prof, budget_ratio, inclusive):
         # the naive stream tries every primitive direction with p + q at most
         # budget / norm_floor and stops only at the budget
@@ -215,13 +232,13 @@ class TestEnumeration:
         assert set(strict) <= set(inclusive)
 
     def test_nonpositive_budget_yields_nothing(self):
-        prof = square_profile(Fraction(1))
+        prof = square()
         omega = lambda p: omega_length(prof, p)
         assert list(enumerate_paths(Fraction(0), Fraction(1, 2), omega)) == []
         assert list(enumerate_paths(Fraction(-1), Fraction(1, 2), omega, inclusive=True)) == []
 
     def test_bad_rho_rejected(self):
-        prof = square_profile(Fraction(1))
+        prof = square()
         omega = lambda p: omega_length(prof, p)
         with pytest.raises(ValidationError):
             list(enumerate_paths(Fraction(1), Fraction(0), omega))
@@ -354,7 +371,7 @@ def test_a_need_above_every_count_leaves_the_walk_fixed():
 
 
 def test_capacity_at_k0_is_the_empty_path_from_one_scan():
-    res = toric_capacity_detail(square_profile(Fraction(1)), 0)
+    res = toric_capacity_detail(square(), 0)
     assert res.value == 0
     assert res.min_over_at_least == 0 and res.min_over_exact == 0
     assert res.witness == LatticePath.empty() and res.witness_at_least == LatticePath.empty()

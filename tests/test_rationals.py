@@ -22,11 +22,9 @@ from toricspec import (
     best_approx_above,
     best_approx_below,
     close_gap_consistency,
-    conformal_scale,
     contact_volume,
     count_action_pairs,
     cz_from_rotation,
-    dual_norm,
     ellipsoid_action,
     ellipsoid_close,
     ellipsoid_index,
@@ -42,19 +40,20 @@ from toricspec import (
     scale_domain,
     spectral_gap,
     spectrum_for,
-    square_profile,
     to_string,
     toric_capacity_detail,
+    validate_profile,
     weyl_report,
 )
 from toricspec.gaps import ellipsoid_close_detail
 from toricspec.rationals import _exact_rat, _floor_times, _ratio, floor_sum
+from test_paths import square
 
 F = Fraction
 
 
 def _unit_square_length(path):
-    return omega_length(square_profile(F(1)), path)
+    return omega_length(square(), path)
 
 
 def _orbit_json(linking=((0,),), **fields):
@@ -269,16 +268,16 @@ def test_approx_ignores_the_callers_decimal_context(x, text):
     (close_gap_consistency, (F(1), F(89, 55), [F(10), 20.0])),
     (spectral_gap, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), 10.0)),
     (gap_asymptotics, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), [F(5), 10.0])),
-    (conformal_scale, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), 1.5)),
+    (BallSpectrum(Ball(F(1))).scaled, (1.5,)),
     # appended last so the generated ids of the earlier cases stay stable
     (ellipsoid_close_detail, (F(1), F(89, 55), 100.0)),
     (weyl_report, (BallSpectrum(Ball(F(1))), [5], 1.5)),
     (weyl_report, (BallSpectrum(Ball(F(1))), [5.0])),
-    (dual_norm, (square_profile(F(1)), (0.1, 1))),
+    (validate_profile, ([(0, 0.1), (1, 0)],)),
     (_all_paths, (2.5, F(1, 2), _unit_square_length)),
     (_all_paths, (F(5), 0.5, _unit_square_length)),
-    (toric_capacity_detail, (square_profile(F(1)), 2.5)),
-    (ToricSpectrum(square_profile(F(1))).entry, (2.5,)),
+    (toric_capacity_detail, (square(), 2.5)),
+    (ToricSpectrum(square()).entry, (2.5,)),
     (EllipsoidSpectrum(Ellipsoid(F(2), F(3))).value, (2.5,)),
     (ball_capacity, (F(1), 2.5)),
     (nk_via_lattice, (F(1), F(2), 2.5)),
@@ -303,7 +302,7 @@ def test_library_entry_points_refuse_floats(call, args):
 
 
 @pytest.mark.parametrize("call, args", [
-    (toric_capacity_detail, (square_profile(F(1)), True)),
+    (toric_capacity_detail, (square(), True)),
     (ball_capacity, (F(1), True)),
     (ellipsoid_index, (F(2), F(3), True, 1)),
     (ellipsoid_action, (F(2), F(3), 1, True)),

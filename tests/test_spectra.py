@@ -23,7 +23,6 @@ from toricspec import (
     ValidationError,
     ball_capacity,
     close_gap_consistency,
-    conformal_scale,
     count_action_pairs,
     lattice_count_pick,
     nk_sequence,
@@ -31,17 +30,15 @@ from toricspec import (
     omega_length,
     scale_domain,
     spectrum_for,
-    toric_capacity,
     toric_capacity_detail,
     triangle_profile,
-    square_profile,
     union_capacity,
     validate_profile,
     weyl_report,
 )
 from toricspec import gaps, spectra
 from toricspec.spectra import _count_scaled
-from test_paths import convex_profiles, naive_paths
+from test_paths import convex_profiles, naive_paths, square
 
 F = Fraction
 
@@ -278,18 +275,18 @@ class TestToricCapacity:
         tri = triangle_profile(F(2), F(3))
         seq = [v for v, _w in nk_sequence(F(2), F(3), 10)]
         for k in range(11):
-            val, wit = toric_capacity(tri, k)
-            assert val == seq[k]
-            assert lattice_count_pick(wit) == k + 1
-            assert omega_length(tri, wit) == val
+            res = toric_capacity_detail(tri, k)
+            assert res.value == seq[k]
+            assert lattice_count_pick(res.witness) == k + 1
+            assert omega_length(tri, res.witness) == res.value
 
     def test_unit_square_first_step(self):
-        val, wit = toric_capacity(square_profile(F(1)), 1)
-        assert val == 1
-        assert wit == LatticePath.from_edges([((1, 0), 1)])
+        res = toric_capacity_detail(square(), 1)
+        assert res.value == 1
+        assert res.witness == LatticePath.from_edges([((1, 0), 1)])
 
     def test_k_zero(self):
-        res = toric_capacity_detail(square_profile(F(1)), 0)
+        res = toric_capacity_detail(square(), 0)
         assert res.value == 0 and res.witness.is_empty
 
     def test_detail_invariants(self):
@@ -312,7 +309,7 @@ class TestToricCapacity:
             key=lambda d: (1, F(0)) if d[0] == 0 else (0, F(-d[1], d[0])))
         omega = lambda p: omega_length(prof, p)
         for k in (1, 2, 3, 5):
-            val, _wit = toric_capacity(prof, k)
+            val = toric_capacity_detail(prof, k).value
             feasible = [p for p in naive_paths(dirs, val, omega, True)
                         if lattice_count_pick(p) >= k + 1]
             assert feasible, (k, val)
@@ -320,8 +317,8 @@ class TestToricCapacity:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            toric_capacity(square_profile(F(1)), -1)
-        with pytest.raises(ValidationError):
+            toric_capacity_detail(square(), -1)
+        with pytest.raises(ValidationError, match="^toric_capacity_detail needs a ToricProfile$"):
             toric_capacity_detail(Ellipsoid(F(1), F(1)), 1)
 
 
@@ -329,7 +326,7 @@ class TestSpectrumProviders:
     def test_dispatch(self):
         assert spectrum_for(Ellipsoid(F(2), F(3))).kind == "ellipsoid"
         assert spectrum_for(Ball(F(1))).kind == "ball"
-        assert spectrum_for(square_profile(F(1))).kind == "toric"
+        assert spectrum_for(square()).kind == "toric"
         assert spectrum_for(DisjointUnion((Ball(F(1)),))).kind == "union"
         with pytest.raises(ValidationError):
             spectrum_for("nope")
@@ -419,12 +416,12 @@ class TestConformality:
                             EllipsoidSpectrum(Ellipsoid(F(2), F(3)))]), 10),
         ]
         for spec, k_max in base:
-            scaled = conformal_scale(spec, r)
+            scaled = spec.scaled(r)
             assert scaled.values(k_max) == [r * v for v in spec.values(k_max)]
 
     def test_bad_factor(self):
         with pytest.raises(ValidationError):
-            conformal_scale(BallSpectrum(Ball(F(1))), F(-1))
+            BallSpectrum(Ball(F(1))).scaled(F(-1))
 
 
 class TestWeyl:
@@ -504,14 +501,14 @@ def test_rectangle_spectrum_matches_the_polydisk_closed_form(a, b):
 
 def test_unit_square_at_k_100_matches_the_polydisk_closed_form():
     # many ties; the polydisk start is exact here, far below the greedy bound
-    spec = ToricSpectrum(square_profile(F(1)))
+    spec = ToricSpectrum(square())
     assert spec.values(100) == [_polydisk_value(F(1), F(1), k) for k in range(101)]
     assert all(spec.check_witness(k) for k in range(101))
 
 
 @pytest.mark.parametrize("prof", [
     validate_profile([(0, 2), (1, F(7, 4)), (2, 1), (F(5, 2), 0)]),
-    square_profile(F(1)),
+    square(),
 ], ids=["ci-profile", "unit-square"])
 def test_sweep_at_k_40_matches_the_fixed_budget_per_k_route(prof):
     entries = ToricSpectrum(prof).entries(40)
@@ -642,7 +639,7 @@ def test_entries_are_the_integer_prefix_over_its_denominator(sized, data):
 @given(sized=_prefix_domains,
        r=st.one_of(st.sampled_from([F(2), F(1, 3), F(7, 5)]),
                    st.fractions(F(1, 9), F(9), max_denominator=9)))
-@example(sized=(square_profile(F(1)), 12), r=F(7, 5))
+@example(sized=(square(), 12), r=F(7, 5))
 def test_every_provider_is_conformal(sized, r):
     # the dilate's spectrum, computed afresh, is r c_k with the same witnesses:
     # ties compare the same after scaling, so they break the same way
@@ -764,7 +761,7 @@ def test_entry_refuses_a_bad_provider_prefix(den, nums, witnesses, message):
 
 
 def test_zero_entries_carry_the_empty_witnesses():
-    parts = (Ellipsoid(F(2), F(3)), Ball(F(3, 2)), square_profile(F(1)))
+    parts = (Ellipsoid(F(2), F(3)), Ball(F(3, 2)), square())
     empty = [{"m": 0, "n": 0}, {"d": 0}, LatticePath.empty()]
     for domain, witness in zip(parts, empty):
         assert spectrum_for(domain).entry(0) == (0, witness)
