@@ -152,6 +152,12 @@ def triangle_profile(a: Fraction, b: Fraction) -> ToricProfile:
     return validate_profile([(0, b), (a, 0)])
 
 
+def _edge_cost(verts: tuple[tuple[int, int], ...], dx: int, dy: int) -> int:
+    """Scaled cost of the edge vector (dx, dy) over scaled vertices (X, Y): the
+    dual norm of its rotate (-dy, dx), max(dx Y - dy X), for dx >= 0 >= dy."""
+    return max([dx * y - dy * x for x, y in verts])
+
+
 def omega_length(profile: ToricProfile, path: LatticePath) -> Fraction:
     """Length of a path: each edge contributes the dual norm of its rotate.
 
@@ -159,10 +165,7 @@ def omega_length(profile: ToricProfile, path: LatticePath) -> Fraction:
     integers over the profile's vertex denominator; additive over edges.
     """
     verts, den = profile.scaled_vertices
-    total = 0
-    for (dx, dy), m in path.edges:
-        total += m * max([dx * y - dy * x for x, y in verts])
-    return Fraction(total, den)
+    return Fraction(sum(m * _edge_cost(verts, dx, dy) for (dx, dy), m in path.edges), den)
 
 
 def norm_floor(profile: ToricProfile) -> Fraction:

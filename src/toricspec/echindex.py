@@ -64,9 +64,10 @@ class OrbitRecord(_Frozen):
     """One orbit with its trivialized index data.
 
     cz_of_cover maps the cover degree j >= 1 to the Conley-Zehnder index
-    of the j-th iterate; cz_sum (and cz, its one-cover case) calls it lazily
-    for j up to the multiplicity. self_linking and chern are the writhe-type
-    and relative first Chern numbers in the same trivialization.
+    of the j-th iterate; cz_sum calls it lazily for j up to the
+    multiplicity, and refuses a cover degree below 1. self_linking and
+    chern are the writhe-type and relative first Chern numbers in the same
+    trivialization.
     """
 
     __slots__ = _fields = ("label", "chern", "self_linking", "cz_of_cover", "multiplicity")
@@ -82,6 +83,8 @@ class OrbitRecord(_Frozen):
 
     def cz_sum(self, first: int, last: int) -> int:
         """Sum of cz_of_cover(j) over covers j = first..last, each called once, in order."""
+        if first < 1:
+            raise ValidationError(f"cover degree must be >= 1, got {_shown(first, str)}")
         cover, total = self.cz_of_cover, 0
         for j in range(first, last + 1):
             try:
@@ -94,9 +97,6 @@ class OrbitRecord(_Frozen):
                     f"orbit {_shown(self.label)} returned non-integer index for cover {j}")
             total += value
         return total
-
-    def cz(self, j: int) -> int:
-        return self.cz_sum(j, j)
 
 
 class OrbitSet(_Frozen):
@@ -170,12 +170,7 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
 
 
 def _array_cover(values: list[int]) -> Callable[[int], int]:
-    def cz(j: int) -> int:
-        if j < 1:
-            raise ValidationError(f"cover degree must be >= 1, got {_shown(j, str)}")
-        return values[j - 1]
-
-    return cz
+    return lambda j: values[j - 1]  # j >= 1: OrbitRecord.cz_sum checks the degree
 
 
 def orbit_set_from_jsonable(obj: object) -> OrbitSet:

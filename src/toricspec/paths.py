@@ -65,10 +65,6 @@ class LatticePath(_Frozen):
         self._set("edges", edges)
 
     @classmethod
-    def empty(cls) -> "LatticePath":
-        return cls(())
-
-    @classmethod
     def from_edges(cls, edges: Iterable[tuple[tuple[int, int], int]]) -> "LatticePath":
         """Build a canonical path from raw edges.
 
@@ -105,15 +101,6 @@ class LatticePath(_Frozen):
     def total_multiplicity(self) -> int:
         return sum(m for _d, m in self.edges)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.edges
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the enclosed region has zero area (axis segment or empty)."""
-        return self.x_extent == 0 or self.y_extent == 0
-
     def vertices(self) -> list[tuple[int, int]]:
         """Corner chain from (0, y_extent) to (x_extent, 0)."""
         x, y = 0, self.y_extent
@@ -126,19 +113,6 @@ class LatticePath(_Frozen):
 
     def to_jsonable(self) -> dict:
         return {"edges": [{"dir": [dx, dy], "mult": m} for (dx, dy), m in self.edges]}
-
-    @classmethod
-    def from_jsonable(cls, obj: object) -> "LatticePath":
-        if not isinstance(obj, dict) or "edges" not in obj or not isinstance(obj["edges"], list):
-            raise ValidationError("path JSON must be an object with an 'edges' list")
-        edges = []
-        for item in obj["edges"]:
-            try:
-                (dx, dy), m = (item["dir"][0], item["dir"][1]), item["mult"]
-            except (TypeError, KeyError, IndexError) as exc:
-                raise ValidationError(f"bad path edge: {_shown(item)}") from exc
-            edges.append(((dx, dy), m))
-        return cls.from_edges(edges)
 
 
 def _chain_twice_area(vertices: Sequence[tuple]) -> int | Fraction:
@@ -197,8 +171,9 @@ def _scan_paths(
     own columns, q*a + (p+1)(q+1)/2 points in all (an integer, as gcd(p, q)
     is 1). `stack` holds the live path's edges ((p, -q), mult), so
     tuple(stack) is its LatticePath's edges; an entry is replaced, never
-    changed, so a tuple snapshot stays valid, and the consumer must take
-    one to keep a path.
+    changed, so a tuple snapshot stays valid after the walk moves on, and
+    the consumer must take one to keep a path. Both toric scans in spectra
+    keep such snapshots and build a LatticePath only for what they return.
 
     One flat loop, no recursion: `frames` holds, for each stack entry, its
     direction's index and the (length, abscissa, count) before it. A path
@@ -240,11 +215,6 @@ def _scan_paths(
         if need is not None and count >= need:
             bound = ln
         j += 1
-
-
-def _stack_path(stack: Sequence[Edge]) -> LatticePath:
-    """The path held by a _scan_paths stack (or a tuple snapshot of it)."""
-    return LatticePath(tuple(stack))
 
 
 def direction_table(
@@ -313,4 +283,4 @@ def enumerate_paths(
         bound -= 1  # integer budgets make strict < equivalent to <= bound-1
     stack: list[Edge] = []
     for _state in _scan_paths(dirs, bound, stack):
-        yield _stack_path(stack)
+        yield LatticePath(tuple(stack))

@@ -31,12 +31,13 @@ from .domains import (
     Domain,
     Ellipsoid,
     ToricProfile,
+    _edge_cost,
     contact_volume,
     omega_length,
     scale_domain,
 )
 from .errors import UnavailableError, ValidationError
-from .paths import Edge, LatticePath, _scan_paths, _slope_key, _stack_path, lattice_count_pick
+from .paths import Edge, LatticePath, _scan_paths, _slope_key, lattice_count_pick
 from .rationals import (_Frozen, _exact_int, _exact_rat, _floor_times, _positive_axes, _scaled,
                         _shown, floor_sum)
 
@@ -155,9 +156,7 @@ def _greedy_bound(profile: ToricProfile, k: int) -> int:
         hull.append(p)
     if hull[-1][1] > 0:
         hull.append((hull[-1][0], 0))
-    # a chain edge (dx, dy) costs max(dx Y - dy X) over the scaled vertices, as in omega_length
-    return sum(max(x * (y0 - y1) + y * (x1 - x0) for x, y in verts)
-               for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
+    return sum(_edge_cost(verts, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
 
 
 def _scan_table(profile: ToricProfile, bound: int) -> list[tuple[int, int, int]]:
@@ -168,7 +167,7 @@ def _scan_table(profile: ToricProfile, bound: int) -> list[tuple[int, int, int]]
     verts, _den = profile.scaled_vertices
     # gcd(0, 0) == 0 drops the zero vector too
     dirs = [(p, q, w) for p in range(bound // verts[0][1] + 1) for q in range(bound // verts[-1][0] + 1)
-            if gcd(p, q) == 1 and (w := max(q * x + p * y for x, y in verts)) <= bound]
+            if gcd(p, q) == 1 and (w := _edge_cost(verts, p, -q)) <= bound]
     dirs.sort(key=_slope_key)
     return dirs
 
@@ -181,7 +180,8 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     k + 1 points and separately over paths enclosing exactly k + 1. The
     two minima must coincide (corners of any minimizer can be rounded
     without changing the length budget); their equality is asserted and
-    both are reported.
+    both are reported. Each minimum keeps (length, tuple(stack)), the
+    scan's snapshot, and its LatticePath is built once, at return.
     """
     if not isinstance(profile, ToricProfile):
         raise ValidationError("toric_capacity_detail needs a ToricProfile")
@@ -189,15 +189,15 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     bound = _greedy_bound(profile, k)
     need = k + 1
     stack: list[Edge] = []
-    best_ge: Optional[tuple[int, LatticePath]] = None
-    best_eq: Optional[tuple[int, LatticePath]] = None
+    best_ge: Optional[tuple[int, tuple[Edge, ...]]] = None  # (length, stack snapshot)
+    best_eq: Optional[tuple[int, tuple[Edge, ...]]] = None
     scanned = 0
     for ln, count in _scan_paths(_scan_table(profile, bound), bound, stack):
         scanned += 1
         if count >= need and (best_ge is None or ln < best_ge[0]):
-            best_ge = (ln, _stack_path(stack))
+            best_ge = (ln, tuple(stack))
         if count == need and (best_eq is None or ln < best_eq[0]):
-            best_eq = (ln, _stack_path(stack))
+            best_eq = (ln, tuple(stack))
     if best_ge is None or best_eq is None:
         raise AssertionError("enumeration missed the greedy feasible path")
     den = profile.scaled_vertices[1]
@@ -206,8 +206,8 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     if val_ge != val_eq:
         raise AssertionError(
             f"corner rounding failed: min over >= is {val_ge}, min over == is {val_eq}")
-    return ToricCapacityResult(val_eq, best_eq[1], val_ge, val_eq, best_ge[1],
-                               Fraction(bound, den), scanned)
+    return ToricCapacityResult(val_eq, LatticePath(best_eq[1]), val_ge, val_eq,
+                               LatticePath(best_ge[1]), Fraction(bound, den), scanned)
 
 
 class Spectrum:
@@ -385,7 +385,7 @@ class ToricSpectrum(Spectrum):
                 raise AssertionError(
                     f"corner rounding failed at k={k}: min over >= is {Fraction(at_least, den)}, "
                     f"min over == is {Fraction(lens[k], den)}")
-        return den, lens[:over], [_stack_path(paths[k]) for k in range(over)]
+        return den, lens[:over], [LatticePath(paths[k]) for k in range(over)]
 
     def count_le(self, cutoff: Fraction) -> int:
         """The most lattice points a path of length <= cutoff encloses.

@@ -149,13 +149,24 @@ class TestOrbitSets:
             star_shaped_index(OrbitSet((boolean,), ((0,),)))
         with pytest.raises(MissingCoverError,
                            match=_whole("orbit 't' returned non-integer index for cover 2")):
-            boolean.cz(2)
+            boolean.cz_sum(2, 2)
 
     def test_unrelated_cover_error_propagates(self):
         # only a missing cover (a lookup failure) becomes MissingCoverError
         broken = OrbitRecord("z", 1, -1, lambda j: j // 0, 1)
         with pytest.raises(ZeroDivisionError):
             star_shaped_index(OrbitSet((broken,), ((0,),)))
+
+    @pytest.mark.parametrize("first, last", [(0, 0), (-3, 1)])
+    def test_both_orbit_kinds_refuse_a_cover_degree_below_one(self, first, last):
+        # an ellipsoid cover would read 2 (j p // q) + 1 at j <= 0, a cz array its tail
+        computed = ellipsoid_orbit_set(F(3, 2), F(1), 2, 3).orbits[0]
+        read = orbit_set_from_jsonable({"orbits": [{"label": "g", "chern": 1, "self_linking": -1,
+                                                    "multiplicity": 2, "cz": [1, 3]}],
+                                        "linking": [[0]]}).orbits[0]
+        for orbit in (computed, read):
+            with pytest.raises(ValidationError, match=_whole(f"cover degree must be >= 1, got {first}")):
+                orbit.cz_sum(first, last)
 
     def test_each_cover_is_called_once_in_order(self):
         calls = []
@@ -238,7 +249,7 @@ class TestOrbitJson:
 
 class TestPathBounds:
     def test_hand_values(self):
-        assert path_index_bounds(LatticePath.empty()) == (0, 0)
+        assert path_index_bounds(LatticePath(())) == (0, 0)
         tri = LatticePath.from_edges([((1, -1), 1)])
         assert path_index_bounds(tri) == (3, 4)
 
@@ -340,9 +351,9 @@ def test_integer_covers_match_the_fraction_route(a, b, m1, m2):
         for j in range(1, orbit.multiplicity + 1):
             rot = j * ratio
             if rot.denominator == 1:
-                assert orbit.cz(j) == 2 * rot + 1
+                assert orbit.cz_sum(j, j) == 2 * rot + 1
             else:
-                assert orbit.cz(j) == cz_from_rotation(rot, elliptic=True)
+                assert orbit.cz_sum(j, j) == cz_from_rotation(rot, elliptic=True)
     expected = ellipsoid_index(a, b, m1, m2)
 
     def no_floor_sum(*args):

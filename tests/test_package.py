@@ -1,6 +1,7 @@
 """The package's public surface: its names, where they live, and what a bare import loads."""
 
 import importlib
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -36,6 +37,9 @@ PAIRS = [(mod, name) for mod, names in PUBLIC.items() for name in names]
 # public once; README's "Removed public names" gives each one's replacement
 REMOVED = ["Rat", "conformal_scale", "dual_norm", "enclosed_area", "square_profile",
            "toric_capacity"]
+# members of the value classes that nothing called, listed there too
+REMOVED_MEMBERS = [("LatticePath", "from_jsonable"), ("LatticePath", "is_empty"),
+                   ("LatticePath", "degenerate"), ("LatticePath", "empty"), ("OrbitRecord", "cz")]
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -55,6 +59,16 @@ def test_removed_name_raises_attribute_error(name):
     assert name not in toricspec.__all__
     with pytest.raises(AttributeError, match=name):
         getattr(toricspec, name)
+
+
+@pytest.mark.parametrize("cls, member", REMOVED_MEMBERS)
+def test_removed_member_raises_attribute_error(cls, member):
+    owner = getattr(toricspec, cls)
+    instance = owner(()) if cls == "LatticePath" else owner("g", 1, -1, lambda j: 1, 1)
+    for obj in (owner, instance):
+        with pytest.raises(AttributeError, match=member):
+            getattr(obj, member)
+    assert re.search(rf"`{cls}\.{member}(\(\))?`", README.read_text(encoding="utf-8"))
 
 
 def test_readme_quick_tour_gives_the_results_its_comments_state():

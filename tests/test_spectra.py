@@ -37,8 +37,8 @@ from toricspec import (
     weyl_report,
 )
 from toricspec import gaps, spectra
-from toricspec.spectra import _count_scaled
-from test_paths import convex_profiles, naive_paths, square
+from toricspec.spectra import _count_scaled, _greedy_bound
+from test_paths import convex_profiles, fraction_length, naive_paths, square
 
 F = Fraction
 
@@ -287,7 +287,7 @@ class TestToricCapacity:
 
     def test_k_zero(self):
         res = toric_capacity_detail(square(), 0)
-        assert res.value == 0 and res.witness.is_empty
+        assert res.value == 0 and res.witness.edges == ()
 
     def test_detail_invariants(self):
         prof = validate_profile([(0, 3), (1, 2), (2, 0)])
@@ -320,6 +320,45 @@ class TestToricCapacity:
             toric_capacity_detail(square(), -1)
         with pytest.raises(ValidationError, match="^toric_capacity_detail needs a ToricProfile$"):
             toric_capacity_detail(Ellipsoid(F(1), F(1)), 1)
+
+
+def brute_force_greedy_path(prof, k):
+    # the top lattice point of each column under b x + a y <= N_k(a, b), a and b the
+    # intercepts; a point is on the upper hull when it lies strictly above every chord
+    # from a point on its left to a point on its right; the hull closes to the x-axis
+    a, b = prof.x_intercept, prof.y_intercept
+    level = nk_via_lattice(a, b, k)
+    tops = [(x, floor((level - b * x) / a)) for x in range(floor(level / b) + 1)]
+    hull = [(x, y) for i, (x, y) in enumerate(tops)
+            if all((y - y0) * (x1 - x0) > (y1 - y0) * (x - x0)
+                   for x0, y0 in tops[:i] for x1, y1 in tops[i + 1:])]
+    if hull[-1][1] > 0:
+        hull.append((hull[-1][0], 0))
+    return LatticePath.from_edges(((x1 - x0, y1 - y0), 1)
+                                  for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prof=convex_profiles())
+def test_greedy_bound_is_the_fraction_length_of_the_brute_force_hull(prof):
+    _verts, den = prof.scaled_vertices
+    values = ToricSpectrum(prof).values(24)
+    for k in range(25):
+        path = brute_force_greedy_path(prof, k)
+        bound = _greedy_bound(prof, k)
+        assert bound == den * fraction_length(prof, path), (k, path)
+        assert lattice_count_pick(path) >= k + 1
+        assert bound >= den * values[k]
+
+
+@pytest.mark.parametrize("a, b", [(F(1), F(1)), (F(2), F(3)), (F(3, 2), F(1)), (F(1), F(5, 2)),
+                                  (F(7, 3), F(4, 5)), (F(89, 55), F(1))])
+def test_greedy_bound_is_exact_on_triangles(a, b):
+    tri = triangle_profile(a, b)
+    _verts, den = tri.scaled_vertices
+    for k in range(31):
+        assert _greedy_bound(tri, k) == den * nk_via_lattice(a, b, k)
+        assert _greedy_bound(tri, k) == den * fraction_length(tri, brute_force_greedy_path(tri, k))
 
 
 class TestSpectrumProviders:
@@ -762,7 +801,7 @@ def test_entry_refuses_a_bad_provider_prefix(den, nums, witnesses, message):
 
 def test_zero_entries_carry_the_empty_witnesses():
     parts = (Ellipsoid(F(2), F(3)), Ball(F(3, 2)), square())
-    empty = [{"m": 0, "n": 0}, {"d": 0}, LatticePath.empty()]
+    empty = [{"m": 0, "n": 0}, {"d": 0}, LatticePath(())]
     for domain, witness in zip(parts, empty):
         assert spectrum_for(domain).entry(0) == (0, witness)
     union = spectrum_for(DisjointUnion(parts))

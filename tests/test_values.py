@@ -218,12 +218,12 @@ def test_the_checks_accept_what_they_should():
     assert Approximant("below", 1, 0).n == 0 and Approximant("above", 0, 1).m == 0
     assert GapReport(F(1), None, None).is_infinite and not GapReport(F(1), F(0), 0).is_infinite
     assert OrbitSet((), ()).orbits == ()
-    assert LatticePath(()).is_empty and LatticePath(()) == LatticePath.empty()
+    assert LatticePath(()).edges == () and LatticePath(()) == LatticePath.from_edges([])
 
 
 def test_orbit_record_methods_still_read_the_cover_callable():
     record = OrbitRecord("g", 1, -1, lambda j: 2 * j + 1, 3)
-    assert record.cz(2) == 5 and record.cz_sum(1, 3) == 15
+    assert record.cz_sum(2, 2) == 5 and record.cz_sum(1, 3) == 15
     with pytest.raises(MissingCoverError, match="^orbit 'g' has no index data for cover 4$"):
         OrbitRecord("g", 1, -1, {1: 1, 2: 3, 3: 5}.__getitem__, 3).cz_sum(1, 4)
 
