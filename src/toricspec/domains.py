@@ -169,12 +169,20 @@ def omega_length(profile: ToricProfile, path: LatticePath) -> Fraction:
 
 
 def norm_floor(profile: ToricProfile) -> Fraction:
-    """Positive rho with ||v|| >= rho * (|v1| + |v2|) for every covector v.
+    """The largest rho with ||v|| >= rho * (|v1| + |v2|) for every covector v.
 
-    The dual norm ||v|| dominates max(a |v1|, b |v2|) with a, b the intercepts, and
-    max(s, t) >= (s + t) / 2, so min(a, b) / 2 works.
+    By symmetry and scaling the best rho is the minimum over t in [0, 1] of
+    max over the region of t x + (1 - t) y. The region is convex and compact
+    and the form is linear in t, so by the minimax theorem this equals the
+    maximum over the region of min(x, y): the point (s, s) where the profile
+    crosses the diagonal. That crossing lies on the first edge (x0, y0) ->
+    (x1, y1) with y1 <= x1, as the profile starts above the diagonal at
+    (0, b); it is never below the older bound min(a, b) / 2.
     """
-    return min(profile.x_intercept, profile.y_intercept) / 2
+    verts = profile.vertices
+    i = next(i for i, (x, y) in enumerate(verts) if y <= x)
+    (x0, y0), (x1, y1) = verts[i - 1], verts[i]
+    return (x0 * (y1 - y0) - y0 * (x1 - x0)) / ((y1 - y0) - (x1 - x0))
 
 
 def profile_area(profile: ToricProfile) -> Fraction:

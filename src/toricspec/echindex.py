@@ -65,9 +65,9 @@ class OrbitRecord(_Frozen):
 
     cz_of_cover maps the cover degree j >= 1 to the Conley-Zehnder index
     of the j-th iterate; cz_sum calls it lazily for j up to the
-    multiplicity, and refuses a cover degree below 1. self_linking and
-    chern are the writhe-type and relative first Chern numbers in the same
-    trivialization.
+    multiplicity, and refuses bounds that are not ints and a cover degree
+    below 1. self_linking and chern are the writhe-type and relative first
+    Chern numbers in the same trivialization.
     """
 
     __slots__ = _fields = ("label", "chern", "self_linking", "cz_of_cover", "multiplicity")
@@ -83,6 +83,7 @@ class OrbitRecord(_Frozen):
 
     def cz_sum(self, first: int, last: int) -> int:
         """Sum of cz_of_cover(j) over covers j = first..last, each called once, in order."""
+        _plain_ints((first, last), "cover degrees")
         if first < 1:
             raise ValidationError(f"cover degree must be >= 1, got {_shown(first, str)}")
         cover, total = self.cz_of_cover, 0
@@ -170,7 +171,12 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
 
 
 def _array_cover(values: list[int]) -> Callable[[int], int]:
-    return lambda j: values[j - 1]  # j >= 1: OrbitRecord.cz_sum checks the degree
+    """Entry j - 1 for the j-th cover; IndexError below 1, as past the end."""
+    def cover(j: int) -> int:
+        if j < 1:
+            raise IndexError(f"cover degree {j} is below 1")
+        return values[j - 1]
+    return cover
 
 
 def orbit_set_from_jsonable(obj: object) -> OrbitSet:

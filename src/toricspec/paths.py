@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import accumulate
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -52,10 +53,10 @@ class LatticePath(_Frozen):
         for (dx, dy), mult in edges:
             if not (type(dx) is type(dy) is type(mult) is int):
                 _plain_ints((dx, dy, mult), "edge data")
-            if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
-                raise ValidationError(
-                    f"direction {_shown((dx, dy), str)} must point weakly right and down")
-            if gcd(dx, -dy) != 1:
+            if dx < 0 or dy > 0 or gcd(dx, dy) != 1:  # gcd(0, 0) == 0 takes the zero vector
+                if dx < 0 or dy > 0 or not (dx or dy):
+                    raise ValidationError(
+                        f"direction {_shown((dx, dy), str)} must point weakly right and down")
                 raise ValidationError(f"direction {_shown((dx, dy), str)} is not primitive")
             if mult < 1:
                 raise ValidationError("multiplicities must be positive")
@@ -179,11 +180,15 @@ def _scan_paths(
     direction's index and the (length, abscissa, count) before it. A path
     first extends by the next direction that fits its budget, then its last
     edge gains a unit, then that edge leaves and its parent tries the next
-    direction: slopes decrease, then multiplicities go up.
+    direction: slopes decrease, then multiplicities go up. `least[j]` is the
+    cheapest cost among directions j.. (bound + 1 past the last), so a dead
+    end, where none of them fits the room left, is found in one comparison
+    rather than a walk over the rest of the table.
     """
     table = [(w, q, (p + 1) * (q + 1) // 2, p, (p, -q)) for p, q, w in dirs]
     costs = [w for _p, _q, w in dirs]
     n = len(table)
+    least = [*accumulate(reversed(costs), min, initial=bound + 1)][::-1]
     frames: list[tuple[int, int, int, int]] = []
     j, ln, a, count = 0, 0, 0, 1
     yield ln, count
@@ -191,8 +196,11 @@ def _scan_paths(
         bound = ln
     while True:
         room = bound - ln
-        while j < n and costs[j] > room:
-            j += 1
+        if least[j] > room:  # a dead end: no direction from j on fits
+            j = n
+        else:  # some direction fits, so the skip stops before n
+            while costs[j] > room:
+                j += 1
         if j < n:  # a new last edge: one unit of direction j
             frames.append((j, ln, a, count))
             w, q, half, p, d = table[j]

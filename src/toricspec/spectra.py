@@ -163,11 +163,16 @@ def _scan_table(profile: ToricProfile, bound: int) -> list[tuple[int, int, int]]
     """Directions (p, q, unit cost) in slope order for an inclusive path scan
     at the scaled budget `bound`. Costs are integers over the vertex
     denominator; (p, -q) costs at least max(q A, p B) for the scaled
-    intercepts A, B, which bounds q and p."""
+    intercepts A, B, which bounds q and p, and each p stops at its first
+    primitive q whose cost is past the bound."""
     verts, _den = profile.scaled_vertices
-    # gcd(0, 0) == 0 drops the zero vector too
-    dirs = [(p, q, w) for p in range(bound // verts[0][1] + 1) for q in range(bound // verts[-1][0] + 1)
-            if gcd(p, q) == 1 and (w := _edge_cost(verts, p, -q)) <= bound]
+    dirs = []
+    for p in range(bound // verts[0][1] + 1):
+        for q in range(bound // verts[-1][0] + 1):
+            if gcd(p, q) == 1:  # gcd(0, 0) == 0 drops the zero vector too
+                if (w := _edge_cost(verts, p, -q)) > bound:
+                    break  # the cost does not fall as q grows, so no later q fits
+                dirs.append((p, q, w))
     dirs.sort(key=_slope_key)
     return dirs
 

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toricspec import (
     Ball,
@@ -23,7 +23,7 @@ from toricspec import (
     triangle_profile,
     validate_profile,
 )
-from test_paths import dual_norm, random_path, square
+from test_paths import convex_profiles, dual_norm, random_path, square
 
 F = Fraction
 
@@ -131,9 +131,27 @@ class TestDualNorm:
         assert dual_norm(s, (F(1), F(0))) == 1
 
     def test_norm_floor_values(self):
-        assert norm_floor(triangle_profile(F(2), F(3))) == 1
-        assert norm_floor(square()) == F(1, 2)
+        # where each profile crosses the diagonal
+        assert norm_floor(triangle_profile(F(2), F(3))) == F(6, 5)
+        assert norm_floor(square()) == 1
+        assert norm_floor(validate_profile([(0, 2), (1, F(7, 4)), (2, 1), (F(5, 2), 0)])) == F(10, 7)
         assert norm_floor(triangle_profile(F(4), F(4))) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(prof=convex_profiles())
+    @example(prof=validate_profile([(0, 1), (2, 1), (3, 0)]))  # a horizontal first edge
+    @example(prof=validate_profile([(0, 3), (1, 1), (1, 0)]))  # a vertical last edge
+    @example(prof=triangle_profile(F(1, 2), F(7)))
+    def test_norm_floor_is_the_least_ratio_over_the_breakpoints(self, prof):
+        # on the segment from (1, 0) to (0, 1), where |v1| + |v2| is 1, the dual norm
+        # is a maximum of linear forms: convex and piecewise linear, so its least
+        # value is at an end or at a kink, the normal (-dy, dx) of a profile edge
+        # (dx, dy); the ratio does not change along a ray, and its minimum is the best rho
+        verts = prof.vertices
+        normals = [(y0 - y1, x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])]
+        least = min(dual_norm(prof, v) / (v[0] + v[1]) for v in [(F(1), F(0)), (F(0), F(1)), *normals])
+        assert norm_floor(prof) == least
+        assert norm_floor(prof) >= min(prof.x_intercept, prof.y_intercept) / 2
 
     def test_norm_axioms_on_random_vectors(self, rng):
         profiles = [

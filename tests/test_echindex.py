@@ -168,6 +168,25 @@ class TestOrbitSets:
             with pytest.raises(ValidationError, match=_whole(f"cover degree must be >= 1, got {first}")):
                 orbit.cz_sum(first, last)
 
+    @pytest.mark.parametrize("first, last, shown", [
+        (1.5, 2, "float 1.5"), (F(1), 2, "Fraction Fraction(1, 1)"), (True, 2, "bool True"),
+        (1, 2.0, "float 2.0"), (1, False, "bool False"),
+    ], ids=["float-first", "fraction-first", "bool-first", "float-last", "bool-last"])
+    def test_cz_sum_refuses_bounds_that_are_not_ints(self, first, last, shown):
+        orbit = ellipsoid_orbit_set(F(3, 2), F(1), 2, 3).orbits[0]
+        with pytest.raises(ValidationError, match=_whole(f"cover degrees must be ints, got {shown}")):
+            orbit.cz_sum(first, last)
+
+    @pytest.mark.parametrize("j", [0, -1, -2, 3])
+    def test_a_cz_array_has_no_cover_below_one_or_past_its_end(self, j):
+        # j <= 0 would read the array from its tail, as a negative index does
+        read = orbit_set_from_jsonable({"orbits": [{"label": "g", "chern": 1, "self_linking": -1,
+                                                    "multiplicity": 2, "cz": [1, 3]}],
+                                        "linking": [[0]]}).orbits[0]
+        assert [read.cz_of_cover(1), read.cz_of_cover(2)] == [1, 3]
+        with pytest.raises(IndexError):
+            read.cz_of_cover(j)
+
     def test_each_cover_is_called_once_in_order(self):
         calls = []
 

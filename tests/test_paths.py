@@ -91,6 +91,24 @@ class TestCanonicalForm:
         with pytest.raises(ValidationError, match=match):
             LatticePath(edges)
 
+    @pytest.mark.parametrize("edges, message", [
+        ((((0, 0), 1),), "direction (0, 0) must point weakly right and down"),
+        ((((-1, -1), 1),), "direction (-1, -1) must point weakly right and down"),
+        ((((1, 1), 1),), "direction (1, 1) must point weakly right and down"),
+        ((((2, -4), 1),), "direction (2, -4) is not primitive"),
+        ((((0, -2), 1),), "direction (0, -2) is not primitive"),
+        ((((3, 0), 1),), "direction (3, 0) is not primitive"),
+        ((((1, 0), True),), "edge data must be ints, got bool True"),
+        ((((1, -1), 0),), "multiplicities must be positive"),
+        ((((0, -1), 1), ((1, 0), 1)),
+         "edge slopes must strictly decrease; use from_edges to canonicalize"),
+    ], ids=["zero", "left-down", "right-up", "multiple", "vertical-multiple",
+            "horizontal-multiple", "bool", "zero-mult", "slope-order"])
+    def test_constructor_messages_are_pinned(self, edges, message):
+        with pytest.raises(ValidationError) as exc:
+            LatticePath(edges)
+        assert str(exc.value) == message
+
     def test_vertices(self):
         p = LatticePath.from_edges([((1, 0), 2), ((1, -1), 1), ((0, -1), 2)])
         assert p.vertices() == [(0, 3), (2, 3), (3, 2), (3, 0)]
@@ -201,10 +219,11 @@ class TestEnumeration:
     @example(prof=square(), budget_ratio=Fraction(2), inclusive=True)
     def test_stream_matches_naive_enumeration(self, prof, budget_ratio, inclusive):
         # the naive stream tries every primitive direction with p + q at most
-        # budget / norm_floor and stops only at the budget
+        # budget / (min(a, b) / 2), a looser reach than norm_floor's, and stops
+        # only at the budget: a norm_floor too large drops a direction it keeps
         omega = lambda p: omega_length(prof, p)
         bound = budget_ratio * min(prof.x_intercept, prof.y_intercept)
-        reach = int(bound / norm_floor(prof))
+        reach = int(bound / (min(prof.x_intercept, prof.y_intercept) / 2))
         dirs = [(p, -q) for p in range(reach + 1) for q in range(reach + 1 - p)
                 if (p or q) and gcd(p, q) == 1]
         got = list(enumerate_paths(bound, norm_floor(prof), omega, inclusive=inclusive))
@@ -454,6 +473,27 @@ def test_profile_table_matches_the_generic_table(prof, budget_ratio, inclusive):
         [(Fraction(ln, den), count) for ln, count in _scan_paths(dirs, bound, [])]
 
 
+def _rectangle_scan_table(prof, bound):
+    # every primitive (p, q) in the intercepts' rectangle, each cost compared with the bound
+    verts, _den = prof.scaled_vertices
+    dirs = [(p, q, w) for p in range(bound // verts[0][1] + 1) for q in range(bound // verts[-1][0] + 1)
+            if gcd(p, q) == 1 and (w := max(q * x + p * y for x, y in verts)) <= bound]
+    dirs.sort(key=lambda d: _direction_key(d[0], -d[1]))
+    return dirs
+
+
+@settings(max_examples=80, deadline=None)
+@given(prof=convex_profiles(), data=st.data())
+def test_profile_table_stopping_at_the_budget_matches_the_full_rectangle(prof, data):
+    # budgets from below the cheapest unit, where the table is empty, to a few
+    # intercepts; the vertical direction (0, 1) is the only one with p = 0
+    verts, _den = prof.scaled_vertices
+    bound = data.draw(st.integers(0, 6 * max(verts[0][1], verts[-1][0])))
+    table = _scan_table(prof, bound)
+    assert table == _rectangle_scan_table(prof, bound)
+    assert ((0, 1, verts[-1][0]) in table) == (verts[-1][0] <= bound)
+
+
 @pytest.mark.parametrize("unit, message", [
     (1.5, "unit edge length must be exact; floats are rejected: 1.5"),
     (None, "unit edge length must be rational: None"),
@@ -550,7 +590,7 @@ def test_the_ci_profiles_horizontal_unit_is_on_the_inclusive_edge():
     omega = lambda p: omega_length(prof, p)
     rho = norm_floor(prof)
     unit = LatticePath((((1, 0), 1),))
-    assert rho == 1 and omega(unit) == 2
+    assert rho == Fraction(10, 7) and omega(unit) == 2
     assert list(enumerate_paths(Fraction(2), rho, omega)) == [LatticePath(())]
     assert list(enumerate_paths(Fraction(2), rho, omega, inclusive=True)) == \
         [LatticePath(()), unit]
