@@ -50,15 +50,13 @@ def _int_arg(text: str) -> int:
 
 
 def _list_arg(parse: Callable[[str], object]) -> Callable[[str], list]:
-    """Argument type for a nonempty comma-separated list of values read by `parse`."""
+    """Argument type for a nonempty comma-separated list, each item read by `parse`,
+    the argument type of the single-value flag of its kind, with that flag's message."""
     def convert(text: str) -> list:
         parts = text.split(",")
         if not all(part.strip() for part in parts):
             raise argparse.ArgumentTypeError(f"empty list item: {_shown(text)}")
-        try:
-            return [parse(part) for part in parts]
-        except (ValidationError, ValueError) as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return [parse(part) for part in parts]
     return convert
 
 
@@ -110,14 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl", help="growth diagnostics c_k^2 / k against twice the volume")
     _add_domain_flags(p)
-    p.add_argument("--k", type=_list_arg(int), required=True, dest="ks",
+    p.add_argument("--k", type=_list_arg(_int_arg), required=True, dest="ks",
                    metavar="K1,K2,...")
     p.add_argument("--volume", type=_rat_arg, default=None)
     _add_output_flags(p)
 
     p = sub.add_parser("gap-asymptotics", help="cutoff * gap over a cutoff grid")
     _add_domain_flags(p)
-    p.add_argument("--L-grid", type=_list_arg(parse_rat), required=True, dest="grid",
+    p.add_argument("--L-grid", type=_list_arg(_rat_arg), required=True, dest="grid",
                    metavar="L1,L2,...")
     _add_output_flags(p)
 

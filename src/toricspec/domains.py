@@ -123,19 +123,17 @@ Domain = Union[Ellipsoid, Ball, ToricProfile, DisjointUnion]
 def validate_profile(vertices) -> ToricProfile:
     """Normalize and validate a raw vertex list.
 
-    Coordinates are coerced to Fractions, collinear interior vertices are
-    merged silently, and the chain conditions (start on the positive
-    y-axis, end on the positive x-axis, interior vertices strictly inside
-    the quadrant, slopes strictly decreasing) are enforced.
+    Coordinates are coerced to Fractions, repeated and collinear interior
+    vertices are merged silently, and ToricProfile checks the chain (two
+    vertices or more, start on the positive y-axis, end on the positive
+    x-axis, interior vertices strictly inside, slopes strictly decreasing).
     """
     try:
         pts = [(_exact_rat(x, "profile vertex"), _exact_rat(y, "profile vertex"))
                for x, y in vertices]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"profile vertices must be rational pairs: {_shown(vertices)}") from exc
-    if len(pts) < 2:
-        raise ValidationError("profile needs at least two vertices")
-    merged = [pts[0]]
+    merged = pts[:1]
     for p in pts[1:]:
         if p == merged[-1]:
             continue

@@ -67,13 +67,14 @@ class OrbitRecord(_Frozen):
     of the j-th iterate; cz_sum calls it lazily for j up to the
     multiplicity, and refuses bounds that are not ints and a cover degree
     below 1. self_linking and chern are the writhe-type and relative first
-    Chern numbers in the same trivialization.
+    Chern numbers in the same trivialization; both must be ints, bools refused.
     """
 
     __slots__ = _fields = ("label", "chern", "self_linking", "cz_of_cover", "multiplicity")
 
     def __init__(self, label: str, chern: int, self_linking: int,
                  cz_of_cover: Callable[[int], int], multiplicity: int) -> None:
+        _plain_ints((chern, self_linking), f"orbit {_shown(label)}: chern and self_linking")
         _exact_int(multiplicity, "orbit multiplicity", least=1)
         self._set("label", label)
         self._set("chern", chern)
@@ -101,7 +102,7 @@ class OrbitRecord(_Frozen):
 
 
 class OrbitSet(_Frozen):
-    """Orbits plus a symmetric pairwise linking matrix (diagonal ignored)."""
+    """Orbits plus a symmetric linking matrix, a tuple of int tuples (diagonal ignored)."""
 
     __slots__ = _fields = ("orbits", "linking")
 
@@ -110,6 +111,11 @@ class OrbitSet(_Frozen):
         labels = [o.label for o in orbits]
         if len(set(labels)) != n:
             raise ValidationError("orbit labels must be distinct")
+        for row in linking:
+            if type(row) is not tuple:
+                raise ValidationError(f"linking rows must be tuples, got {type(row).__name__} "
+                                      f"{_shown(row)}")
+            _plain_ints(row, "linking entries")
         if len(linking) != n or any(len(row) != n for row in linking):
             raise ValidationError("linking matrix shape must match the orbit count")
         for i in range(n):
@@ -184,8 +190,10 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
 
     Each orbit carries label, chern, self_linking, multiplicity, and an
     explicit cz array (entry j - 1 is the index of the j-th iterate);
-    linking is a full symmetric matrix in orbit order. A cz array shorter
-    than the multiplicity surfaces as MissingCoverError on evaluation.
+    linking is a full symmetric matrix in orbit order. Only the structure and
+    the cz array are checked here: OrbitRecord and OrbitSet check the other
+    integers. A cz array shorter than the multiplicity surfaces as
+    MissingCoverError on evaluation.
     """
     if not isinstance(obj, dict) or "orbits" not in obj or "linking" not in obj:
         raise ValidationError("orbit JSON must be an object with 'orbits' and 'linking'")
@@ -194,18 +202,15 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
     orbits = []
     for item in obj["orbits"]:
         try:
-            label = item["label"]
+            label = str(item["label"])
             chern = item["chern"]
             self_linking = item["self_linking"]
             multiplicity = item["multiplicity"]
             cz = list(item["cz"])
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"bad orbit record: {_shown(item)}") from exc
-        _plain_ints((chern, self_linking, multiplicity),
-                    f"orbit {_shown(label)}: chern, self_linking, multiplicity")
         _plain_ints(cz, f"orbit {_shown(label)}: cz array")
-        orbits.append(OrbitRecord(str(label), chern, self_linking,
-                                  _array_cover(cz), multiplicity))
+        orbits.append(OrbitRecord(label, chern, self_linking, _array_cover(cz), multiplicity))
     linking_raw = obj["linking"]
     if not isinstance(linking_raw, list):
         raise ValidationError("'linking' must be a matrix (list of lists)")
@@ -213,7 +218,6 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
     for row in linking_raw:
         if not isinstance(row, list):
             raise ValidationError("'linking' rows must be integer lists")
-        _plain_ints(row, "'linking' rows")
         linking.append(tuple(row))
     return OrbitSet(tuple(orbits), tuple(linking))
 

@@ -186,12 +186,10 @@ def to_string(x: Fraction) -> str:
     return str(x)
 
 
-def approx_string(x: Fraction, digits: int = APPROX_DIGITS) -> str:
-    """Decimal rendering rounded to `digits` significant digits.
+def approx_string(x: Fraction) -> str:
+    """Decimal rendering rounded to APPROX_DIGITS significant digits.
 
     Always computed from the exact value, never from a prior approximation.
     """
-    if digits < 1:
-        raise ValidationError("digits must be positive")
     # a context of its own: the caller's thread-wide decimal context plays no part
-    return str(Context(prec=digits).divide(x.numerator, x.denominator))
+    return str(Context(prec=APPROX_DIGITS).divide(x.numerator, x.denominator))

@@ -361,6 +361,24 @@ class TestIndexCommand:
         code, _, err = run(capsys, "index", "--a", "2", "--b", "3")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["index", "--a", "1"], "index needs --a and --b unless --orbit-file is given"),
+        (["index", "--orbit-file", "chern.json"],
+         "orbit 'g1': chern and self_linking must be ints, got float 1.5"),
+        (["index", "--orbit-file", "row.json"], "'linking' rows must be integer lists"),
+        (["index", "--orbit-file", "entry.json"], "linking entries must be ints, got bool True"),
+    ], ids=["no-b", "float-chern", "int-row", "bool-entry"])
+    def test_refusals_are_pinned(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        record = {"label": "g1", "chern": 1, "self_linking": -1, "multiplicity": 1, "cz": [1]}
+        files = {"chern.json": {"orbits": [{**record, "chern": 1.5}], "linking": [[0]]},
+                 "row.json": {"orbits": [record], "linking": [5]},
+                 "entry.json": {"orbits": [record, {**record, "label": "g2"}],
+                                "linking": [[0, True], [True, 0]]}}
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
 
 class TestUnionCommand:
     def write_union(self, tmp_path):
@@ -563,6 +581,29 @@ class TestParsingAndIo:
         assert (code, out) == (2, "")
         assert err.splitlines()[0].startswith("usage:") and err.splitlines()[-1] == line
 
+    @pytest.mark.parametrize("argv, line", [
+        (["weyl", "--ball", "1", "--k", "1,x"],
+         "toricspec weyl: error: argument --k: invalid int value: 'x'"),
+        (["weyl", "--ball", "1", "--k", "1," + "x" * 300],
+         "toricspec weyl: error: argument --k: invalid int value: "
+         "'xxxxxxxxxxxxxxxxxxxxxxxx'... (300 characters)"),
+        (["weyl", "--ball", "1", "--k", "1," + "1" * 5000],
+         "toricspec weyl: error: argument --k: invalid int value: "
+         "'111111111111111111111111'... (5000 characters)"),
+        (["gap-asymptotics", "--ball", "1", "--L-grid", "1,x/y"],
+         "toricspec gap-asymptotics: error: argument --L-grid: not a rational literal: 'x/y'"),
+    ], ids=["k", "long-k", "digits-k", "L-grid"])
+    def test_a_list_item_is_read_like_its_single_value_flag(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0].startswith("usage:") and err.splitlines()[-1] == line
+        # the same item given to the single-value flag of its kind gets the same message
+        item = argv[-1].split(",")[1]
+        single = ["spectrum", "--ball", "1", "--k-max", item] if argv[0] == "weyl" else \
+            ["gap", "--ball", "1", "--L", item]
+        _, _, single_err = run(capsys, *single)
+        assert single_err.splitlines()[-1].split(": ", 3)[-1] == line.split(": ", 3)[-1]
+
     def test_output_to_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
         code, out, _ = run(capsys, "spectrum", "--ball", "1", "--k-max", "2",
@@ -641,6 +682,30 @@ class TestRowCache:
         entry = next(cache_dir.glob("*.json"))
         entry.write_text('{"key": 1' + "0" * 5000 + "}")
         assert run(capsys, *args) == first
+
+    def test_an_entry_holding_another_requests_key_is_a_miss_and_rewritten(
+            self, capsys, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("TORICSPEC_CACHE_DIR", str(cache_dir))
+        other = run(capsys, "spectrum", "--ball", "1", "--k-max", "4")
+        (other_entry,) = cache_dir.glob("*.json")
+        args = ("spectrum", "--ball", "1", "--k-max", "5")
+        first = run(capsys, *args)
+        (entry,) = set(cache_dir.glob("*.json")) - {other_entry}
+        entry.write_text(other_entry.read_text())
+        assert run(capsys, *args) == first != other
+        assert json.loads(entry.read_text())["key"]["k_max"] == 5
+
+    def test_a_cache_path_that_is_a_file_still_delivers_the_rows(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        args = ("spectrum", "--ball", "1", "--k-max", "4")
+        monkeypatch.delenv("TORICSPEC_CACHE_DIR", raising=False)
+        uncached = run(capsys, *args)
+        blocker = tmp_path / "cache"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("TORICSPEC_CACHE_DIR", str(blocker))
+        assert run(capsys, *args) == uncached and uncached[0] == 0
+        assert blocker.read_text() == "not a directory"
 
     def test_distinct_requests_get_distinct_entries(self, capsys, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"

@@ -61,6 +61,11 @@ class TestValidateProfile:
         with pytest.raises(ValidationError):
             validate_profile(verts)
 
+    @pytest.mark.parametrize("verts", [[], [(0, 1)], [(0, 1), (0, 1)]])
+    def test_too_few_vertices_are_refused_by_the_profile(self, verts):
+        with pytest.raises(ValidationError, match="^profile needs at least two vertices$"):
+            validate_profile(verts)
+
     def test_rejects_floats(self):
         with pytest.raises(ValidationError):
             validate_profile([(0.5, 1), (1, 0)])
@@ -211,6 +216,8 @@ class TestVolumesAndScaling:
         assert u == DisjointUnion((Ball(F(2)), Ball(F(4))))
         with pytest.raises(ValidationError):
             scale_domain(Ball(F(1)), F(0))
+        with pytest.raises(ValidationError, match=r"^not a domain: '<object object at "):
+            scale_domain(object(), 2)
 
     def test_volume_scales_quadratically(self):
         for dom in (Ellipsoid(F(2), F(3)), square(),

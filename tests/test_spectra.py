@@ -370,6 +370,15 @@ class TestSpectrumProviders:
         with pytest.raises(ValidationError):
             spectrum_for("nope")
 
+    @pytest.mark.parametrize("provider, domain, message", [
+        (EllipsoidSpectrum, Ball(F(1)), "EllipsoidSpectrum needs an Ellipsoid"),
+        (BallSpectrum, Ellipsoid(F(1), F(1)), "BallSpectrum needs a Ball"),
+        (ToricSpectrum, Ellipsoid(F(1), F(2)), "ToricSpectrum needs a ToricProfile"),
+    ], ids=["ellipsoid", "ball", "toric"])
+    def test_each_provider_refuses_another_domain_kind(self, provider, domain, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            provider(domain)
+
     def test_prefix_caching_is_stable(self):
         spec = EllipsoidSpectrum(Ellipsoid(F(2), F(3)))
         tail = spec.values(10)

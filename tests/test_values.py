@@ -204,6 +204,25 @@ _REFUSED = [
     (lambda: OrbitSet((RECORD,), ((0, 1),)), "linking matrix shape must match the orbit count"),
     (lambda: OrbitSet((RECORD, OrbitRecord("h", 1, -1, abs, 1)), ((0, 1), (2, 0))),
      "linking matrix must be symmetric"),
+    (lambda: LatticePath.from_edges([((1, 0), -1)]), "multiplicities must be nonnegative"),
+    # the orbit classes check their own integers: a float Chern number gave index 5.0, a
+    # bool linking entry counted as 1, and an int row raised a bare TypeError
+    (lambda: OrbitRecord("g", 2.5, -1, abs, 1),
+     "orbit 'g': chern and self_linking must be ints, got float 2.5"),
+    (lambda: OrbitRecord("g", F(1, 2), -1, abs, 1),
+     "orbit 'g': chern and self_linking must be ints, got Fraction Fraction(1, 2)"),
+    (lambda: OrbitRecord("g", True, -1, abs, 1),
+     "orbit 'g': chern and self_linking must be ints, got bool True"),
+    (lambda: OrbitRecord("g", 1, 2.5, abs, 1),
+     "orbit 'g': chern and self_linking must be ints, got float 2.5"),
+    (lambda: OrbitRecord("g", 1, F(1, 2), abs, 1),
+     "orbit 'g': chern and self_linking must be ints, got Fraction Fraction(1, 2)"),
+    (lambda: OrbitRecord("g", 1, True, abs, 1),
+     "orbit 'g': chern and self_linking must be ints, got bool True"),
+    (lambda: OrbitSet((RECORD, OrbitRecord("h", 1, -1, abs, 1)), ((0, True), (True, 0))),
+     "linking entries must be ints, got bool True"),
+    (lambda: OrbitSet((RECORD,), ((0.5,),)), "linking entries must be ints, got float 0.5"),
+    (lambda: OrbitSet((RECORD,), (5,)), "linking rows must be tuples, got int 5"),
 ]
 
 
