@@ -66,14 +66,18 @@ class OrbitRecord(_Frozen):
     cz_of_cover maps the cover degree j >= 1 to the Conley-Zehnder index
     of the j-th iterate; cz_sum calls it lazily for j up to the
     multiplicity, and refuses bounds that are not ints and a cover degree
-    below 1. self_linking and chern are the writhe-type and relative first
-    Chern numbers in the same trivialization; both must be ints, bools refused.
+    below 1. The label must be a str. self_linking and chern are the
+    writhe-type and relative first Chern numbers in the same trivialization;
+    both must be ints, bools refused.
     """
 
     __slots__ = _fields = ("label", "chern", "self_linking", "cz_of_cover", "multiplicity")
 
     def __init__(self, label: str, chern: int, self_linking: int,
                  cz_of_cover: Callable[[int], int], multiplicity: int) -> None:
+        if type(label) is not str:
+            raise ValidationError(f"orbit labels must be strings, got {type(label).__name__} "
+                                  f"{_shown(label)}")
         _plain_ints((chern, self_linking), f"orbit {_shown(label)}: chern and self_linking")
         _exact_int(multiplicity, "orbit multiplicity", least=1)
         self._set("label", label)
@@ -102,11 +106,15 @@ class OrbitRecord(_Frozen):
 
 
 class OrbitSet(_Frozen):
-    """Orbits plus a symmetric linking matrix, a tuple of int tuples (diagonal ignored)."""
+    """A tuple of orbits plus a symmetric linking matrix, a tuple of int tuples (diagonal ignored)."""
 
     __slots__ = _fields = ("orbits", "linking")
 
     def __init__(self, orbits: tuple[OrbitRecord, ...], linking: tuple[tuple[int, ...], ...]) -> None:
+        for name, container in (("orbits", orbits), ("linking", linking)):
+            if type(container) is not tuple:  # a list would leave the set unhashable
+                raise ValidationError(f"{name} must be a tuple, got {type(container).__name__} "
+                                      f"{_shown(container)}")
         n = len(orbits)
         labels = [o.label for o in orbits]
         if len(set(labels)) != n:
@@ -191,9 +199,9 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
     Each orbit carries label, chern, self_linking, multiplicity, and an
     explicit cz array (entry j - 1 is the index of the j-th iterate);
     linking is a full symmetric matrix in orbit order. Only the structure and
-    the cz array are checked here: OrbitRecord and OrbitSet check the other
-    integers. A cz array shorter than the multiplicity surfaces as
-    MissingCoverError on evaluation.
+    the cz array are checked here: OrbitRecord and OrbitSet check the label,
+    which must be a JSON string, and the other integers. A cz array shorter
+    than the multiplicity surfaces as MissingCoverError on evaluation.
     """
     if not isinstance(obj, dict) or "orbits" not in obj or "linking" not in obj:
         raise ValidationError("orbit JSON must be an object with 'orbits' and 'linking'")
@@ -202,15 +210,15 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
     orbits = []
     for item in obj["orbits"]:
         try:
-            label = str(item["label"])
+            label = item["label"]
             chern = item["chern"]
             self_linking = item["self_linking"]
             multiplicity = item["multiplicity"]
             cz = list(item["cz"])
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"bad orbit record: {_shown(item)}") from exc
-        _plain_ints(cz, f"orbit {_shown(label)}: cz array")
         orbits.append(OrbitRecord(label, chern, self_linking, _array_cover(cz), multiplicity))
+        _plain_ints(cz, f"orbit {_shown(label)}: cz array")
     linking_raw = obj["linking"]
     if not isinstance(linking_raw, list):
         raise ValidationError("'linking' must be a matrix (list of lists)")

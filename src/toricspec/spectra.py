@@ -9,8 +9,10 @@ it and stores those integers, and values become Fractions only on request.
 One integer core on the scaled axes A, B answers every ellipsoid question:
 one floor sum counts entries, its inversion (a bisection between the count's
 area bounds, O(log(A + B)) floor sums) gives single values and the level that
-bounds a sweep, and a sweep sorts the pairs under that level. A ball is
-E(a, a) on that core, with the closed form ball_capacity as its second route.
+bounds a sweep, and a sweep sorts the pairs (m, n) under that level as one list
+of int keys v M + m, v = A m + B n the action and M past every m; each key
+gives back v and m, and n = (v - A m) / B. A ball is E(a, a) on that core, its
+witness d = v / A, with the closed form ball_capacity as its second route.
 Profiles have two routes as well (one path scan per sweep in ToricSpectrum,
 its budget falling to c_{k_max}, and the fixed-budget per-k scan
 toric_capacity_detail); tests hold each pair to exact agreement.
@@ -297,8 +299,9 @@ class EllipsoidSpectrum(Spectrum):
         self._ellipsoid = ellipsoid
         self._an, self._bn, self._d = _scaled(ellipsoid.a, ellipsoid.b)
 
-    def _witness(self, m: int, n: int) -> object:
-        return {"m": m, "n": n}
+    def _witnesses(self, nums: list[int], ms: list[int]) -> list[object]:
+        an, bn = self._an, self._bn
+        return [{"m": m, "n": (v - an * m) // bn} for v, m in zip(nums, ms)]
 
     def value(self, k: int) -> Fraction:
         """c_k by counting inversion, in O(log) floor sums; the store is neither read nor grown."""
@@ -309,16 +312,23 @@ class EllipsoidSpectrum(Spectrum):
 
     def _extend(self, k_max: int) -> tuple[int, list[int], list[object]]:
         # Every pair (m, n) of integer action v = an m + bn n <= the level of
-        # c_{k_max}, sorted by (v, m, n). The level only bounds the listing:
-        # too low a level leaves fewer than k_max + 1 pairs, which is refused.
-        an, bn, d, witness = self._an, self._bn, self._d, self._witness
+        # c_{k_max}, as the one int key v M + m with M past every m, so the keys
+        # sort in (v, m, n) order and n follows from v and m. The level only
+        # bounds the listing: too low a level leaves fewer than k_max + 1 pairs,
+        # which is refused.
+        an, bn, d = self._an, self._bn, self._d
         level = _nk_scaled(an, bn, k_max)
-        pairs = sorted([(an * m + bn * n, m, n) for m in range(level // an + 1)
-                        for n in range((level - an * m) // bn + 1)])
-        if len(pairs) <= k_max:
-            raise AssertionError(f"level {Fraction(level, d)} holds only {len(pairs)} pairs, k={k_max}")
-        del pairs[k_max + 1:]
-        return d, [v for v, _m, _n in pairs], [witness(m, n) for _v, m, n in pairs]
+        radix = level // an + 1
+        top, step = level * radix + 1, bn * radix
+        keys: list[int] = []
+        for m in range(radix):
+            keys.extend(range(an * m * radix + m, top + m, step))
+        if len(keys) <= k_max:
+            raise AssertionError(f"level {Fraction(level, d)} holds only {len(keys)} pairs, k={k_max}")
+        keys.sort()
+        del keys[k_max + 1:]
+        nums = [key // radix for key in keys]
+        return d, nums, self._witnesses(nums, [key % radix for key in keys])
 
     def domain(self) -> Domain:
         return self._ellipsoid
@@ -340,8 +350,9 @@ class BallSpectrum(EllipsoidSpectrum):
         self._ball = ball
         super().__init__(Ellipsoid(ball.a, ball.a))
 
-    def _witness(self, m: int, n: int) -> object:
-        return {"d": m + n}
+    def _witnesses(self, nums: list[int], ms: list[int]) -> list[object]:
+        an = self._an  # on E(a, a) the action is an d
+        return [{"d": v // an} for v in nums]
 
     def domain(self) -> Domain:
         return self._ball

@@ -367,14 +367,16 @@ class TestIndexCommand:
          "orbit 'g1': chern and self_linking must be ints, got float 1.5"),
         (["index", "--orbit-file", "row.json"], "'linking' rows must be integer lists"),
         (["index", "--orbit-file", "entry.json"], "linking entries must be ints, got bool True"),
-    ], ids=["no-b", "float-chern", "int-row", "bool-entry"])
+        (["index", "--orbit-file", "label.json"], "orbit labels must be strings, got NoneType None"),
+    ], ids=["no-b", "float-chern", "int-row", "bool-entry", "null-label"])
     def test_refusals_are_pinned(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         record = {"label": "g1", "chern": 1, "self_linking": -1, "multiplicity": 1, "cz": [1]}
         files = {"chern.json": {"orbits": [{**record, "chern": 1.5}], "linking": [[0]]},
                  "row.json": {"orbits": [record], "linking": [5]},
                  "entry.json": {"orbits": [record, {**record, "label": "g2"}],
-                                "linking": [[0, True], [True, 0]]}}
+                                "linking": [[0, True], [True, 0]]},
+                 "label.json": {"orbits": [{**record, "label": None}], "linking": [[0]]}}
         for name, obj in files.items():
             (tmp_path / name).write_text(json.dumps(obj))
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")

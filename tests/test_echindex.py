@@ -133,6 +133,19 @@ class TestOrbitSets:
         with pytest.raises(ValidationError):
             OrbitSet((o, o3), ((0, 1), (2, 0)))
 
+    def test_both_containers_must_be_tuples(self):
+        # a list was kept as it was: hash() then raised TypeError, and the set
+        # compared unequal to the same set built from tuples
+        o = OrbitRecord("x", 1, -1, lambda j: 1, 1)
+        built = OrbitSet((o,), ((0,),))
+        assert built == OrbitSet((o,), ((0,),)) and hash(built) == hash(OrbitSet((o,), ((0,),)))
+        with pytest.raises(ValidationError, match=r"^linking must be a tuple, got list \[\(0,\)\]$"):
+            OrbitSet((o,), [(0,)])
+        with pytest.raises(ValidationError, match="^orbits must be a tuple, got list "):
+            OrbitSet([o], ((0,),))
+        with pytest.raises(ValidationError, match="^orbits must be a tuple, got dict_keys "):
+            OrbitSet({o: 0}.keys(), ((0,),))
+
     def test_missing_cover_surfaces(self):
         bad = OrbitRecord("b", 1, -1, lambda j: [1][j - 1], 2)
         with pytest.raises(MissingCoverError,
@@ -263,6 +276,24 @@ class TestOrbitJson:
         obj = self.ellipsoid_mirror()
         mutate(obj)
         with pytest.raises(ValidationError):
+            orbit_set_from_jsonable(obj)
+
+    @pytest.mark.parametrize("label, shown", [
+        (None, "NoneType None"), (1, "int 1"), (1.0, "float 1.0"), (["g"], "list ['g']"),
+        (True, "bool True")])
+    def test_a_label_must_be_a_json_string(self, label, shown):
+        # str() once made null the orbit 'None', and 1 a duplicate of "1"
+        obj = self.ellipsoid_mirror()
+        obj["orbits"][0]["label"] = label
+        with pytest.raises(ValidationError, match=f"^orbit labels must be strings, got {re.escape(shown)}$"):
+            orbit_set_from_jsonable(obj)
+
+    def test_labels_are_kept_as_written(self):
+        obj = self.ellipsoid_mirror()
+        obj["orbits"][0]["label"], obj["orbits"][1]["label"] = "1", "None"
+        assert [o.label for o in orbit_set_from_jsonable(obj).orbits] == ["1", "None"]
+        obj["orbits"][1]["label"] = "1"
+        with pytest.raises(ValidationError, match="^orbit labels must be distinct$"):
             orbit_set_from_jsonable(obj)
 
 

@@ -83,19 +83,38 @@ _axis = st.builds(F, st.one_of(st.integers(1, 20), st.integers(1, 3 * 10**6)),
 _axes = st.one_of(st.tuples(_axis, _axis), _axis.map(lambda x: (x, x)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(axes=_axes, k_max=st.integers(0, 30))
-def test_sorted_listing_matches_brute_force_and_counting_inversion(axes, k_max):
-    a, b = axes
-    # the first k_max + 1 entries have m, n <= k_max: each (m', n) with
-    # m' < m, or (m, n') with n' < n, has strictly smaller action
-    brute = sorted((a * m + b * n, m, n)
-                   for m in range(k_max + 1) for n in range(k_max + 1))[: k_max + 1]
+def _listing_reference(a, b, k_max):
+    """The first k_max + 1 entries by the (v, m, n) tuple sort. Every (m', n') != (m, n)
+    with m' <= m and n' <= n has strictly smaller action, so entry k has
+    (m + 1)(n + 1) <= k + 1, and only those pairs need sorting."""
+    return sorted((a * m + b * n, m, n)
+                  for m in range(k_max + 1) for n in range((k_max + 1) // (m + 1)))[: k_max + 1]
+
+
+def _check_listing(a, b, k_max, ks):
+    brute = _listing_reference(a, b, k_max)
     expected = [(v, (m, n)) for v, m, n in brute]
     assert nk_sequence(a, b, k_max) == expected
     entries = EllipsoidSpectrum(Ellipsoid(a, b)).entries(k_max)
     assert [(v, (w["m"], w["n"])) for v, w in entries] == expected
-    assert [nk_via_lattice(a, b, k) for k in range(k_max + 1)] == [v for v, _w in expected]
+    if a == b:  # the ball's witness is d = m + n
+        assert BallSpectrum(Ball(a)).entries(k_max) == [(v, {"d": m + n}) for v, m, n in brute]
+    assert [nk_via_lattice(a, b, k) for k in ks] == [expected[k][0] for k in ks]
+
+
+@settings(max_examples=40, deadline=None)
+@given(axes=_axes, k_max=st.integers(0, 30))
+def test_sorted_listing_matches_brute_force_and_counting_inversion(axes, k_max):
+    _check_listing(*axes, k_max, range(k_max + 1))
+
+
+@pytest.mark.parametrize("a, b", [
+    (F(1), F(1)), (F(7, 3), F(7, 3)), (F(1), F(3, 2)), (F(3, 2), F(1)), (F(1), F(2)),
+    (F(3), F(1)), (F(2, 5), F(6, 5)), (F(1), F(4)),
+    # 30-digit axes: the listing's int keys then span several machine words
+    (F(10**30 + 57, 10**30), F(1)), (F(10**30 + 1), F(10**30 + 1))])
+def test_tie_heavy_listings_at_large_k_match_the_tuple_sort(a, b):
+    _check_listing(a, b, 300, [*range(0, 301, 23), 300])
 
 
 def _nk_full_range(an, bn, k):

@@ -223,6 +223,12 @@ _REFUSED = [
      "linking entries must be ints, got bool True"),
     (lambda: OrbitSet((RECORD,), ((0.5,),)), "linking entries must be ints, got float 0.5"),
     (lambda: OrbitSet((RECORD,), (5,)), "linking rows must be tuples, got int 5"),
+    # a list container left the set unhashable and unequal to its tuple-built twin
+    (lambda: OrbitSet((RECORD,), [(0,)]), "linking must be a tuple, got list [(0,)]"),
+    (lambda: OrbitSet([], ()), "orbits must be a tuple, got list []"),
+    (lambda: OrbitSet((), []), "linking must be a tuple, got list []"),
+    (lambda: OrbitRecord(None, 1, -1, abs, 1), "orbit labels must be strings, got NoneType None"),
+    (lambda: OrbitRecord(1, 1, -1, abs, 1), "orbit labels must be strings, got int 1"),
 ]
 
 
