@@ -16,11 +16,11 @@ _EXPORTS = {
     "domains": """Ball DisjointUnion Domain Ellipsoid ToricProfile contact_volume
         domain_from_jsonable load_domain norm_floor omega_length profile_area scale_domain
         triangle_profile validate_profile""",
-    "echindex": """IndexScanReport IndexScanRow OrbitRecord OrbitSet cz_from_rotation
-        ellipsoid_action ellipsoid_index ellipsoid_orbit_set index_action_scan
-        orbit_set_from_jsonable path_index_bounds star_shaped_index""",
-    "errors": """ConsistencyError DegenerateRotationError MissingCoverError
-        PreconditionError ToricSpecError UnavailableError ValidationError""",
+    "echindex": """IndexScanReport IndexScanRow OrbitRecord OrbitSet ellipsoid_action
+        ellipsoid_index ellipsoid_orbit_set index_action_scan orbit_set_from_jsonable
+        path_index_bounds star_shaped_index""",
+    "errors": """ConsistencyError MissingCoverError PreconditionError ToricSpecError
+        UnavailableError ValidationError""",
     "gaps": """Approximant GapReport best_approx_above best_approx_below
         close_gap_consistency ellipsoid_close gap_asymptotics spectral_gap""",
     "paths": "LatticePath enumerate_paths lattice_count_direct lattice_count_pick",

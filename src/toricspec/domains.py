@@ -87,19 +87,14 @@ class ToricProfile(_Frozen):
         *flat, den = _scaled(*(c for vertex in self.vertices for c in vertex))
         return tuple(zip(flat[::2], flat[1::2])), den
 
-    @property
-    def x_intercept(self) -> Fraction:
-        return self.vertices[-1][0]
-
-    @property
-    def y_intercept(self) -> Fraction:
-        return self.vertices[0][1]
-
     def to_jsonable(self) -> dict:
         return {
             "type": "toric",
             "vertices": [[to_string(x), to_string(y)] for x, y in self.vertices],
         }
+
+
+_NESTED_UNION = "nested unions are not supported; flatten the parts"
 
 
 class DisjointUnion(_Frozen):
@@ -110,7 +105,7 @@ class DisjointUnion(_Frozen):
             raise ValidationError("union needs at least one part")
         for p in parts:
             if isinstance(p, DisjointUnion):
-                raise ValidationError("nested unions are not supported; flatten the parts")
+                raise ValidationError(_NESTED_UNION)
         self._set("parts", parts)
 
     def to_jsonable(self) -> dict:
@@ -224,13 +219,13 @@ def domain_from_jsonable(obj: object) -> Domain:
         raise ValidationError("domain JSON must be an object with a 'type' field")
     kind = obj["type"]
     if kind == "ellipsoid":
-        _require_keys(obj, {"type", "a", "b"})
+        _require_keys(obj, {"type", "a", "b"}, "domain JSON")
         return Ellipsoid(parse_rat(obj["a"]), parse_rat(obj["b"]))
     if kind == "ball":
-        _require_keys(obj, {"type", "a"})
+        _require_keys(obj, {"type", "a"}, "domain JSON")
         return Ball(parse_rat(obj["a"]))
     if kind == "toric":
-        _require_keys(obj, {"type", "vertices"})
+        _require_keys(obj, {"type", "vertices"}, "domain JSON")
         verts = obj["vertices"]
         if not isinstance(verts, list):
             raise ValidationError("toric 'vertices' must be a list")
@@ -241,19 +236,25 @@ def domain_from_jsonable(obj: object) -> Domain:
             pairs.append((parse_rat(item[0]), parse_rat(item[1])))
         return validate_profile(pairs)
     if kind == "union":
-        _require_keys(obj, {"type", "parts"})
+        _require_keys(obj, {"type", "parts"}, "domain JSON")
         if not isinstance(obj["parts"], list) or not obj["parts"]:
             raise ValidationError("union 'parts' must be a nonempty list")
-        return DisjointUnion(tuple(domain_from_jsonable(p) for p in obj["parts"]))
+        parts = []
+        for p in obj["parts"]:
+            if isinstance(p, dict) and p.get("type") == "union":  # refused before it recurses
+                raise ValidationError(_NESTED_UNION)
+            parts.append(domain_from_jsonable(p))
+        return DisjointUnion(tuple(parts))
     raise ValidationError(f"unknown domain type: {_shown(kind)}")
 
 
 def read_json(path: str, what: str) -> object:
-    """Parse a JSON file; bad JSON or bad UTF-8 is a "malformed {what}" error."""
+    """Parse a JSON file; bad JSON, bad UTF-8 or nesting past the recursion limit
+    is a "malformed {what}" error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # ValueError: also an int past the digit limit
             raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
@@ -261,10 +262,11 @@ def load_domain(path: str) -> Domain:
     return domain_from_jsonable(read_json(path, f"domain JSON in {path}"))
 
 
-def _require_keys(obj: dict, allowed: set) -> None:
+def _require_keys(obj: dict, allowed: set, what: str) -> None:
+    """Refuse a missing or unknown field of a JSON object; what names the document."""
     extra = set(obj) - allowed
     missing = allowed - set(obj)
     if missing:
-        raise ValidationError(f"domain JSON missing fields: {sorted(missing)}")
+        raise ValidationError(f"{what} missing fields: {sorted(missing)}")
     if extra:
-        raise ValidationError(f"domain JSON has unknown fields: {_shown(sorted(extra))}")
+        raise ValidationError(f"{what} has unknown fields: {_shown(sorted(extra))}")

@@ -12,52 +12,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, floor
 from typing import Callable
 
-from .errors import (
-    DegenerateRotationError,
-    MissingCoverError,
-    PreconditionError,
-    ValidationError,
-)
+from .domains import _require_keys
+from .errors import MissingCoverError, PreconditionError, ValidationError
 from .paths import LatticePath, _chain_twice_area
-from .rationals import (_Frozen, _exact_int, _exact_rat, _plain_ints, _positive_axes, _ratio,
-                        _scaled, _shown, floor_sum)
+from .rationals import (_Frozen, _exact_int, _plain_ints, _positive_axes, _ratio, _scaled, _shown,
+                        floor_sum)
 from .spectra import _count_scaled
 
 
 def ellipsoid_index(a: Fraction, b: Fraction, m1: int, m2: int) -> int:
     """Closed form: 2 (m1 + m2 + m1 m2 + sum floor(j a / b) + sum floor(j b / a))."""
     a, b = _positive_axes(a, b)
-    return _index_pq(*_ratio(a, b), _exact_int(m1, "m1"), _exact_int(m2, "m2"))
-
-
-def _index_pq(p: int, q: int, m1: int, m2: int) -> int:
+    p, q = _ratio(a, b)
+    m1, m2 = _exact_int(m1, "m1"), _exact_int(m2, "m2")
     # a / b = p / q in lowest terms; the sums over 1 <= j <= m start at j = 0 here
-    s1 = floor_sum(m1 + 1, q, p, 0)
-    s2 = floor_sum(m2 + 1, p, q, 0)
-    return 2 * (m1 + m2 + m1 * m2 + s1 + s2)
+    return 2 * (m1 + m2 + m1 * m2 + floor_sum(m1 + 1, q, p, 0) + floor_sum(m2 + 1, p, q, 0))
 
 
 def ellipsoid_action(a: Fraction, b: Fraction, m1: int, m2: int) -> Fraction:
     m1, m2 = _exact_int(m1, "m1"), _exact_int(m2, "m2")
     a, b = _positive_axes(a, b)
     return a * m1 + b * m2
-
-
-def cz_from_rotation(rot: Fraction, *, elliptic: bool = False) -> int:
-    """Conley-Zehnder index floor(rot) + ceil(rot) of a nondegenerate orbit.
-
-    An elliptic orbit with integer rotation number is degenerate, which
-    contradicts the nondegeneracy the formula assumes; that input is
-    refused rather than silently evaluated.
-    """
-    rot = _exact_rat(rot, "rotation number")
-    if elliptic and rot.denominator == 1:
-        raise DegenerateRotationError(
-            f"elliptic rotation number {_shown(rot, str)} is an integer; orbit would be degenerate")
-    return floor(rot) + ceil(rot)
 
 
 class OrbitRecord(_Frozen):
@@ -198,26 +175,29 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
 
     Each orbit carries label, chern, self_linking, multiplicity, and an
     explicit cz array (entry j - 1 is the index of the j-th iterate);
-    linking is a full symmetric matrix in orbit order. Only the structure and
-    the cz array are checked here: OrbitRecord and OrbitSet check the label,
-    which must be a JSON string, and the other integers. A cz array shorter
-    than the multiplicity surfaces as MissingCoverError on evaluation.
+    linking is a full symmetric matrix in orbit order. As in domain JSON, a
+    missing or unknown field is refused, in the object and in each record.
+    Only the structure and the cz array, a list of ints, are checked here:
+    OrbitRecord and OrbitSet check the label, which must be a JSON string, and
+    the other integers. A cz array shorter than the multiplicity surfaces as
+    MissingCoverError on evaluation.
     """
-    if not isinstance(obj, dict) or "orbits" not in obj or "linking" not in obj:
+    if not isinstance(obj, dict):
         raise ValidationError("orbit JSON must be an object with 'orbits' and 'linking'")
+    _require_keys(obj, {"orbits", "linking"}, "orbit JSON")
     if not isinstance(obj["orbits"], list) or not obj["orbits"]:
         raise ValidationError("'orbits' must be a nonempty list")
     orbits = []
     for item in obj["orbits"]:
-        try:
-            label = item["label"]
-            chern = item["chern"]
-            self_linking = item["self_linking"]
-            multiplicity = item["multiplicity"]
-            cz = list(item["cz"])
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"bad orbit record: {_shown(item)}") from exc
-        orbits.append(OrbitRecord(label, chern, self_linking, _array_cover(cz), multiplicity))
+        if not isinstance(item, dict):
+            raise ValidationError(f"bad orbit record: {_shown(item)}")
+        _require_keys(item, {"label", "chern", "self_linking", "multiplicity", "cz"}, "orbit record")
+        label, cz = item["label"], item["cz"]
+        orbits.append(OrbitRecord(label, item["chern"], item["self_linking"], _array_cover(cz),
+                                  item["multiplicity"]))
+        if type(cz) is not list:
+            raise ValidationError(f"orbit {_shown(label)}: cz array must be a list, got "
+                                  f"{type(cz).__name__} {_shown(cz)}")
         _plain_ints(cz, f"orbit {_shown(label)}: cz array")
     linking_raw = obj["linking"]
     if not isinstance(linking_raw, list):

@@ -13,10 +13,6 @@ class PreconditionError(ToricSpecError):
     """Input is well formed but outside an operation's stated range."""
 
 
-class DegenerateRotationError(PreconditionError):
-    """Rotation number incompatible with the claimed nondegeneracy."""
-
-
 class MissingCoverError(ToricSpecError):
     """An orbit record cannot supply a required iterate's index data."""
 

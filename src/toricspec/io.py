@@ -154,7 +154,8 @@ class RowCache:
             if payload.get("key") != self.key:
                 return None
             return payload["rows"]
-        except (OSError, ValueError, KeyError):  # ValueError: undecodable, or past the digit limit
+        # ValueError: undecodable, or past the digit limit; RecursionError: nested too deeply
+        except (OSError, ValueError, KeyError, RecursionError):
             return None
 
     def store(self, rows: list) -> None:

@@ -56,16 +56,14 @@ def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tu
             for val, wit in EllipsoidSpectrum(Ellipsoid(a, b)).entries(k_max)]
 
 
-def count_action_pairs(a: Fraction, b: Fraction, limit: Fraction, *, strict: bool = False) -> int:
+def count_action_pairs(a: Fraction, b: Fraction, limit: Fraction) -> int:
     """Number of pairs (m, n) of nonnegative integers with a m + b n <= limit.
 
-    With strict=True the inequality is strict. Counted over integers scaled
-    to the common denominator by one floor sum, in O(log) steps.
+    Counted over integers scaled to the common denominator by one floor sum,
+    in O(log) steps.
     """
     a, b = _positive_axes(a, b)
     an, bn, ln, _d = _scaled(a, b, _exact_rat(limit, "limit"))
-    if strict:
-        ln -= 1  # integer actions: strict < ln+1 equals <= ln
     return _count_scaled(an, bn, ln)
 
 
@@ -281,9 +279,6 @@ class Spectrum:
     def domain(self) -> Domain:
         raise NotImplementedError
 
-    def contact_volume(self) -> Fraction:
-        return contact_volume(self.domain())
-
     def scaled(self, r: Fraction) -> "Spectrum":
         return spectrum_for(scale_domain(self.domain(), r))
 
@@ -496,7 +491,7 @@ def weyl_report(spectrum: Spectrum, ks: Sequence[int],
     The asymptotic slope of c_k^2 / k is twice the contact volume; rows
     report the exact finite-k deviation and claim nothing about limits.
     """
-    volume = spectrum.contact_volume() if volume is None else _exact_rat(volume, "volume")
+    volume = contact_volume(spectrum.domain()) if volume is None else _exact_rat(volume, "volume")
     if volume <= 0:
         raise ValidationError("volume must be positive")
     rows = []

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import toricspec
 from toricspec import Ball, DisjointUnion, Ellipsoid, UnionSpectrum, ValidationError, spectrum_for
@@ -368,7 +368,10 @@ class TestIndexCommand:
         (["index", "--orbit-file", "row.json"], "'linking' rows must be integer lists"),
         (["index", "--orbit-file", "entry.json"], "linking entries must be ints, got bool True"),
         (["index", "--orbit-file", "label.json"], "orbit labels must be strings, got NoneType None"),
-    ], ids=["no-b", "float-chern", "int-row", "bool-entry", "null-label"])
+        (["index", "--orbit-file", "typo.json"], "orbit record has unknown fields: ['typo']"),
+        (["index", "--orbit-file", "cz.json"], "orbit 'g1': cz array must be a list, got str 'ab'"),
+    ], ids=["no-b", "float-chern", "int-row", "bool-entry", "null-label", "unknown-field",
+            "cz-text"])
     def test_refusals_are_pinned(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         record = {"label": "g1", "chern": 1, "self_linking": -1, "multiplicity": 1, "cz": [1]}
@@ -376,7 +379,9 @@ class TestIndexCommand:
                  "row.json": {"orbits": [record], "linking": [5]},
                  "entry.json": {"orbits": [record, {**record, "label": "g2"}],
                                 "linking": [[0, True], [True, 0]]},
-                 "label.json": {"orbits": [{**record, "label": None}], "linking": [[0]]}}
+                 "label.json": {"orbits": [{**record, "label": None}], "linking": [[0]]},
+                 "typo.json": {"orbits": [{**record, "typo": 3}], "linking": [[0]]},
+                 "cz.json": {"orbits": [{**record, "cz": "ab"}], "linking": [[0]]}}
         for name, obj in files.items():
             (tmp_path / name).write_text(json.dumps(obj))
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -425,6 +430,53 @@ class TestValidateCommand:
         path.write_text("{oops")
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2 and "error:" in err
+
+
+# files nested past Python's recursion limit
+DEEP_FILES = {
+    "list": ("validate", b"[" * 100_000),
+    "union": ("validate", ('{"type": "union", "parts": [' * 900 + '{"type": "ball", "a": "1"}'
+                           + "]}" * 900).encode()),
+    "orbits": ("index --orbit-file", b'{"orbits": ' + b"[" * 5000 + b"]" * 5000
+               + b', "linking": [[0]]}'),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_FILES)
+def test_a_file_nested_past_the_recursion_limit_is_malformed(capsys, tmp_path, name):
+    command, text = DEEP_FILES[name]
+    path = tmp_path / "deep.json"
+    path.write_bytes(text)
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed ") and err.count("\n") == 1
+
+
+# what the two file readers read: JSON values whose dicts are keyed mostly by the fields they
+# know, and raw bytes; every value is small, so each run does bounded work
+FIELDS = ["type", "a", "b", "vertices", "parts", "orbits", "linking", "label", "chern",
+          "self_linking", "multiplicity", "cz"]
+FILE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**40, 10**40) | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["ellipsoid", "ball", "toric", "union", "0", "1", "3/2"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=FILE_VALUES.map(lambda value: json.dumps(value).encode()) | st.binary(max_size=64))
+@example(text=DEEP_FILES["list"][1])
+@example(text=DEEP_FILES["union"][1])
+@example(text=DEEP_FILES["orbits"][1])
+def test_the_file_readers_exit_0_or_2_on_any_file(capsys, tmp_path, monkeypatch, text):
+    monkeypatch.delenv("TORICSPEC_CACHE_DIR", raising=False)
+    path = tmp_path / "in.json"
+    path.write_bytes(text)
+    for argv in (["validate", str(path)], ["index", "--orbit-file", str(path)]):
+        code, _out, err = run(capsys, *argv)
+        assert code in (0, 2), err
 
 
 class TestParsingAndIo:
@@ -530,7 +582,7 @@ class TestParsingAndIo:
         (["validate", "in.json"], "unknown domain type: 'tttttttttttttttttttttttt'..."),
         (["validate", "vertex.json"], "two-element list: '[0, 1, 2, 3, 4, 5, 6, 7,'... (688890 characters)"),
         (["validate", "key.json"], "unknown fields: \"['kkkkkkkkkkkkkkkkkkkkkk\"..."),
-        (["index", "--orbit-file", "in.json"], "bad orbit record: '[0, 0, 0, 0, 0, 0, 0, 0,'... (300000 characters)"),
+        (["index", "--orbit-file", "record.json"], "bad orbit record: '[0, 0, 0, 0, 0, 0, 0, 0,'... (300000 characters)"),
         (["index", "--orbit-file", "label.json"], "orbit 'llllllllllllllllllllllll'..."),
         (["index", "--orbit-file", "cover.json"], "orbit 'llllllllllllllllllllllll'..."),
         (["weyl", "--ball", "1", "--k", "1," * 50000], "empty list item: '1,1,1,1,1,1,1,1,1,1,1,1,'"),
@@ -551,7 +603,8 @@ class TestParsingAndIo:
         monkeypatch.chdir(tmp_path)
         long = 100_000
         record = {"label": "l" * long, "chern": 1, "self_linking": -1, "multiplicity": 2, "cz": [1]}
-        files = {"in.json": {"type": "t" * long, "orbits": [[0] * long], "linking": [[0]]},
+        files = {"in.json": {"type": "t" * long},
+                 "record.json": {"orbits": [[0] * long], "linking": [[0]]},
                  "vertex.json": {"type": "toric", "vertices": [list(range(long))]},
                  "key.json": {"type": "ball", "a": "1", "k" * long: 1},
                  "label.json": {"orbits": [{**record, "chern": 1.5}], "linking": [[0]]},
@@ -684,6 +737,17 @@ class TestRowCache:
         entry = next(cache_dir.glob("*.json"))
         entry.write_text('{"key": 1' + "0" * 5000 + "}")
         assert run(capsys, *args) == first
+
+    def test_an_entry_nested_past_the_recursion_limit_is_a_miss(self, capsys, tmp_path,
+                                                                monkeypatch):
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("TORICSPEC_CACHE_DIR", str(cache_dir))
+        args = ("spectrum", "--ball", "1", "--k-max", "2")
+        first = run(capsys, *args)
+        entry = next(cache_dir.glob("*.json"))
+        entry.write_text("[" * 100_000)
+        assert run(capsys, *args) == first and first[0] == 0
+        assert json.loads(entry.read_text())["key"]["k_max"] == 2  # rewritten
 
     def test_an_entry_holding_another_requests_key_is_a_miss_and_rewritten(
             self, capsys, tmp_path, monkeypatch):

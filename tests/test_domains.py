@@ -115,11 +115,11 @@ class TestValidateProfile:
 
     def test_vertical_final_edge_allowed(self):
         p = validate_profile([(0, 2), (1, 2), (1, 0)])
-        assert p.x_intercept == 1 and p.y_intercept == 2
+        assert p.vertices[-1][0] == 1 and p.vertices[0][1] == 2
 
     def test_intercepts(self):
         p = triangle_profile(F(5, 2), F(7))
-        assert p.x_intercept == F(5, 2) and p.y_intercept == 7
+        assert p.vertices[-1][0] == F(5, 2) and p.vertices[0][1] == 7
 
 
 class TestDualNorm:
@@ -156,7 +156,7 @@ class TestDualNorm:
         normals = [(y0 - y1, x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])]
         least = min(dual_norm(prof, v) / (v[0] + v[1]) for v in [(F(1), F(0)), (F(0), F(1)), *normals])
         assert norm_floor(prof) == least
-        assert norm_floor(prof) >= min(prof.x_intercept, prof.y_intercept) / 2
+        assert norm_floor(prof) >= min(prof.vertices[-1][0], prof.vertices[0][1]) / 2
 
     def test_norm_axioms_on_random_vectors(self, rng):
         profiles = [
@@ -252,6 +252,13 @@ class TestJsonForms:
     ])
     def test_rejects_malformed(self, obj):
         with pytest.raises(ValidationError):
+            domain_from_jsonable(obj)
+
+    def test_a_union_part_that_is_a_union_is_refused_before_it_is_read(self):
+        obj = {"type": "ball", "a": "1"}
+        for _ in range(3000):  # past the recursion limit, were each part read first
+            obj = {"type": "union", "parts": [{"type": "ball", "a": "1"}, obj]}
+        with pytest.raises(ValidationError, match="^nested unions are not supported; flatten the parts$"):
             domain_from_jsonable(obj)
 
     def test_nested_union_rejected_in_constructor(self):

@@ -1,17 +1,16 @@
-"""Index formulas: closed form vs first principles, rotation indices,
-orbit set plumbing, path bounds, the index-action scan."""
+"""Index formulas: closed form vs first principles, orbit set plumbing,
+path bounds, the index-action scan."""
 
 import re
 import time
 from fractions import Fraction
-from math import floor, gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricspec.echindex as echindex
 from toricspec import (
-    DegenerateRotationError,
     LatticePath,
     MissingCoverError,
     OrbitRecord,
@@ -19,7 +18,6 @@ from toricspec import (
     PreconditionError,
     ValidationError,
     count_action_pairs,
-    cz_from_rotation,
     ellipsoid_action,
     ellipsoid_index,
     ellipsoid_orbit_set,
@@ -30,6 +28,7 @@ from toricspec import (
     star_shaped_index,
 )
 from test_paths import random_path
+from test_spectra import pairs_below
 
 F = Fraction
 
@@ -68,20 +67,6 @@ class TestClosedForm:
             ellipsoid_index(F(0), F(1), 1, 1)
         with pytest.raises(ValidationError):
             ellipsoid_index(F(1), F(1), -1, 0)
-
-
-class TestRotationIndex:
-    def test_values(self):
-        assert cz_from_rotation(F(3, 2)) == 3
-        assert cz_from_rotation(F(2)) == 4
-        assert cz_from_rotation(F(5, 2), elliptic=True) == 5
-        assert cz_from_rotation(F(-3, 2)) == -3
-
-    def test_degenerate_elliptic_refused(self):
-        with pytest.raises(DegenerateRotationError):
-            cz_from_rotation(F(2), elliptic=True)
-        with pytest.raises(DegenerateRotationError):
-            cz_from_rotation(F(0), elliptic=True)
 
 
 def _whole(message):
@@ -278,6 +263,23 @@ class TestOrbitJson:
         with pytest.raises(ValidationError):
             orbit_set_from_jsonable(obj)
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda o: o.__setitem__("typo", 3), "orbit JSON has unknown fields: ['typo']"),
+        (lambda o: o.pop("orbits"), "orbit JSON missing fields: ['orbits']"),
+        (lambda o: o["orbits"][1].__setitem__("typo", 3), "orbit record has unknown fields: ['typo']"),
+        (lambda o: o["orbits"][1].pop("cz"), "orbit record missing fields: ['cz']"),
+        (lambda o: o["orbits"][1].__setitem__("cz", "ab"),
+         "orbit 'g2': cz array must be a list, got str 'ab'"),
+        (lambda o: o["orbits"][1].__setitem__("cz", {"1": 3}),
+         "orbit 'g2': cz array must be a list, got dict {'1': 3}"),
+    ], ids=["object-unknown", "object-missing", "record-unknown", "record-missing", "cz-text",
+            "cz-object"])
+    def test_fields_follow_the_domain_json_rule(self, mutate, message):
+        obj = self.ellipsoid_mirror()
+        mutate(obj)
+        with pytest.raises(ValidationError, match=_whole(message)):
+            orbit_set_from_jsonable(obj)
+
     @pytest.mark.parametrize("label, shown", [
         (None, "NoneType None"), (1, "int 1"), (1.0, "float 1.0"), (["g"], "list ['g']"),
         (True, "bool True")])
@@ -403,7 +405,8 @@ def test_integer_covers_match_the_fraction_route(a, b, m1, m2):
             if rot.denominator == 1:
                 assert orbit.cz_sum(j, j) == 2 * rot + 1
             else:
-                assert orbit.cz_sum(j, j) == cz_from_rotation(rot, elliptic=True)
+                # the Conley-Zehnder index of a nondegenerate elliptic orbit
+                assert orbit.cz_sum(j, j) == floor(rot) + ceil(rot)
     expected = ellipsoid_index(a, b, m1, m2)
 
     def no_floor_sum(*args):
@@ -430,7 +433,7 @@ def test_scan_matches_loop_preconditions(a, b, m_max):
     for r in report.rows:
         action = a * r.m1 + b * r.m2
         assert r.action == action and r.index == _loop_index(a, b, r.m1, r.m2)
-        assert r.rank == count_action_pairs(a, b, action, strict=True)
+        assert r.rank == pairs_below(a, b, action)
         assert r.tangent_count == count_action_pairs(a, b, action)
 
 
@@ -447,11 +450,12 @@ def test_large_multiplicities_match_the_loop_quickly():
 
 def test_index_is_twice_rank_at_large_multiplicities():
     # generic: a / b = 1000003 / 1000000 in lowest terms, so the first equal
-    # actions, a * 1000000 = b * 1000003, lie far above every action here
+    # actions, a * 1000000 = b * 1000003, lie far above every action here:
+    # (m1, m2) is the one pair at its action, and the rank is the count less one
     a, b = F(1000003, 1000000), F(1)
     for m1, m2 in [(10**5, 0), (0, 10**5), (10**5, 10**5), (99_991, 3)]:
         action = ellipsoid_action(a, b, m1, m2)
-        assert ellipsoid_index(a, b, m1, m2) == 2 * count_action_pairs(a, b, action, strict=True)
+        assert ellipsoid_index(a, b, m1, m2) == 2 * (count_action_pairs(a, b, action) - 1)
 
 
 _coprime_pair = st.tuples(st.integers(1000, 2000), st.integers(1000, 2000)).filter(
@@ -469,7 +473,7 @@ def test_scan_matches_closed_form_and_counts_at_benchmark_sizes(pq, m_max, swap)
     assert len(report.rows) == (m_max + 1) ** 2
     for r in report.rows:
         assert r.index == ellipsoid_index(a, b, r.m1, r.m2)
-        assert r.rank == count_action_pairs(a, b, r.action, strict=True)
+        assert r.rank == pairs_below(a, b, r.action)
         assert r.tangent_count == count_action_pairs(a, b, r.action)
 
 
@@ -478,7 +482,6 @@ def test_scan_index_calls_no_floor_sum(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("the scan's index must come from its running sums")
-    monkeypatch.setattr(echindex, "_index_pq", refuse)
     monkeypatch.setattr(echindex, "floor_sum", refuse)
     assert index_action_scan(F(1297, 1595), F(1), 14) == expected
 

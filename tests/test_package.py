@@ -1,5 +1,6 @@
 """The package's public surface: its names, where they live, and what a bare import loads."""
 
+import ast
 import importlib
 import re
 import subprocess
@@ -19,11 +20,11 @@ PUBLIC = {
                 "omega_length", "profile_area", "scale_domain", "triangle_profile",
                 "validate_profile"],
     "echindex": ["IndexScanReport", "IndexScanRow", "OrbitRecord", "OrbitSet",
-                 "cz_from_rotation", "ellipsoid_action", "ellipsoid_index",
-                 "ellipsoid_orbit_set", "index_action_scan", "orbit_set_from_jsonable",
-                 "path_index_bounds", "star_shaped_index"],
-    "errors": ["ConsistencyError", "DegenerateRotationError", "MissingCoverError",
-               "PreconditionError", "ToricSpecError", "UnavailableError", "ValidationError"],
+                 "ellipsoid_action", "ellipsoid_index", "ellipsoid_orbit_set",
+                 "index_action_scan", "orbit_set_from_jsonable", "path_index_bounds",
+                 "star_shaped_index"],
+    "errors": ["ConsistencyError", "MissingCoverError", "PreconditionError", "ToricSpecError",
+               "UnavailableError", "ValidationError"],
     "gaps": ["Approximant", "GapReport", "best_approx_above", "best_approx_below",
              "close_gap_consistency", "ellipsoid_close", "gap_asymptotics", "spectral_gap"],
     "paths": ["LatticePath", "enumerate_paths", "lattice_count_direct", "lattice_count_pick"],
@@ -35,16 +36,26 @@ PUBLIC = {
 }
 PAIRS = [(mod, name) for mod, names in PUBLIC.items() for name in names]
 # public once; README's "Removed public names" gives each one's replacement
-REMOVED = ["Rat", "conformal_scale", "dual_norm", "enclosed_area", "square_profile",
-           "toric_capacity"]
+REMOVED = ["DegenerateRotationError", "Rat", "conformal_scale", "cz_from_rotation", "dual_norm",
+           "enclosed_area", "square_profile", "toric_capacity"]
 # members of the value classes that nothing called, listed there too
 REMOVED_MEMBERS = [("LatticePath", "from_jsonable"), ("LatticePath", "is_empty"),
-                   ("LatticePath", "degenerate"), ("LatticePath", "empty"), ("OrbitRecord", "cz")]
-README = Path(__file__).resolve().parent.parent / "README.md"
+                   ("LatticePath", "degenerate"), ("LatticePath", "empty"), ("OrbitRecord", "cz"),
+                   ("ToricProfile", "x_intercept"), ("ToricProfile", "y_intercept"),
+                   ("Spectrum", "contact_volume")]
+INSTANCES = {"LatticePath": lambda: toricspec.LatticePath(()),
+             "OrbitRecord": lambda: toricspec.OrbitRecord("g", 1, -1, lambda j: 1, 1),
+             "ToricProfile": lambda: toricspec.triangle_profile(F(1), F(2)),
+             "Spectrum": lambda: toricspec.BallSpectrum(toricspec.Ball(F(1)))}
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+# the pruning rule's callers: a public name that none of these names goes
+CALLERS = ["src/toricspec/*.py", "README.md", "tests/test_acceptance.py",
+           "tests/smoke_digests.json", "perfbench/*.py", "scripts/*.py"]
 
 
 def test_public_names_are_the_frozen_list():
-    assert len(PAIRS) == 62
+    assert len(PAIRS) == 60
     assert sorted(name for _mod, name in PAIRS) == sorted(toricspec.__all__)
     assert set(toricspec.__all__) <= set(dir(toricspec))
 
@@ -64,11 +75,52 @@ def test_removed_name_raises_attribute_error(name):
 @pytest.mark.parametrize("cls, member", REMOVED_MEMBERS)
 def test_removed_member_raises_attribute_error(cls, member):
     owner = getattr(toricspec, cls)
-    instance = owner(()) if cls == "LatticePath" else owner("g", 1, -1, lambda j: 1, 1)
-    for obj in (owner, instance):
+    for obj in (owner, INSTANCES[cls]()):
         with pytest.raises(AttributeError, match=member):
             getattr(obj, member)
     assert re.search(rf"`{cls}\.{member}(\(\))?`", README.read_text(encoding="utf-8"))
+
+
+def test_removed_keyword_raises_type_error():
+    # count_action_pairs(strict=True) is the count at the limit less the pairs exactly at it
+    with pytest.raises(TypeError, match="strict"):
+        toricspec.count_action_pairs(F(2), F(3), F(6), strict=True)
+
+
+def _unused_public_names(root: Path) -> list[str]:
+    """Public names that CALLERS never name outside the export table, their own
+    definition and the definitions of other such names; the files are only read."""
+    public = set(toricspec.__all__)
+    seen = {name: set() for name in public}  # the definitions a name is named in; None: none
+    for path in sorted({p for pattern in CALLERS for p in root.glob(pattern)}):
+        if path == root / "src/toricspec/__init__.py":
+            continue  # the export table
+        text = path.read_text(encoding="utf-8")
+        owner = {}  # line number -> the public definition it lies in, or "" for an import
+        if path.suffix == ".py" and path.parent == root / "src/toricspec":
+            for node in ast.parse(text).body:
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    name = ""
+                elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    name = node.name
+                elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                    name = node.targets[0].id
+                else:
+                    continue
+                if name in public or not name:
+                    owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), name))
+        for number, line in enumerate(text.splitlines(), 1):
+            if owner.get(number) != "":
+                for word in public.intersection(re.findall(r"\w+", line)):
+                    seen[word].add(owner.get(number))
+    used = {name for name, owners in seen.items() if None in owners}
+    while grown := {name for name, owners in seen.items() if owners & used} - used:
+        used |= grown
+    return sorted(public - used)
+
+
+def test_every_public_name_has_a_caller():
+    assert _unused_public_names(ROOT) == []
 
 
 def test_readme_quick_tour_gives_the_results_its_comments_state():

@@ -222,8 +222,8 @@ class TestEnumeration:
         # budget / (min(a, b) / 2), a looser reach than norm_floor's, and stops
         # only at the budget: a norm_floor too large drops a direction it keeps
         omega = lambda p: omega_length(prof, p)
-        bound = budget_ratio * min(prof.x_intercept, prof.y_intercept)
-        reach = int(bound / (min(prof.x_intercept, prof.y_intercept) / 2))
+        bound = budget_ratio * min(prof.vertices[-1][0], prof.vertices[0][1])
+        reach = int(bound / (min(prof.vertices[-1][0], prof.vertices[0][1]) / 2))
         dirs = [(p, -q) for p in range(reach + 1) for q in range(reach + 1 - p)
                 if (p or q) and gcd(p, q) == 1]
         got = list(enumerate_paths(bound, norm_floor(prof), omega, inclusive=inclusive))
@@ -272,7 +272,7 @@ def test_scan_state_matches_the_slow_routes(prof, budget_ratio, inclusive):
     # path up to about a thousand; each yielded state is checked against the
     # column scan and the Fraction length of the path on the stack
     omega = lambda p: omega_length(prof, p)
-    budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
+    budget = budget_ratio * min(prof.vertices[-1][0], prof.vertices[0][1])
     dirs, bound, den = direction_table(budget, norm_floor(prof), omega, inclusive)
     if not inclusive:
         bound -= 1
@@ -323,7 +323,7 @@ def flat_scan(dirs, bound, need=None):
                                      Fraction(6), Fraction(8)]),
        inclusive=st.booleans())
 def test_flat_scan_matches_the_recursive_walk(prof, budget_ratio, inclusive):
-    budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
+    budget = budget_ratio * min(prof.vertices[-1][0], prof.vertices[0][1])
     dirs, bound, _den = direction_table(budget, norm_floor(prof), lambda p: omega_length(prof, p),
                                         inclusive)
     if not inclusive:
@@ -338,7 +338,7 @@ def test_stack_snapshots_outlive_the_walk(prof, budget_ratio):
     # both toric scans keep tuple(stack) and build their paths once the walk has
     # moved on: every snapshot, built only after the walk ends, is the path yielded
     _verts, den = prof.scaled_vertices
-    bound = floor(budget_ratio * min(prof.x_intercept, prof.y_intercept) * den)
+    bound = floor(budget_ratio * min(prof.vertices[-1][0], prof.vertices[0][1]) * den)
     kept = flat_scan(_scan_table(prof, bound), bound)
     for length, count, snapshot in kept:
         path = LatticePath(snapshot)
@@ -372,7 +372,7 @@ def is_subsequence(part, whole):
        need=st.integers(1, 60))
 def test_falling_budget_walk_keeps_the_oracle_order_up_to_its_final_budget(prof, budget_ratio,
                                                                            need):
-    budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
+    budget = budget_ratio * min(prof.vertices[-1][0], prof.vertices[0][1])
     dirs, bound, _den = direction_table(budget, norm_floor(prof), lambda p: omega_length(prof, p),
                                         True)
     oracle = recursive_scan(dirs, bound)
@@ -457,7 +457,7 @@ def test_integer_slope_check_matches_the_direction_key(dirs, presort):
                                      Fraction(8)]),
        inclusive=st.booleans())
 def test_profile_table_matches_the_generic_table(prof, budget_ratio, inclusive):
-    budget = budget_ratio * min(prof.x_intercept, prof.y_intercept)
+    budget = budget_ratio * min(prof.vertices[-1][0], prof.vertices[0][1])
     dirs, bound, den = direction_table(
         budget, norm_floor(prof), lambda p: fraction_length(prof, p), inclusive)
     _verts, vden = prof.scaled_vertices
@@ -563,7 +563,7 @@ def test_integer_direction_table_matches_the_fraction_table(prof, data, inclusiv
     if data.draw(st.booleans()):
         ratio = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(5, 2),
                                            Fraction(4), Fraction(8)]))
-        budget = ratio * min(prof.x_intercept, prof.y_intercept)
+        budget = ratio * min(prof.vertices[-1][0], prof.vertices[0][1])
     else:
         p, q = data.draw(_unit_dirs)
         budget = data.draw(st.integers(1, 2)) * omega(LatticePath((((p, -q), 1),)))

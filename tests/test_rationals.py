@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from toricspec import (
     Ball,
     BallSpectrum,
-    DegenerateRotationError,
     Ellipsoid,
     EllipsoidSpectrum,
     LatticePath,
@@ -24,7 +23,6 @@ from toricspec import (
     close_gap_consistency,
     contact_volume,
     count_action_pairs,
-    cz_from_rotation,
     ellipsoid_action,
     ellipsoid_close,
     ellipsoid_index,
@@ -177,13 +175,12 @@ _BIG = 10 ** 5000  # past Python's default 4300-digit int-to-text limit
     (lambda: OrbitRecord("g", 1, -1, lambda j: 1, -_BIG), ValidationError),
     (lambda: orbit_set_from_jsonable(_orbit_json()).orbits[0].cz_sum(-_BIG, -_BIG),
      ValidationError),
-    (lambda: cz_from_rotation(Fraction(_BIG), elliptic=True), DegenerateRotationError),
     (lambda: LatticePath.from_edges([((_BIG, 1), 1)]), ValidationError),
     (lambda: LatticePath((((2 * _BIG, -2), 1),)), ValidationError),
     (lambda: floor_sum(-_BIG, 1, 1, 1), ValidationError),
     (lambda: index_action_scan(Fraction(_BIG + 1, _BIG), 1, 10 ** 5001), PreconditionError),
 ], ids=["close-cutoff", "close-axis", "spectrum-for", "contact-volume", "nk-sequence", "weyl",
-        "orbit-multiplicity", "cover-degree", "cz", "from-edges", "path", "floor-sum",
+        "orbit-multiplicity", "cover-degree", "from-edges", "path", "floor-sum",
         "index-scan"])
 def test_a_value_past_the_digit_limit_is_refused_with_a_short_message(call, error):
     # writing such a value out raises Python's own ValueError; the message names it instead
@@ -262,7 +259,7 @@ def test_approx_ignores_the_callers_decimal_context(x, text):
     (ellipsoid_orbit_set, (F(2), 3.0, 1, 1)),
     (index_action_scan, (1.0007, F(1), 3)),
     (ellipsoid_action, (F(2), 3.5, 1, 1)),
-    (cz_from_rotation, (1.5,)),
+    (ToricSpectrum(square()).count_le, (2.5,)),  # in place of a removed case: ids stay put
     (close_gap_consistency, (F(1), F(89, 55), [F(10), 20.0])),
     (spectral_gap, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), 10.0)),
     (gap_asymptotics, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), [F(5), 10.0])),
@@ -313,14 +310,14 @@ def test_library_entry_points_refuse_floats(call, args):
     (orbit_set_from_jsonable, (_orbit_json(multiplicity=True),)),
     (orbit_set_from_jsonable, (_orbit_json(cz=[True]),)),
     (orbit_set_from_jsonable, (_orbit_json(linking=[[False]]),)),
-    # a bool axis, limit, cutoff, parameter, rotation number or scale factor
+    # a bool axis, limit, cutoff, parameter, volume or scale factor
     (count_action_pairs, (True, 2, 5)),
     (count_action_pairs, (F(1), F(2), False)),
     (nk_via_lattice, (F(1), True, 3)),
     (ellipsoid_index, (True, F(3), 2, 1)),
     (ellipsoid_action, (F(2), True, 1, 1)),
     (ball_capacity, (True, 3)),
-    (cz_from_rotation, (True,)),
+    (weyl_report, (BallSpectrum(Ball(F(1))), [4], True)),  # in place of a removed case: ids stay put
     (spectral_gap, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), True)),
     (EllipsoidSpectrum(Ellipsoid(F(2), F(3))).count_le, (True,)),
     (scale_domain, (Ellipsoid(F(2), F(3)), True)),
@@ -413,11 +410,8 @@ _SPEC23 = EllipsoidSpectrum(Ellipsoid(F(2), F(3)))
      "ratio collision: 1 * b / a = 3 is an integer"),
     (index_action_scan, (F(7, 5), F(1), 4), PreconditionError,
      "action collision: pairs (0, 7) and (5, 0) share action 7"),
-    (cz_from_rotation, (F(2),), DegenerateRotationError,
-     "elliptic rotation number 2 is an integer; orbit would be degenerate"),
 ])
 def test_edge_refusal_messages_are_unchanged(call, args, error, message):
-    kwargs = {"elliptic": True} if call is cz_from_rotation else {}
     with pytest.raises(error) as info:
-        call(*args, **kwargs)
+        call(*args)
     assert type(info.value) is error and str(info.value) == message

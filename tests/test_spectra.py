@@ -174,7 +174,7 @@ def test_inversion_takes_log_of_the_axes_floor_sums(monkeypatch, an, bn, k):
 class TestCountActionPairs:
     def test_hand_counts(self):
         assert count_action_pairs(F(2), F(3), F(6)) == 7
-        assert count_action_pairs(F(2), F(3), F(6), strict=True) == 5
+        assert pairs_below(F(2), F(3), F(6)) == 5
         assert count_action_pairs(F(1, 2), F(1, 3), F(1)) == 7
         assert count_action_pairs(F(2), F(3), F(-1)) == 0
         assert count_action_pairs(F(2), F(3), F(0)) == 1
@@ -184,7 +184,7 @@ class TestCountActionPairs:
         seq = [v for v, _w in nk_sequence(a, b, 30)]
         for k, v in enumerate(seq):
             assert count_action_pairs(a, b, v) >= k + 1
-            assert count_action_pairs(a, b, v, strict=True) <= k
+            assert pairs_below(a, b, v) <= k
 
     def test_brute_force_agreement(self, rng):
         for _ in range(20):
@@ -219,6 +219,12 @@ def test_floor_sum_count_matches_row_scan(an, bn, ln):
     assert _count_scaled(an, bn, ln) == _count_scaled(bn, an, ln) == expected
 
 
+def pairs_below(a, b, limit):
+    """Pairs with a m + b n < limit: the count at the limit less the pairs exactly at it."""
+    at = sum(1 for m in range(floor(limit / a) + 1) if ((limit - a * m) / b).denominator == 1)
+    return count_action_pairs(a, b, limit) - at
+
+
 def _fraction_row_scan(a, b, limit, strict):
     """Pairs with a m + b n <= limit (< with strict), one Fraction row per m."""
     total, m = 0, 0
@@ -235,8 +241,8 @@ def _fraction_row_scan(a, b, limit, strict):
        limit=st.builds(F, st.integers(-3, 100), st.integers(1, 12)))
 def test_count_action_pairs_matches_row_scan(a, b, limit):
     for x, y in ((a, b), (b, a)):
-        for strict in (False, True):
-            assert count_action_pairs(x, y, limit, strict=strict) == _fraction_row_scan(x, y, limit, strict)
+        assert count_action_pairs(x, y, limit) == _fraction_row_scan(x, y, limit, False)
+        assert pairs_below(x, y, limit) == _fraction_row_scan(x, y, limit, True)
 
 
 class TestBall:
@@ -345,7 +351,7 @@ def brute_force_greedy_path(prof, k):
     # the top lattice point of each column under b x + a y <= N_k(a, b), a and b the
     # intercepts; a point is on the upper hull when it lies strictly above every chord
     # from a point on its left to a point on its right; the hull closes to the x-axis
-    a, b = prof.x_intercept, prof.y_intercept
+    a, b = prof.vertices[-1][0], prof.vertices[0][1]
     level = nk_via_lattice(a, b, k)
     tops = [(x, floor((level - b * x) / a)) for x in range(floor(level / b) + 1)]
     hull = [(x, y) for i, (x, y) in enumerate(tops)
@@ -618,7 +624,7 @@ def test_moving_a_vertex_outward_lowers_no_capacity(pair):
 def test_convex_spectrum_lies_between_the_triangle_and_the_rectangle(prof):
     # the triangle with the profile's intercepts lies inside it, and it lies
     # inside their rectangle, so monotonicity brackets every c_k
-    a, b = prof.x_intercept, prof.y_intercept
+    a, b = prof.vertices[-1][0], prof.vertices[0][1]
     for k, value in enumerate(ToricSpectrum(prof).values(12)):
         assert _ellipsoid_value(a, b, k) <= value <= _polydisk_value(a, b, k), k
 

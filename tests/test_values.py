@@ -239,7 +239,7 @@ def test_every_validation_message_is_pinned(build, message):
 
 
 def test_the_checks_accept_what_they_should():
-    assert _profile((0, 2), (1, 2), (2, 1), (2, 0)).x_intercept == 2  # vertical last edge
+    assert _profile((0, 2), (1, 2), (2, 1), (2, 0)).vertices[-1][0] == 2  # vertical last edge
     assert Approximant("below", 1, 0).n == 0 and Approximant("above", 0, 1).m == 0
     assert GapReport(F(1), None, None).is_infinite and not GapReport(F(1), F(0), 0).is_infinite
     assert OrbitSet((), ()).orbits == ()
