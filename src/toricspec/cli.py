@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(p)
     p.add_argument("--k", type=_list_arg(_int_arg), required=True, dest="ks",
                    metavar="K1,K2,...")
-    p.add_argument("--volume", type=_rat_arg, default=None)
     _add_output_flags(p)
 
     p = sub.add_parser("gap-asymptotics", help="cutoff * gap over a cutoff grid")
@@ -178,7 +177,7 @@ def _cmd_gap(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[
 
 def _cmd_weyl(args: argparse.Namespace) -> tuple[list[str], list[dict], Optional[dict]]:
     domain = _domain_from_args(args)
-    rows = weyl_report(spectrum_for(domain), args.ks, args.volume)
+    rows = weyl_report(spectrum_for(domain), args.ks)
     for r in rows:
         for col in ("value", "ratio", "deviation"):
             r[f"{col}_approx"] = approx_string(r[col])

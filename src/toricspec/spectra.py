@@ -35,11 +35,10 @@ from .domains import (
     ToricProfile,
     _edge_cost,
     contact_volume,
-    omega_length,
     scale_domain,
 )
 from .errors import UnavailableError, ValidationError
-from .paths import Edge, LatticePath, _scan_paths, _slope_key, lattice_count_pick
+from .paths import Edge, LatticePath, _scan_paths, _slope_key
 from .rationals import (_Frozen, _exact_int, _exact_rat, _floor_times, _positive_axes, _scaled,
                         _shown, floor_sum)
 
@@ -328,11 +327,6 @@ class EllipsoidSpectrum(Spectrum):
     def domain(self) -> Domain:
         return self._ellipsoid
 
-    def check_witness(self, k: int) -> bool:
-        val, wit = self.entry(k)
-        e = self._ellipsoid
-        return val == e.a * wit["m"] + e.b * wit["n"]
-
 
 class BallSpectrum(EllipsoidSpectrum):
     """The ellipsoid listing on E(a, a); an entry's witness is its d = m + n."""
@@ -351,9 +345,6 @@ class BallSpectrum(EllipsoidSpectrum):
 
     def domain(self) -> Domain:
         return self._ball
-
-    def check_witness(self, k: int) -> bool:
-        return self.entry(k) == ball_capacity(self._ball.a, k)
 
 
 class ToricSpectrum(Spectrum):
@@ -413,10 +404,6 @@ class ToricSpectrum(Spectrum):
     def domain(self) -> Domain:
         return self._profile
 
-    def check_witness(self, k: int) -> bool:
-        val, wit = self.entry(k)
-        return omega_length(self._profile, wit) == val and lattice_count_pick(wit) == k + 1
-
 
 class UnionSpectrum(Spectrum):
     """c_k(X_1 + ... + X_m) = max over k_1 + ... + k_m = k of the sum of the
@@ -457,15 +444,6 @@ class UnionSpectrum(Spectrum):
     def domain(self) -> Domain:
         return DisjointUnion(tuple(p.domain() for p in self._parts))
 
-    def scaled(self, r: Fraction) -> "Spectrum":
-        return UnionSpectrum([p.scaled(r) for p in self._parts])
-
-    def check_witness(self, k: int) -> bool:
-        val, wit = self.entry(k)
-        ks = wit["partition"]
-        return (sum(ks) == k
-                and val == sum(p.value(ki) for p, ki in zip(self._parts, ks)))
-
 
 def union_capacity(parts: Sequence[Spectrum], k: int) -> tuple[Fraction, dict]:
     """Largest sum of part values over partitions k_1 + ... + k_m = k."""
@@ -484,16 +462,13 @@ def spectrum_for(domain: Domain) -> Spectrum:
     raise ValidationError(f"not a domain: {_shown(domain)}")
 
 
-def weyl_report(spectrum: Spectrum, ks: Sequence[int],
-                volume: Optional[Fraction] = None) -> list[dict]:
-    """Diagnostic rows (k, c_k, c_k^2 / k, deviation from 2 * volume).
+def weyl_report(spectrum: Spectrum, ks: Sequence[int]) -> list[dict]:
+    """Diagnostic rows (k, c_k, c_k^2 / k, deviation from twice the contact volume).
 
     The asymptotic slope of c_k^2 / k is twice the contact volume; rows
     report the exact finite-k deviation and claim nothing about limits.
     """
-    volume = contact_volume(spectrum.domain()) if volume is None else _exact_rat(volume, "volume")
-    if volume <= 0:
-        raise ValidationError("volume must be positive")
+    volume = contact_volume(spectrum.domain())
     rows = []
     for k in ks:
         c = spectrum.value(_exact_int(k, least=1))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import toricspec
 import toricspec.cli as cli
+from test_cli import parser_options
 
 # written out by hand: a name that appears, disappears or moves shows up here
 PUBLIC = {
@@ -42,16 +44,25 @@ REMOVED = ["DegenerateRotationError", "Rat", "conformal_scale", "cz_from_rotatio
 REMOVED_MEMBERS = [("LatticePath", "from_jsonable"), ("LatticePath", "is_empty"),
                    ("LatticePath", "degenerate"), ("LatticePath", "empty"), ("OrbitRecord", "cz"),
                    ("ToricProfile", "x_intercept"), ("ToricProfile", "y_intercept"),
-                   ("Spectrum", "contact_volume")]
+                   ("Spectrum", "contact_volume"), ("EllipsoidSpectrum", "check_witness"),
+                   ("BallSpectrum", "check_witness"), ("ToricSpectrum", "check_witness"),
+                   ("UnionSpectrum", "check_witness")]
 INSTANCES = {"LatticePath": lambda: toricspec.LatticePath(()),
              "OrbitRecord": lambda: toricspec.OrbitRecord("g", 1, -1, lambda j: 1, 1),
              "ToricProfile": lambda: toricspec.triangle_profile(F(1), F(2)),
-             "Spectrum": lambda: toricspec.BallSpectrum(toricspec.Ball(F(1)))}
+             "Spectrum": lambda: toricspec.BallSpectrum(toricspec.Ball(F(1))),
+             "EllipsoidSpectrum": lambda: toricspec.spectrum_for(toricspec.Ellipsoid(F(1), F(2))),
+             "BallSpectrum": lambda: toricspec.spectrum_for(toricspec.Ball(F(1))),
+             "ToricSpectrum": lambda: toricspec.spectrum_for(toricspec.triangle_profile(F(1), F(2))),
+             "UnionSpectrum": lambda: toricspec.UnionSpectrum([INSTANCES["BallSpectrum"]()])}
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 # the pruning rule's callers: a public name that none of these names goes
 CALLERS = ["src/toricspec/*.py", "README.md", "tests/test_acceptance.py",
            "tests/smoke_digests.json", "perfbench/*.py", "scripts/*.py"]
+# the callers whose argv uses a CLI option, with README's command-line examples and the
+# argv lists of tests/smoke_digests.json
+ARGV_CALLERS = ["tests/test_acceptance.py", "perfbench/*.py", "scripts/*.py"]
 
 
 def test_public_names_are_the_frozen_list():
@@ -85,6 +96,9 @@ def test_removed_keyword_raises_type_error():
     # count_action_pairs(strict=True) is the count at the limit less the pairs exactly at it
     with pytest.raises(TypeError, match="strict"):
         toricspec.count_action_pairs(F(2), F(3), F(6), strict=True)
+    # for another volume v the deviation is ratio - 2 v
+    with pytest.raises(TypeError, match="volume"):
+        toricspec.weyl_report(INSTANCES["BallSpectrum"](), [1], volume=F(1))
 
 
 def _unused_public_names(root: Path) -> list[str]:
@@ -123,6 +137,60 @@ def test_every_public_name_has_a_caller():
     assert _unused_public_names(ROOT) == []
 
 
+def _files(root: Path, patterns: list[str]) -> list[Path]:
+    return sorted({path for pattern in patterns for path in root.glob(pattern)})
+
+
+def _unused_members(root: Path) -> list[str]:
+    """Public methods and properties of the classes in src/toricspec that CALLERS never name
+    as `.name` outside the definitions of members of that name; the files are only read."""
+    members, used = set(), set()
+    for path in _files(root, CALLERS):
+        text = path.read_text(encoding="utf-8")
+        defined = {}  # line number -> the public member whose definition holds it
+        if path.suffix == ".py":
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                            defined.update(dict.fromkeys(
+                                range(item.lineno, item.end_lineno + 1), item.name))
+                            if path.parent == root / "src/toricspec":
+                                members.add(item.name)
+        for number, line in enumerate(text.splitlines(), 1):
+            used.update(set(re.findall(r"\.(\w+)", line)) - {defined.get(number)})
+    return sorted(members - used)
+
+
+def test_every_public_member_has_a_caller():
+    assert _unused_members(ROOT) == []
+
+
+def _command_line_examples(root: Path) -> list[str]:
+    """The lines of the example block under README's "Command line"."""
+    section = (root / "README.md").read_text(encoding="utf-8").split("## Command line\n", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def _unused_options(root: Path) -> list[str]:
+    """The parser's --options that no argv token in the callers holds: a word of README's
+    command-line examples, of a smoke digest's argv or of a string in ARGV_CALLERS. A README
+    bullet on a flag does not count; the files are only read."""
+    strings = _command_line_examples(root)
+    smoke = json.loads((root / "tests/smoke_digests.json").read_text(encoding="utf-8"))
+    strings += [token for case in smoke["cases"] for command in case["commands"]
+                for token in command.get("argv", [])]
+    for path in _files(root, ARGV_CALLERS):
+        strings += [node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    tokens = {token.split("=", 1)[0] for text in strings for token in text.split()}
+    return sorted(set(parser_options()) - {"-h", "--help"} - tokens)
+
+
+def test_every_cli_option_has_a_caller():
+    assert _unused_options(ROOT) == []
+
+
 def test_readme_quick_tour_gives_the_results_its_comments_state():
     # a tour line that calls a removed name fails the exec
     tour = README.read_text(encoding="utf-8").split("## Library quick tour\n", 1)[1]
@@ -143,6 +211,37 @@ def test_readme_quick_tour_gives_the_results_its_comments_state():
     for expr, expected in stated.items():
         assert expr in lines
         assert eval(expr, ns) == expected, expr
+
+
+def _readme_json_examples() -> list:
+    """The JSON values of the code blocks under README's "JSON formats"."""
+    section = README.read_text(encoding="utf-8").split("## JSON formats\n", 1)[1].split("\n## ", 1)[0]
+    decoder, values = json.JSONDecoder(), []
+    for block in section.split("```json\n")[1:]:
+        text = block.split("```", 1)[0].strip()
+        while text:
+            value, end = decoder.raw_decode(text)
+            values.append(value)
+            text = text[end:].strip()
+    return values
+
+
+def test_readme_command_line_examples_exit_0(capsys, tmp_path, monkeypatch):
+    # the files they read, from README's JSON examples: the unit square, the union, the orbits
+    examples = _readme_json_examples()
+    inputs = {"square.json": next(v for v in examples if v.get("type") == "toric"),
+              "union.json": next(v for v in examples if v.get("type") == "union"),
+              "orbits.json": next(v for v in examples if "orbits" in v)}
+    monkeypatch.delenv("TORICSPEC_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name, value in inputs.items():
+        (tmp_path / name).write_text(json.dumps(value), encoding="utf-8")
+    lines = _command_line_examples(ROOT)
+    assert len(lines) == 12 and all(line.startswith("toricspec ") for line in lines)
+    for line in lines:
+        code = cli.main(line.split()[1:])
+        assert code == 0, (line, capsys.readouterr().err)
+    assert (tmp_path / "rows.csv").read_text().startswith("k,exact,approx,witness\n")
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -266,7 +266,7 @@ def test_approx_ignores_the_callers_decimal_context(x, text):
     (BallSpectrum(Ball(F(1))).scaled, (1.5,)),
     # appended last so the generated ids of the earlier cases stay stable
     (ellipsoid_close_detail, (F(1), F(89, 55), 100.0)),
-    (weyl_report, (BallSpectrum(Ball(F(1))), [5], 1.5)),
+    (weyl_report, (BallSpectrum(Ball(F(1))), [5, 2.5])),  # in place of a removed case: ids stay put
     (weyl_report, (BallSpectrum(Ball(F(1))), [5.0])),
     (validate_profile, ([(0, 0.1), (1, 0)],)),
     (_all_paths, (2.5, F(1, 2), _unit_square_length)),
@@ -310,14 +310,14 @@ def test_library_entry_points_refuse_floats(call, args):
     (orbit_set_from_jsonable, (_orbit_json(multiplicity=True),)),
     (orbit_set_from_jsonable, (_orbit_json(cz=[True]),)),
     (orbit_set_from_jsonable, (_orbit_json(linking=[[False]]),)),
-    # a bool axis, limit, cutoff, parameter, volume or scale factor
+    # a bool axis, limit, cutoff, parameter or scale factor
     (count_action_pairs, (True, 2, 5)),
     (count_action_pairs, (F(1), F(2), False)),
     (nk_via_lattice, (F(1), True, 3)),
     (ellipsoid_index, (True, F(3), 2, 1)),
     (ellipsoid_action, (F(2), True, 1, 1)),
     (ball_capacity, (True, 3)),
-    (weyl_report, (BallSpectrum(Ball(F(1))), [4], True)),  # in place of a removed case: ids stay put
+    (weyl_report, (BallSpectrum(Ball(F(1))), [4, True])),  # in place of a removed case: ids stay put
     (spectral_gap, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), True)),
     (EllipsoidSpectrum(Ellipsoid(F(2), F(3))).count_le, (True,)),
     (scale_domain, (Ellipsoid(F(2), F(3)), True)),
