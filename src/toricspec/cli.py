@@ -26,7 +26,7 @@ from .echindex import (
     orbit_set_from_jsonable,
     star_shaped_index,
 )
-from .errors import ToricSpecError, ValidationError
+from .errors import ToricSpecError, ValidationError, _open_text
 # perfbench's traced runs wrap best_approx_* and ellipsoid_close under these names
 from .gaps import (best_approx_above, best_approx_below, ellipsoid_close,  # noqa: F401
                    ellipsoid_close_detail, gap_asymptotics, spectral_gap)
@@ -259,7 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.output == "-":
             sys.stdout.write(text)
         else:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with _open_text(args.output, "w") as fh:
                 fh.write(text)
         return 0
     except ToricSpecError as exc:

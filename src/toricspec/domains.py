@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-from .errors import ValidationError
+from .errors import ValidationError, _open_text
 from .paths import LatticePath, _chain_twice_area, _slope_cmp
 from .rationals import _Frozen, _exact_rat, _scaled, _shown, parse_rat, to_string
 
@@ -251,7 +251,7 @@ def domain_from_jsonable(obj: object) -> Domain:
 def read_json(path: str, what: str) -> object:
     """Parse a JSON file; bad JSON, bad UTF-8 or nesting past the recursion limit
     is a "malformed {what}" error."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path, "r") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # ValueError: also an int past the digit limit

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the opener of the files a command names."""
+
+import errno
+from typing import IO
 
 
 class ToricSpecError(Exception):
@@ -23,3 +26,13 @@ class UnavailableError(ToricSpecError):
 
 class ConsistencyError(ToricSpecError):
     """Two routes that must agree produced different values."""
+
+
+def _open_text(path: str, mode: str) -> IO[str]:
+    """open(path, mode) as UTF-8 text. A name holding a NUL byte, which open()
+    refuses with a ValueError, raises an OSError like any other name that
+    cannot be opened, so the CLI reports it as an io error."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except ValueError as exc:  # every caller passes a valid mode, so the name was refused
+        raise OSError(errno.EINVAL, str(exc), path) from exc

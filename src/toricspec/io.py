@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence
 
 from . import __version__
-from .errors import ValidationError
+from .errors import ValidationError, _open_text
 from .paths import LatticePath
 from .rationals import _int_text_limit, to_string
 
@@ -127,7 +127,7 @@ def write_manifest(path: str, argv: Sequence[str], domain_jsonable: Optional[dic
                    "columns": list(columns),
                    "rows": [{col: row.get(col) for col in columns} for row in rows]}
         text = json_text(payload, "\n") + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_text(path, "w") as fh:
         fh.write(text)
 
 

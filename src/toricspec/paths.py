@@ -46,9 +46,10 @@ class LatticePath(_Frozen):
     __slots__ = _fields = ("edges",)
 
     def __init__(self, edges: tuple[Edge, ...]) -> None:
-        # inline checks, as every scanned path is built here: the slope test is
-        # _slope_cmp((p, q), (dx, -dy)) >= 0 on the previous direction, from
-        # (1, -1), a direction before every other (q / p = -1)
+        # the full checks of a public, copied or unpickled path; a scan checks its
+        # table's chain here once and builds its paths with _canonical. The slope
+        # test is _slope_cmp((p, q), (dx, -dy)) >= 0 on the previous direction,
+        # from (1, -1), a direction before every other (q / p = -1)
         p, q = 1, -1
         for (dx, dy), mult in edges:
             if not (type(dx) is type(dy) is type(mult) is int):
@@ -64,6 +65,15 @@ class LatticePath(_Frozen):
                 raise ValidationError("edge slopes must strictly decrease; use from_edges to canonicalize")
             p, q = dx, -dy
         self._set("edges", edges)
+
+    @classmethod
+    def _canonical(cls, edges: tuple[Edge, ...]) -> "LatticePath":
+        """A path from edges canonical by construction, with no checks: a scan's
+        snapshot, a subsequence of its checked table, or a one-edge probe of a
+        primitive direction. Copy and pickle still rebuild through __init__."""
+        path = object.__new__(cls)
+        path._set("edges", edges)
+        return path
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[tuple[int, int], int]]) -> "LatticePath":
@@ -176,6 +186,13 @@ def _scan_paths(
     the consumer must take one to keep a path. Both toric scans in spectra
     keep such snapshots and build a LatticePath only for what they return.
 
+    Every path is a subsequence of the table, in table order, with
+    multiplicities >= 1, so it is canonical exactly when the table's one-unit
+    chain is: that chain goes through the checked LatticePath constructor
+    once, before the first yield (a ValidationError for a non-primitive,
+    repeated or out-of-order direction), and the consumers build the paths
+    they keep with LatticePath._canonical, unchecked.
+
     One flat loop, no recursion: `frames` holds, for each stack entry, its
     direction's index and the (length, abscissa, count) before it. A path
     first extends by the next direction that fits its budget, then its last
@@ -185,6 +202,7 @@ def _scan_paths(
     end, where none of them fits the room left, is found in one comparison
     rather than a walk over the rest of the table.
     """
+    LatticePath(tuple([((p, -q), 1) for p, q, _w in dirs]))
     table = [(w, q, (p + 1) * (q + 1) // 2, p, (p, -q)) for p, q, w in dirs]
     costs = [w for _p, _q, w in dirs]
     n = len(table)
@@ -250,7 +268,7 @@ def direction_table(
         for q in range(reach + 1 - p):
             if gcd(p, q) != 1:  # gcd(0, 0) == 0 drops the zero vector too
                 continue
-            w = omega_length(LatticePath((((p, -q), 1),)))
+            w = omega_length(LatticePath._canonical((((p, -q), 1),)))
             w = w if type(w) is Fraction else _exact_rat(w, "unit edge length")
             if w.numerator <= 0:
                 raise ValidationError(f"unit edge ({p}, {-q}) has nonpositive length {_shown(w, str)}")
@@ -291,4 +309,4 @@ def enumerate_paths(
         bound -= 1  # integer budgets make strict < equivalent to <= bound-1
     stack: list[Edge] = []
     for _state in _scan_paths(dirs, bound, stack):
-        yield LatticePath(tuple(stack))
+        yield LatticePath._canonical(tuple(stack))

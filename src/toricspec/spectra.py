@@ -210,8 +210,8 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
     if val_ge != val_eq:
         raise AssertionError(
             f"corner rounding failed: min over >= is {val_ge}, min over == is {val_eq}")
-    return ToricCapacityResult(val_eq, LatticePath(best_eq[1]), val_ge, val_eq,
-                               LatticePath(best_ge[1]), Fraction(bound, den), scanned)
+    return ToricCapacityResult(val_eq, LatticePath._canonical(best_eq[1]), val_ge, val_eq,
+                               LatticePath._canonical(best_ge[1]), Fraction(bound, den), scanned)
 
 
 class Spectrum:
@@ -387,7 +387,7 @@ class ToricSpectrum(Spectrum):
                 raise AssertionError(
                     f"corner rounding failed at k={k}: min over >= is {Fraction(at_least, den)}, "
                     f"min over == is {Fraction(lens[k], den)}")
-        return den, lens[:over], [LatticePath(paths[k]) for k in range(over)]
+        return den, lens[:over], [LatticePath._canonical(paths[k]) for k in range(over)]
 
     def count_le(self, cutoff: Fraction) -> int:
         """The most lattice points a path of length <= cutoff encloses.

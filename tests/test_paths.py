@@ -1,6 +1,8 @@
 """Lattice path core: canonical form, both counting routes, enumeration."""
 
+import copy
 import json
+import pickle
 import re
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from toricspec import (
     LatticePath,
+    ToricSpectrum,
     ValidationError,
     enumerate_paths,
     lattice_count_direct,
@@ -411,6 +414,59 @@ def test_capacity_at_k0_is_the_empty_path_from_one_scan():
     assert res.witness == LatticePath(()) and res.witness_at_least == LatticePath(())
     assert res.enumeration_bound == 0
     assert res.paths_scanned == 1
+
+
+@pytest.mark.parametrize("dirs, message", [
+    ([(1, 0, 1), (2, 2, 3), (0, 1, 1)], r"^direction \(2, -2\) is not primitive$"),
+    ([(1, 0, 1), (0, 1, 1), (1, 1, 2)], r"^edge slopes must strictly decrease"),
+    ([(1, 0, 1), (1, 1, 2), (1, 1, 2), (0, 1, 1)], r"^edge slopes must strictly decrease"),
+], ids=["non-primitive", "out-of-order", "repeated"])
+def test_a_bad_table_is_refused_before_the_first_path(dirs, message):
+    # the scan builds its paths unchecked, so its table is checked once, up front
+    stack: list[Edge] = []
+    scan = _scan_paths(dirs, 10, stack)
+    with pytest.raises(ValidationError, match=message):
+        next(scan)
+    assert stack == []
+
+
+def assert_same_as_checked(path):
+    # the checked constructor and from_edges are the oracle of a path built unchecked
+    assert LatticePath(path.edges) == path
+    for checked in (LatticePath(path.edges), LatticePath.from_edges(path.edges)):
+        assert checked.edges == path.edges
+        assert (repr(checked), hash(checked)) == (repr(path), hash(path))
+
+
+@settings(max_examples=40, deadline=None)
+@given(prof=convex_profiles(),
+       budget_ratio=st.sampled_from([Fraction(1), Fraction(2), Fraction(4), Fraction(6)]),
+       inclusive=st.booleans(), k=st.integers(0, 12))
+def test_unchecked_paths_equal_their_checked_constructions(prof, budget_ratio, inclusive, k):
+    omega = lambda p: omega_length(prof, p)
+    budget = budget_ratio * min(prof.vertices[-1][0], prof.vertices[0][1])
+    for path in enumerate_paths(budget, norm_floor(prof), omega, inclusive=inclusive):
+        assert_same_as_checked(path)
+    for _value, witness in ToricSpectrum(prof).entries(k):
+        assert_same_as_checked(witness)
+    res = toric_capacity_detail(prof, k)
+    assert_same_as_checked(res.witness)
+    assert_same_as_checked(res.witness_at_least)
+
+
+def test_a_copied_or_pickled_scanned_path_is_rebuilt_through_the_checks(monkeypatch):
+    prof = square()
+    path = list(enumerate_paths(Fraction(4), norm_floor(prof), lambda p: omega_length(prof, p)))[-1]
+    assert path.edges
+    built, init = [], LatticePath.__init__
+
+    def counted(self, edges):
+        built.append(edges)
+        init(self, edges)
+    monkeypatch.setattr(LatticePath, "__init__", counted)
+    copies = [copy.copy(path), copy.deepcopy(path), pickle.loads(pickle.dumps(path))]
+    assert copies == [path] * 3 and all(c is not path for c in copies)
+    assert built == [path.edges] * 3
 
 
 # primitive directions (p, q), meaning the edge vector (p, -q), and canonical
