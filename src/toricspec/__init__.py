@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # every public name, once, under the submodule that defines it
 _EXPORTS = {
     "domains": """Ball DisjointUnion Domain Ellipsoid ToricProfile contact_volume
-        domain_from_jsonable load_domain norm_floor omega_length profile_area scale_domain
+        domain_from_jsonable load_domain norm_floor omega_length profile_area
         triangle_profile validate_profile""",
     "echindex": """IndexScanReport IndexScanRow OrbitRecord OrbitSet ellipsoid_action
         ellipsoid_index ellipsoid_orbit_set index_action_scan orbit_set_from_jsonable

@@ -118,8 +118,10 @@ Domain = Union[Ellipsoid, Ball, ToricProfile, DisjointUnion]
 def validate_profile(vertices) -> ToricProfile:
     """Normalize and validate a raw vertex list.
 
-    Coordinates are coerced to Fractions, repeated and collinear interior
-    vertices are merged silently, and ToricProfile checks the chain (two
+    Coordinates are coerced to Fractions, repeated vertices and interior
+    vertices that lie between their two neighbours on one line are merged
+    silently (a chain that turns back through a vertex keeps it, so
+    ToricProfile refuses it), and ToricProfile checks the chain (two
     vertices or more, start on the positive y-axis, end on the positive
     x-axis, interior vertices strictly inside, slopes strictly decreasing).
     """
@@ -134,7 +136,8 @@ def validate_profile(vertices) -> ToricProfile:
             continue
         if len(merged) >= 2:
             (x0, y0), (x1, y1) = merged[-2], merged[-1]
-            if (x1 - x0) * (p[1] - y0) == (p[0] - x0) * (y1 - y0):
+            if ((x1 - x0) * (p[1] - y0) == (p[0] - x0) * (y1 - y0)
+                    and (x1 - x0) * (p[0] - x1) + (y1 - y0) * (p[1] - y1) > 0):
                 merged.pop()
         merged.append(p)
     return ToricProfile(tuple(merged))
@@ -194,22 +197,6 @@ def contact_volume(domain: Domain) -> Fraction:
         return 2 * profile_area(domain)
     if isinstance(domain, DisjointUnion):
         return sum((contact_volume(p) for p in domain.parts), Fraction(0))
-    raise ValidationError(f"not a domain: {_shown(domain)}")
-
-
-def scale_domain(domain: Domain, r: Fraction) -> Domain:
-    """Dilate all profile data by an exact r > 0."""
-    r = _exact_rat(r, "scale factor")
-    if r <= 0:
-        raise ValidationError("scale factor must be positive")
-    if isinstance(domain, Ellipsoid):
-        return Ellipsoid(r * domain.a, r * domain.b)
-    if isinstance(domain, Ball):
-        return Ball(r * domain.a)
-    if isinstance(domain, ToricProfile):
-        return ToricProfile(tuple((r * x, r * y) for x, y in domain.vertices))
-    if isinstance(domain, DisjointUnion):
-        return DisjointUnion(tuple(scale_domain(p, r) for p in domain.parts))
     raise ValidationError(f"not a domain: {_shown(domain)}")
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ValidationError
 from .rationals import _Frozen, _exact_rat, _plain_ints, _scaled, _shown
@@ -62,7 +62,7 @@ class LatticePath(_Frozen):
             if mult < 1:
                 raise ValidationError("multiplicities must be positive")
             if q * dx + dy * p >= 0:
-                raise ValidationError("edge slopes must strictly decrease; use from_edges to canonicalize")
+                raise ValidationError("edge slopes must strictly decrease")
             p, q = dx, -dy
         self._set("edges", edges)
 
@@ -74,30 +74,6 @@ class LatticePath(_Frozen):
         path = object.__new__(cls)
         path._set("edges", edges)
         return path
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[tuple[int, int], int]]) -> "LatticePath":
-        """Build a canonical path from raw edges.
-
-        Non-primitive directions are reduced into their multiplicity,
-        duplicate directions merged, zero multiplicities dropped, and the
-        result sorted by decreasing slope.
-        """
-        merged: dict[tuple[int, int], int] = {}
-        for (dx, dy), mult in edges:
-            _plain_ints((dx, dy, mult), "edge data")
-            if mult == 0:
-                continue
-            if mult < 0:
-                raise ValidationError("multiplicities must be nonnegative")
-            if dx < 0 or dy > 0 or (dx == 0 and dy == 0):
-                raise ValidationError(
-                    f"direction {_shown((dx, dy), str)} must point weakly right and down")
-            g = gcd(dx, -dy)
-            d = (dx // g, dy // g)
-            merged[d] = merged.get(d, 0) + g * mult
-        ordered = sorted(merged.items(), key=lambda item: _slope_key((item[0][0], -item[0][1])))
-        return cls(tuple(ordered))
 
     @property
     def x_extent(self) -> int:

@@ -35,7 +35,6 @@ from .domains import (
     ToricProfile,
     _edge_cost,
     contact_volume,
-    scale_domain,
 )
 from .errors import UnavailableError, ValidationError
 from .paths import Edge, LatticePath, _scan_paths, _slope_key
@@ -277,9 +276,6 @@ class Spectrum:
 
     def domain(self) -> Domain:
         raise NotImplementedError
-
-    def scaled(self, r: Fraction) -> "Spectrum":
-        return spectrum_for(scale_domain(self.domain(), r))
 
 
 class EllipsoidSpectrum(Spectrum):

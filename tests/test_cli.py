@@ -20,6 +20,7 @@ from toricspec import Ball, DisjointUnion, Ellipsoid, UnionSpectrum, ValidationE
 from toricspec import cli, gaps
 from toricspec import io as tio
 from toricspec.cli import main
+from test_domains import TURNING_BACK
 
 F = Fraction
 
@@ -416,6 +417,14 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0
         assert json.loads(out) == {"type": "ellipsoid", "a": "1/2", "b": "3"}
+
+    @pytest.mark.parametrize("verts", TURNING_BACK, ids=["triangle", "square"])
+    def test_a_chain_that_turns_back_is_refused(self, capsys, tmp_path, verts):
+        path = tmp_path / "dom.json"
+        path.write_text(json.dumps({"type": "toric", "vertices": [[str(x), str(y)] for x, y in verts]}))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: interior profile vertices must be strictly positive\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))

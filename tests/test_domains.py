@@ -1,6 +1,7 @@
 """Domain validation, the dual norm, lengths, volumes, JSON forms."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from toricspec import (
     Ball,
     DisjointUnion,
     Ellipsoid,
-    LatticePath,
     ToricProfile,
     ValidationError,
     contact_volume,
@@ -19,13 +19,37 @@ from toricspec import (
     norm_floor,
     omega_length,
     profile_area,
-    scale_domain,
     triangle_profile,
     validate_profile,
 )
-from test_paths import convex_profiles, dual_norm, random_path, square
+from test_paths import convex_profiles, dual_norm, random_path, slope_sorted_path, square
 
 F = Fraction
+
+# inputs that turn back through a collinear vertex: merging it gave the triangle
+# (0, 2)-(2, 0) and the unit square
+TURNING_BACK = [[(0, 2), (3, -1), (1, 1), (2, 0)], [(0, 1), (1, 1), (0, 1), (1, 1), (1, 0)]]
+
+
+def dilate(domain, r):
+    # the domain r X, built per kind
+    if isinstance(domain, Ellipsoid):
+        return Ellipsoid(r * domain.a, r * domain.b)
+    if isinstance(domain, Ball):
+        return Ball(r * domain.a)
+    if isinstance(domain, DisjointUnion):
+        return DisjointUnion(tuple(dilate(part, r) for part in domain.parts))
+    return ToricProfile(tuple((r * x, r * y) for x, y in domain.vertices))
+
+
+def chain_position(chain, point):
+    # i + t for a point at t in [0, 1] along the edge from vertex i to vertex i + 1;
+    # None for a point off the chain
+    for i, ((x0, y0), (x1, y1)) in enumerate(zip(chain, chain[1:])):
+        dx, dy, px, py = x1 - x0, y1 - y0, point[0] - x0, point[1] - y0
+        if dx * py == dy * px and 0 <= (t := (px * dx + py * dy) / (dx * dx + dy * dy)) <= 1:
+            return i + t
+    return None
 
 
 class TestValidateProfile:
@@ -40,6 +64,34 @@ class TestValidateProfile:
     def test_merges_duplicates(self):
         p = validate_profile([(0, 2), (0, 2), (1, F(3, 2)), (1, F(3, 2)), (2, 0)])
         assert p.vertices == ((F(0), F(2)), (F(1), F(3, 2)), (F(2), F(0)))
+
+    def test_merges_forward_collinear_and_repeated_vertices(self):
+        p = validate_profile([(0, 3), (1, 3), (1, 3), (2, 3), (3, 2), (3, 2), (4, 1), (5, 0)])
+        assert p.vertices == ((F(0), F(3)), (F(2), F(3)), (F(5), F(0)))
+
+    @pytest.mark.parametrize("verts", TURNING_BACK, ids=["triangle", "square"])
+    def test_refuses_a_chain_that_turns_back(self, verts):
+        with pytest.raises(ValidationError,
+                           match="^interior profile vertices must be strictly positive$"):
+            validate_profile(verts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prof=convex_profiles(),
+           steps=st.lists(st.lists(st.sampled_from(
+               [F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(3, 2)]), max_size=3), min_size=4, max_size=4))
+    @example(prof=validate_profile([(0, 2), (2, 0)]), steps=[[F(3, 2)]] * 4)
+    def test_an_accepted_chain_holds_every_input_vertex_in_order(self, prof, steps):
+        # each edge (at most four) gets up to three more points t along it: repeated ends,
+        # points between the ends, and points past them, which turn the chain back
+        verts = [prof.vertices[0]]
+        for ((x0, y0), (x1, y1)), ts in zip(zip(prof.vertices, prof.vertices[1:]), steps):
+            verts += [(x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in ts] + [(x1, y1)]
+        try:
+            chain = validate_profile(verts).vertices
+        except ValidationError:
+            return
+        positions = [chain_position(chain, v) for v in verts]
+        assert None not in positions and positions == sorted(positions), (verts, chain)
 
     def test_keeps_true_corners(self):
         p = validate_profile([(0, 2), (2, 2), (2, 0)])
@@ -180,7 +232,7 @@ class TestDualNorm:
         prof = validate_profile([(0, 3), (1, 2), (2, 0)])
         for _ in range(50):
             p1, p2 = random_path(rng), random_path(rng)
-            merged = LatticePath.from_edges(list(p1.edges) + list(p2.edges))
+            merged = slope_sorted_path((Counter(dict(p1.edges)) + Counter(dict(p2.edges))).items())
             assert omega_length(prof, merged) == omega_length(prof, p1) + omega_length(prof, p2)
 
     def test_triangle_length_equals_vertex_support(self, rng):
@@ -207,22 +259,10 @@ class TestVolumesAndScaling:
         assert profile_area(square(F(2))) == 4
         assert profile_area(validate_profile([(0, 2), (1, 2), (1, 0)])) == 2
 
-    def test_scale_domain(self):
-        assert scale_domain(Ellipsoid(F(2), F(3)), F(1, 2)) == Ellipsoid(F(1), F(3, 2))
-        assert scale_domain(Ball(F(3)), F(2)) == Ball(F(6))
-        sq = scale_domain(square(), F(3))
-        assert sq == square(F(3))
-        u = scale_domain(DisjointUnion((Ball(F(1)), Ball(F(2)))), F(2))
-        assert u == DisjointUnion((Ball(F(2)), Ball(F(4))))
-        with pytest.raises(ValidationError):
-            scale_domain(Ball(F(1)), F(0))
-        with pytest.raises(ValidationError, match=r"^not a domain: '<object object at "):
-            scale_domain(object(), 2)
-
     def test_volume_scales_quadratically(self):
         for dom in (Ellipsoid(F(2), F(3)), square(),
                     DisjointUnion((Ball(F(1)), Ball(F(2))))):
-            assert contact_volume(scale_domain(dom, F(5, 3))) == F(25, 9) * contact_volume(dom)
+            assert contact_volume(dilate(dom, F(5, 3))) == F(25, 9) * contact_volume(dom)
 
 
 class TestJsonForms:

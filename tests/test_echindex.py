@@ -302,7 +302,7 @@ class TestOrbitJson:
 class TestPathBounds:
     def test_hand_values(self):
         assert path_index_bounds(LatticePath(())) == (0, 0)
-        tri = LatticePath.from_edges([((1, -1), 1)])
+        tri = LatticePath((((1, -1), 1),))
         assert path_index_bounds(tri) == (3, 4)
 
     def test_upper_bound_counts_points(self, rng):

@@ -11,6 +11,7 @@ from toricspec import (
     Approximant,
     GapReport,
     Ball,
+    ConsistencyError,
     DisjointUnion,
     Ellipsoid,
     EllipsoidSpectrum,
@@ -171,6 +172,13 @@ class TestClosingBound:
             assert row["gap"] is not None
             assert row["margin"] >= 0
             assert row["close"] <= row["gap"]
+
+    def test_a_close_past_the_gap_raises_consistency_error(self, monkeypatch):
+        real = gaps.ellipsoid_close
+        monkeypatch.setattr(gaps, "ellipsoid_close", lambda a, b, cutoff: real(a, b, cutoff) + 1)
+        with pytest.raises(ConsistencyError) as exc:
+            close_gap_consistency(F(1), GOLDEN, [F(10)])
+        assert str(exc.value) == "close 12/11 exceeds gap 1/11 at cutoff 10 for axes (1, 89/55)"
 
     def test_close_equals_gap_on_golden_grid(self):
         spec = EllipsoidSpectrum(Ellipsoid(F(1), GOLDEN))

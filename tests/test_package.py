@@ -19,8 +19,7 @@ from test_cli import parser_options
 PUBLIC = {
     "domains": ["Ball", "DisjointUnion", "Domain", "Ellipsoid", "ToricProfile",
                 "contact_volume", "domain_from_jsonable", "load_domain", "norm_floor",
-                "omega_length", "profile_area", "scale_domain", "triangle_profile",
-                "validate_profile"],
+                "omega_length", "profile_area", "triangle_profile", "validate_profile"],
     "echindex": ["IndexScanReport", "IndexScanRow", "OrbitRecord", "OrbitSet",
                  "ellipsoid_action", "ellipsoid_index", "ellipsoid_orbit_set",
                  "index_action_scan", "orbit_set_from_jsonable", "path_index_bounds",
@@ -39,14 +38,15 @@ PUBLIC = {
 PAIRS = [(mod, name) for mod, names in PUBLIC.items() for name in names]
 # public once; README's "Removed public names" gives each one's replacement
 REMOVED = ["DegenerateRotationError", "Rat", "conformal_scale", "cz_from_rotation", "dual_norm",
-           "enclosed_area", "square_profile", "toric_capacity"]
+           "enclosed_area", "square_profile", "toric_capacity", "scale_domain"]
 # members of the value classes that nothing called, listed there too
 REMOVED_MEMBERS = [("LatticePath", "from_jsonable"), ("LatticePath", "is_empty"),
                    ("LatticePath", "degenerate"), ("LatticePath", "empty"), ("OrbitRecord", "cz"),
                    ("ToricProfile", "x_intercept"), ("ToricProfile", "y_intercept"),
                    ("Spectrum", "contact_volume"), ("EllipsoidSpectrum", "check_witness"),
                    ("BallSpectrum", "check_witness"), ("ToricSpectrum", "check_witness"),
-                   ("UnionSpectrum", "check_witness")]
+                   ("UnionSpectrum", "check_witness"), ("LatticePath", "from_edges"),
+                   ("Spectrum", "scaled")]
 INSTANCES = {"LatticePath": lambda: toricspec.LatticePath(()),
              "OrbitRecord": lambda: toricspec.OrbitRecord("g", 1, -1, lambda j: 1, 1),
              "ToricProfile": lambda: toricspec.triangle_profile(F(1), F(2)),
@@ -57,7 +57,8 @@ INSTANCES = {"LatticePath": lambda: toricspec.LatticePath(()),
              "UnionSpectrum": lambda: toricspec.UnionSpectrum([INSTANCES["BallSpectrum"]()])}
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-# the pruning rule's callers: a public name that none of these names goes
+# the pruning rule's callers: a public name that none of these names goes; of README only
+# its examples count (_caller_text)
 CALLERS = ["src/toricspec/*.py", "README.md", "tests/test_acceptance.py",
            "tests/smoke_digests.json", "perfbench/*.py", "scripts/*.py"]
 # the callers whose argv uses a CLI option, with README's command-line examples and the
@@ -66,7 +67,7 @@ ARGV_CALLERS = ["tests/test_acceptance.py", "perfbench/*.py", "scripts/*.py"]
 
 
 def test_public_names_are_the_frozen_list():
-    assert len(PAIRS) == 60
+    assert len(PAIRS) == 59
     assert sorted(name for _mod, name in PAIRS) == sorted(toricspec.__all__)
     assert set(toricspec.__all__) <= set(dir(toricspec))
 
@@ -76,11 +77,18 @@ def test_public_name_is_the_defining_modules_object(mod, name):
     assert getattr(toricspec, name) is getattr(importlib.import_module(f"toricspec.{mod}"), name)
 
 
+def _removed_names_paragraphs() -> str:
+    """README's account of the removed names, which gives each one's replacement."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("\nRemoved public names: ", 1)[1].split("\n## ", 1)[0]
+
+
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_raises_attribute_error(name):
     assert name not in toricspec.__all__
     with pytest.raises(AttributeError, match=name):
         getattr(toricspec, name)
+    assert re.search(rf"`{name}(\([^`]*\))?`", _removed_names_paragraphs())
 
 
 @pytest.mark.parametrize("cls, member", REMOVED_MEMBERS)
@@ -89,7 +97,7 @@ def test_removed_member_raises_attribute_error(cls, member):
     for obj in (owner, INSTANCES[cls]()):
         with pytest.raises(AttributeError, match=member):
             getattr(obj, member)
-    assert re.search(rf"`{cls}\.{member}(\(\))?`", README.read_text(encoding="utf-8"))
+    assert re.search(rf"`{cls}\.{member}(\([^`]*\))?`", _removed_names_paragraphs())
 
 
 def test_removed_keyword_raises_type_error():
@@ -101,6 +109,15 @@ def test_removed_keyword_raises_type_error():
         toricspec.weyl_report(INSTANCES["BallSpectrum"](), [1], volume=F(1))
 
 
+def _caller_text(root: Path, path: Path) -> str:
+    """What a caller file says: the whole file, but of README only the code of its ```python
+    and ```sh blocks, so that prose naming a name, member or flag does not keep it."""
+    text = path.read_text(encoding="utf-8")
+    if path != root / "README.md":
+        return text
+    return "".join(block.split("```", 1)[0] for block in re.split(r"```(?:python|sh)\n", text)[1:])
+
+
 def _unused_public_names(root: Path) -> list[str]:
     """Public names that CALLERS never name outside the export table, their own
     definition and the definitions of other such names; the files are only read."""
@@ -109,7 +126,7 @@ def _unused_public_names(root: Path) -> list[str]:
     for path in sorted({p for pattern in CALLERS for p in root.glob(pattern)}):
         if path == root / "src/toricspec/__init__.py":
             continue  # the export table
-        text = path.read_text(encoding="utf-8")
+        text = _caller_text(root, path)
         owner = {}  # line number -> the public definition it lies in, or "" for an import
         if path.suffix == ".py" and path.parent == root / "src/toricspec":
             for node in ast.parse(text).body:
@@ -146,7 +163,7 @@ def _unused_members(root: Path) -> list[str]:
     as `.name` outside the definitions of members of that name; the files are only read."""
     members, used = set(), set()
     for path in _files(root, CALLERS):
-        text = path.read_text(encoding="utf-8")
+        text = _caller_text(root, path)
         defined = {}  # line number -> the public member whose definition holds it
         if path.suffix == ".py":
             for node in ast.walk(ast.parse(text)):

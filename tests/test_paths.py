@@ -52,11 +52,16 @@ def trapezoid_area(path):
                Fraction(0))
 
 
+def slope_sorted_path(edges):
+    # the path of edges with distinct primitive directions, put in LatticePath's order
+    return LatticePath(tuple(sorted(edges, key=lambda edge: _slope_key((edge[0][0], -edge[0][1])))))
+
+
 def random_path(rng, max_coord=6, max_mult=4):
     dirs = [(p, -q) for p in range(max_coord + 1) for q in range(max_coord + 1)
             if (p or q) and gcd(p, q) == 1]
     chosen = rng.sample(dirs, rng.randint(0, min(6, len(dirs))))
-    return LatticePath.from_edges(((d, rng.randint(1, max_mult)) for d in chosen))
+    return slope_sorted_path([(d, rng.randint(1, max_mult)) for d in chosen])
 
 
 class TestCanonicalForm:
@@ -66,16 +71,12 @@ class TestCanonicalForm:
         assert p.x_extent == 0 and p.y_extent == 0
         assert p.vertices() == [(0, 0)]
 
-    def test_from_edges_reduces_and_merges(self):
-        p = LatticePath.from_edges([((2, -2), 1), ((1, -1), 3)])
-        assert p.edges == (((1, -1), 5),)
-
-    def test_from_edges_sorts_by_decreasing_slope(self):
-        p = LatticePath.from_edges([((0, -1), 1), ((1, 0), 2), ((1, -2), 1), ((2, -1), 1)])
+    def test_slope_key_sorts_by_decreasing_slope(self):
+        edges = [((0, -1), 1), ((1, 0), 2), ((1, -2), 1), ((2, -1), 1)]
+        with pytest.raises(ValidationError, match="^edge slopes must strictly decrease$"):
+            LatticePath(tuple(edges))
+        p = slope_sorted_path(edges)
         assert [d for d, _m in p.edges] == [(1, 0), (2, -1), (1, -2), (0, -1)]
-
-    def test_from_edges_drops_zero_mult(self):
-        assert LatticePath.from_edges([((1, 0), 0)]).edges == ()
 
     _rejected = [
         ((((-1, 0), 1),), r"direction \(-1, 0\) must point weakly right and down"),
@@ -103,8 +104,7 @@ class TestCanonicalForm:
         ((((3, 0), 1),), "direction (3, 0) is not primitive"),
         ((((1, 0), True),), "edge data must be ints, got bool True"),
         ((((1, -1), 0),), "multiplicities must be positive"),
-        ((((0, -1), 1), ((1, 0), 1)),
-         "edge slopes must strictly decrease; use from_edges to canonicalize"),
+        ((((0, -1), 1), ((1, 0), 1)), "edge slopes must strictly decrease"),
     ], ids=["zero", "left-down", "right-up", "multiple", "vertical-multiple",
             "horizontal-multiple", "bool", "zero-mult", "slope-order"])
     def test_constructor_messages_are_pinned(self, edges, message):
@@ -113,12 +113,12 @@ class TestCanonicalForm:
         assert str(exc.value) == message
 
     def test_vertices(self):
-        p = LatticePath.from_edges([((1, 0), 2), ((1, -1), 1), ((0, -1), 2)])
+        p = LatticePath((((1, 0), 2), ((1, -1), 1), ((0, -1), 2)))
         assert p.vertices() == [(0, 3), (2, 3), (3, 2), (3, 0)]
 
     def test_json_round_trip(self):
         # path JSON is output only: the witness form, pinned through a JSON text round trip
-        p = LatticePath.from_edges([((1, 0), 2), ((3, -2), 1)])
+        p = LatticePath((((1, 0), 2), ((3, -2), 1)))
         pinned = {"edges": [{"dir": [1, 0], "mult": 2}, {"dir": [3, -2], "mult": 1}]}
         assert json.loads(json.dumps(p.to_jsonable())) == p.to_jsonable() == pinned
         assert LatticePath(()).to_jsonable() == {"edges": []}
@@ -127,18 +127,18 @@ class TestCanonicalForm:
 class TestCounts:
     def test_known_small_counts(self):
         assert lattice_count_direct(LatticePath(())) == 1
-        assert lattice_count_direct(LatticePath.from_edges([((0, -1), 3)])) == 4
-        assert lattice_count_direct(LatticePath.from_edges([((1, 0), 3)])) == 4
+        assert lattice_count_direct(LatticePath((((0, -1), 3),))) == 4
+        assert lattice_count_direct(LatticePath((((1, 0), 3),))) == 4
         # unit triangle: (0,0), (0,1), (1,0)
-        tri = LatticePath.from_edges([((1, -1), 1)])
+        tri = LatticePath((((1, -1), 1),))
         assert lattice_count_direct(tri) == 3
         assert trapezoid_area(tri) == Fraction(1, 2)
         # unit square corners
-        sq = LatticePath.from_edges([((1, 0), 1), ((0, -1), 1)])
+        sq = LatticePath((((1, 0), 1), ((0, -1), 1)))
         assert lattice_count_direct(sq) == 4
         assert trapezoid_area(sq) == 1
         # wide triangle (0,1)-(2,0): interior column holds no extra point
-        wide = LatticePath.from_edges([((2, -1), 1)])
+        wide = LatticePath((((2, -1), 1),))
         assert lattice_count_direct(wide) == 4
         assert trapezoid_area(wide) == 1
 
@@ -149,13 +149,13 @@ class TestCounts:
 
     def test_pick_handles_degenerate_axis_paths(self):
         for p in (LatticePath(()),
-                  LatticePath.from_edges([((0, -1), 5)]),
-                  LatticePath.from_edges([((1, 0), 5)])):
+                  LatticePath((((0, -1), 5),)),
+                  LatticePath((((1, 0), 5),))):
             assert p.x_extent == 0 or p.y_extent == 0
             assert lattice_count_pick(p) == lattice_count_direct(p)
 
     def test_area_is_translation_of_shoelace(self):
-        p = LatticePath.from_edges([((1, 0), 1), ((2, -1), 1), ((1, -2), 1), ((0, -1), 1)])
+        p = LatticePath((((1, 0), 1), ((2, -1), 1), ((1, -2), 1), ((0, -1), 1)))
         assert Fraction(_chain_twice_area(p.vertices()), 2) == trapezoid_area(p)
         assert trapezoid_area(p) == Fraction(lattice_count_pick(p) - 1, 1) - Fraction(
             p.x_extent + p.y_extent + p.total_multiplicity, 2)
@@ -166,7 +166,7 @@ def naive_paths(dirs, max_length, omega, inclusive):
     out = []
 
     def admit(edges):
-        path = LatticePath.from_edges(edges)
+        path = slope_sorted_path(edges)
         length = omega(path)
         if length > max_length or (not inclusive and length == max_length):
             return False
@@ -431,11 +431,10 @@ def test_a_bad_table_is_refused_before_the_first_path(dirs, message):
 
 
 def assert_same_as_checked(path):
-    # the checked constructor and from_edges are the oracle of a path built unchecked
-    assert LatticePath(path.edges) == path
-    for checked in (LatticePath(path.edges), LatticePath.from_edges(path.edges)):
-        assert checked.edges == path.edges
-        assert (repr(checked), hash(checked)) == (repr(path), hash(path))
+    # the checked constructor is the oracle of a path built unchecked
+    checked = LatticePath(path.edges)
+    assert checked == path and checked.edges == path.edges
+    assert (repr(checked), hash(checked)) == (repr(path), hash(path))
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,10 +469,10 @@ def test_a_copied_or_pickled_scanned_path_is_rebuilt_through_the_checks(monkeypa
 
 
 # primitive directions (p, q), meaning the edge vector (p, -q), and canonical
-# paths built from them
+# paths built from distinct ones
 _primitive_dirs = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda d: gcd(*d) == 1)
-canonical_paths = st.lists(st.tuples(_primitive_dirs, st.integers(1, 4)), max_size=6).map(
-    lambda edges: LatticePath.from_edges(((p, -q), m) for (p, q), m in edges))
+canonical_paths = st.dictionaries(_primitive_dirs, st.integers(1, 4), max_size=6).map(
+    lambda mults: slope_sorted_path([((p, -q), m) for (p, q), m in mults.items()]))
 
 
 def fraction_length(prof, path):

@@ -35,11 +35,12 @@ from toricspec import (
     omega_length,
     orbit_set_from_jsonable,
     parse_rat,
-    scale_domain,
     spectral_gap,
     spectrum_for,
     to_string,
     toric_capacity_detail,
+    triangle_profile,
+    union_capacity,
     validate_profile,
     weyl_report,
 )
@@ -175,12 +176,12 @@ _BIG = 10 ** 5000  # past Python's default 4300-digit int-to-text limit
     (lambda: OrbitRecord("g", 1, -1, lambda j: 1, -_BIG), ValidationError),
     (lambda: orbit_set_from_jsonable(_orbit_json()).orbits[0].cz_sum(-_BIG, -_BIG),
      ValidationError),
-    (lambda: LatticePath.from_edges([((_BIG, 1), 1)]), ValidationError),
+    (lambda: LatticePath((((_BIG, 1), 1),)), ValidationError),
     (lambda: LatticePath((((2 * _BIG, -2), 1),)), ValidationError),
     (lambda: floor_sum(-_BIG, 1, 1, 1), ValidationError),
     (lambda: index_action_scan(Fraction(_BIG + 1, _BIG), 1, 10 ** 5001), PreconditionError),
 ], ids=["close-cutoff", "close-axis", "spectrum-for", "contact-volume", "nk-sequence", "weyl",
-        "orbit-multiplicity", "cover-degree", "from-edges", "path", "floor-sum",
+        "orbit-multiplicity", "cover-degree", "direction", "path", "floor-sum",
         "index-scan"])
 def test_a_value_past_the_digit_limit_is_refused_with_a_short_message(call, error):
     # writing such a value out raises Python's own ValueError; the message names it instead
@@ -263,7 +264,7 @@ def test_approx_ignores_the_callers_decimal_context(x, text):
     (close_gap_consistency, (F(1), F(89, 55), [F(10), 20.0])),
     (spectral_gap, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), 10.0)),
     (gap_asymptotics, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), [F(5), 10.0])),
-    (BallSpectrum(Ball(F(1))).scaled, (1.5,)),
+    (triangle_profile, (1.5, F(2))),  # in place of a removed case: ids stay put
     # appended last so the generated ids of the earlier cases stay stable
     (ellipsoid_close_detail, (F(1), F(89, 55), 100.0)),
     (weyl_report, (BallSpectrum(Ball(F(1))), [5, 2.5])),  # in place of a removed case: ids stay put
@@ -284,11 +285,12 @@ def test_approx_ignores_the_callers_decimal_context(x, text):
     (ellipsoid_orbit_set, (F(2), F(3), 1.5, 0)),
     (index_action_scan, (F(1000, 1001), F(1), 2.5)),
     (OrbitRecord, ("g", 1, -1, lambda j: 1, 1.0)),
-    (EllipsoidSpectrum(Ellipsoid(F(2), F(3))).scaled, (0.1,)),
-    (scale_domain, (Ellipsoid(F(2), F(3)), 0.5)),
-    (LatticePath.from_edges, ([((1.0, 0), 1)],)),
-    (LatticePath.from_edges, ([((1, 0), 2.0)],)),
-    (LatticePath.from_edges, ([((1, -1.5), 1)],)),  # in place of a removed case: ids stay put
+    # in place of removed cases: ids stay put
+    (BallSpectrum(Ball(F(1))).count_le, (0.1,)),
+    (union_capacity, ([BallSpectrum(Ball(F(1)))], 2.5)),
+    (LatticePath, ((((1.0, 0), 1),),)),
+    (LatticePath, ((((1, 0), 2.0),),)),
+    (LatticePath, ((((1, -1.5), 1),),)),
     (LatticePath, ((((1, -1.0), 1),),)),
 ])
 def test_library_entry_points_refuse_floats(call, args):
@@ -305,12 +307,13 @@ def test_library_entry_points_refuse_floats(call, args):
     (index_action_scan, (F(1000, 1001), F(1), True)),
     (OrbitRecord, ("g", 1, -1, lambda j: 1, True)),
     (LatticePath, ((((1, 0), True),),)),
-    (LatticePath.from_edges, ([((True, 0), 1)],)),
-    (LatticePath.from_edges, ([((1, 0), True)],)),  # in place of a removed case: ids stay put
+    # in place of removed cases: ids stay put
+    (LatticePath, ((((True, 0), 1),),)),
+    (LatticePath, ((((1, 0), 1), ((1, -1), True)),)),
     (orbit_set_from_jsonable, (_orbit_json(multiplicity=True),)),
     (orbit_set_from_jsonable, (_orbit_json(cz=[True]),)),
     (orbit_set_from_jsonable, (_orbit_json(linking=[[False]]),)),
-    # a bool axis, limit, cutoff, parameter or scale factor
+    # a bool axis, limit, cutoff, parameter or intercept
     (count_action_pairs, (True, 2, 5)),
     (count_action_pairs, (F(1), F(2), False)),
     (nk_via_lattice, (F(1), True, 3)),
@@ -320,7 +323,7 @@ def test_library_entry_points_refuse_floats(call, args):
     (weyl_report, (BallSpectrum(Ball(F(1))), [4, True])),  # in place of a removed case: ids stay put
     (spectral_gap, (EllipsoidSpectrum(Ellipsoid(F(2), F(3))), True)),
     (EllipsoidSpectrum(Ellipsoid(F(2), F(3))).count_le, (True,)),
-    (scale_domain, (Ellipsoid(F(2), F(3)), True)),
+    (triangle_profile, (True, F(2))),  # in place of a removed case: ids stay put
 ])
 def test_spectrum_indices_refuse_bools(call, args):
     # bool is a subclass of int, so a bare k < 0 check took True as k = 1

@@ -28,7 +28,6 @@ from toricspec import (
     nk_sequence,
     nk_via_lattice,
     omega_length,
-    scale_domain,
     spectrum_for,
     toric_capacity_detail,
     triangle_profile,
@@ -38,6 +37,7 @@ from toricspec import (
 )
 from toricspec import gaps, spectra
 from toricspec.spectra import _count_scaled, _greedy_bound
+from test_domains import dilate
 from test_paths import convex_profiles, fraction_length, naive_paths, square
 
 F = Fraction
@@ -308,7 +308,7 @@ class TestToricCapacity:
     def test_unit_square_first_step(self):
         res = toric_capacity_detail(square(), 1)
         assert res.value == 1
-        assert res.witness == LatticePath.from_edges([((1, 0), 1)])
+        assert res.witness == LatticePath((((1, 0), 1),))
 
     def test_k_zero(self):
         res = toric_capacity_detail(square(), 0)
@@ -359,8 +359,8 @@ def brute_force_greedy_path(prof, k):
                    for x0, y0 in tops[:i] for x1, y1 in tops[i + 1:])]
     if hull[-1][1] > 0:
         hull.append((hull[-1][0], 0))
-    return LatticePath.from_edges(((x1 - x0, y1 - y0), 1)
-                                  for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
+    steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+    return LatticePath(tuple(((dx // g, dy // g), g) for dx, dy in steps for g in [gcd(dx, dy)]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,19 +504,15 @@ class TestConformality:
                             EllipsoidSpectrum(Ellipsoid(F(2), F(3)))]), 10),
         ]
         for spec, k_max in base:
-            assert spec.scaled(r).entries(k_max) == [(r * v, w) for v, w in spec.entries(k_max)]
+            assert spectrum_for(dilate(spec.domain(), r)).entries(k_max) == \
+                [(r * v, w) for v, w in spec.entries(k_max)]
 
-    def test_nested_union_cannot_be_scaled(self):
+    def test_nested_union_has_no_domain(self):
         inner = UnionSpectrum([BallSpectrum(Ball(F(1)))])
         nested = UnionSpectrum([inner, BallSpectrum(Ball(F(2)))])
-        for call in (nested.domain, lambda: nested.scaled(F(2))):
-            with pytest.raises(ValidationError,
-                               match="^nested unions are not supported; flatten the parts$"):
-                call()
-
-    def test_bad_factor(self):
-        with pytest.raises(ValidationError):
-            BallSpectrum(Ball(F(1))).scaled(F(-1))
+        with pytest.raises(ValidationError,
+                           match="^nested unions are not supported; flatten the parts$"):
+            nested.domain()
 
 
 class TestWeyl:
@@ -739,7 +735,7 @@ def test_every_provider_is_conformal(sized, r):
     # ties compare the same after scaling, so they break the same way
     domain, k_max = sized
     entries = spectrum_for(domain).entries(k_max)
-    assert spectrum_for(scale_domain(domain, r)).entries(k_max) == \
+    assert spectrum_for(dilate(domain, r)).entries(k_max) == \
         [(r * value, witness) for value, witness in entries]
 
 

@@ -189,8 +189,7 @@ _REFUSED = [
     (lambda: LatticePath((((1, 1), 1),)), "direction (1, 1) must point weakly right and down"),
     (lambda: LatticePath((((2, 0), 1),)), "direction (2, 0) is not primitive"),
     (lambda: LatticePath((((1, 0), 0),)), "multiplicities must be positive"),
-    (lambda: LatticePath((((0, -1), 1), ((1, 0), 1))),
-     "edge slopes must strictly decrease; use from_edges to canonicalize"),
+    (lambda: LatticePath((((0, -1), 1), ((1, 0), 1))), "edge slopes must strictly decrease"),
     (lambda: Approximant("middle", 1, 1), "side must be 'below' or 'above'"),
     (lambda: Approximant("below", 0, 0), "below approximant needs m >= 1, n >= 0"),
     (lambda: Approximant("below", 1, -1), "below approximant needs m >= 1, n >= 0"),
@@ -204,7 +203,8 @@ _REFUSED = [
     (lambda: OrbitSet((RECORD,), ((0, 1),)), "linking matrix shape must match the orbit count"),
     (lambda: OrbitSet((RECORD, OrbitRecord("h", 1, -1, abs, 1)), ((0, 1), (2, 0))),
      "linking matrix must be symmetric"),
-    (lambda: LatticePath.from_edges([((1, 0), -1)]), "multiplicities must be nonnegative"),
+    # in place of a removed case: ids stay put
+    (lambda: LatticePath((((1, -1), -1),)), "multiplicities must be positive"),
     # the orbit classes check their own integers: a float Chern number gave index 5.0, a
     # bool linking entry counted as 1, and an int row raised a bare TypeError
     (lambda: OrbitRecord("g", 2.5, -1, abs, 1),
@@ -243,7 +243,7 @@ def test_the_checks_accept_what_they_should():
     assert Approximant("below", 1, 0).n == 0 and Approximant("above", 0, 1).m == 0
     assert GapReport(F(1), None, None).is_infinite and not GapReport(F(1), F(0), 0).is_infinite
     assert OrbitSet((), ()).orbits == ()
-    assert LatticePath(()).edges == () and LatticePath(()) == LatticePath.from_edges([])
+    assert LatticePath(()).edges == ()
 
 
 def test_orbit_record_methods_still_read_the_cover_callable():
