@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
 
 from .domains import _require_keys
 from .errors import MissingCoverError, PreconditionError, ValidationError
@@ -40,46 +39,34 @@ def ellipsoid_action(a: Fraction, b: Fraction, m1: int, m2: int) -> Fraction:
 class OrbitRecord(_Frozen):
     """One orbit with its trivialized index data.
 
-    cz_of_cover maps the cover degree j >= 1 to the Conley-Zehnder index
-    of the j-th iterate; cz_sum calls it lazily for j up to the
-    multiplicity, and refuses bounds that are not ints and a cover degree
-    below 1. The label must be a str. self_linking and chern are the
-    writhe-type and relative first Chern numbers in the same trivialization;
-    both must be ints, bools refused.
+    cz_indices is a tuple of ints whose entry j - 1 is the Conley-Zehnder
+    index of the j-th iterate; it holds at least multiplicity entries. The
+    label must be a str. self_linking and chern are the writhe-type and
+    relative first Chern numbers in the same trivialization; both must be
+    ints, bools refused.
     """
 
-    __slots__ = _fields = ("label", "chern", "self_linking", "cz_of_cover", "multiplicity")
+    __slots__ = _fields = ("label", "chern", "self_linking", "cz_indices", "multiplicity")
 
-    def __init__(self, label: str, chern: int, self_linking: int,
-                 cz_of_cover: Callable[[int], int], multiplicity: int) -> None:
+    def __init__(self, label: str, chern: int, self_linking: int, cz_indices: tuple[int, ...],
+                 multiplicity: int) -> None:
         if type(label) is not str:
             raise ValidationError(f"orbit labels must be strings, got {type(label).__name__} "
                                   f"{_shown(label)}")
         _plain_ints((chern, self_linking), f"orbit {_shown(label)}: chern and self_linking")
         _exact_int(multiplicity, "orbit multiplicity", least=1)
+        if type(cz_indices) is not tuple:
+            raise ValidationError(f"orbit {_shown(label)}: cz array must be a tuple, got "
+                                  f"{type(cz_indices).__name__} {_shown(cz_indices)}")
+        _plain_ints(cz_indices, f"orbit {_shown(label)}: cz array")
+        if len(cz_indices) < multiplicity:
+            raise MissingCoverError(f"orbit {_shown(label)} has no index data for cover "
+                                    f"{len(cz_indices) + 1}")
         self._set("label", label)
         self._set("chern", chern)
         self._set("self_linking", self_linking)
-        self._set("cz_of_cover", cz_of_cover)
+        self._set("cz_indices", cz_indices)
         self._set("multiplicity", multiplicity)
-
-    def cz_sum(self, first: int, last: int) -> int:
-        """Sum of cz_of_cover(j) over covers j = first..last, each called once, in order."""
-        _plain_ints((first, last), "cover degrees")
-        if first < 1:
-            raise ValidationError(f"cover degree must be >= 1, got {_shown(first, str)}")
-        cover, total = self.cz_of_cover, 0
-        for j in range(first, last + 1):
-            try:
-                value = cover(j)
-            except LookupError as exc:
-                raise MissingCoverError(
-                    f"orbit {_shown(self.label)} has no index data for cover {j}") from exc
-            if type(value) is not int:
-                raise MissingCoverError(
-                    f"orbit {_shown(self.label)} returned non-integer index for cover {j}")
-            total += value
-        return total
 
 
 class OrbitSet(_Frozen):
@@ -122,7 +109,7 @@ def star_shaped_index(orbit_set: OrbitSet) -> int:
     orbits = orbit_set.orbits
     for i, o in enumerate(orbits):
         m = o.multiplicity
-        total += (m * m + m) * o.chern + m * m * o.self_linking + o.cz_sum(1, m)
+        total += (m * m + m) * o.chern + m * m * o.self_linking + sum(o.cz_indices[:m])
         for j2, other in enumerate(orbits):
             if j2 != i:
                 total += m * other.multiplicity * orbit_set.linking[i][j2]
@@ -135,39 +122,20 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
     Both generators have chern number 1 and self-linking -1, they link
     once, and the iterate indices are 2 floor(j a / b) + 1 for the short
     generator and 2 floor(j b / a) + 1 for the long one. With a / b = p / q
-    in lowest terms, each cover is evaluated as 2 (j p // q) + 1 (and
-    2 (j q // p) + 1) in plain integers, so star_shaped_index, one
-    OrbitRecord.cz_sum loop per orbit, takes O(m) integer steps and calls
-    no floor sum. Multiplicity-zero generators are omitted from the set.
+    in lowest terms, they are 2 (j p // q) + 1 (and 2 (j q // p) + 1) in
+    plain integers, so the set takes O(m) integer steps and calls no floor
+    sum. Multiplicity-zero generators are omitted from the set.
     """
     a, b = _positive_axes(a, b)
     if _exact_int(m1, "m1") + _exact_int(m2, "m2") == 0:
         raise ValidationError("need multiplicities m1, m2 not both zero")
     p, q = _ratio(a, b)
-
-    def cz1(j: int) -> int:
-        return 2 * (j * p // q) + 1
-
-    def cz2(j: int) -> int:
-        return 2 * (j * q // p) + 1
-
-    orbits = []
-    if m1 > 0:
-        orbits.append(OrbitRecord("g1", 1, -1, cz1, m1))
-    if m2 > 0:
-        orbits.append(OrbitRecord("g2", 1, -1, cz2, m2))
+    orbits = tuple(
+        OrbitRecord(label, 1, -1, tuple([2 * (j * u // v) + 1 for j in range(1, m + 1)]), m)
+        for label, m, u, v in (("g1", m1, p, q), ("g2", m2, q, p)) if m > 0)
     n = len(orbits)
     linking = tuple(tuple(0 if i == j else 1 for j in range(n)) for i in range(n))
-    return OrbitSet(tuple(orbits), linking)
-
-
-def _array_cover(values: list[int]) -> Callable[[int], int]:
-    """Entry j - 1 for the j-th cover; IndexError below 1, as past the end."""
-    def cover(j: int) -> int:
-        if j < 1:
-            raise IndexError(f"cover degree {j} is below 1")
-        return values[j - 1]
-    return cover
+    return OrbitSet(orbits, linking)
 
 
 def orbit_set_from_jsonable(obj: object) -> OrbitSet:
@@ -177,10 +145,10 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
     explicit cz array (entry j - 1 is the index of the j-th iterate);
     linking is a full symmetric matrix in orbit order. As in domain JSON, a
     missing or unknown field is refused, in the object and in each record.
-    Only the structure and the cz array, a list of ints, are checked here:
-    OrbitRecord and OrbitSet check the label, which must be a JSON string, and
-    the other integers. A cz array shorter than the multiplicity surfaces as
-    MissingCoverError on evaluation.
+    Only the structure, and that the cz array is a list, are checked here:
+    OrbitRecord and OrbitSet check the label, which must be a JSON string,
+    and the integers, and a cz array shorter than the multiplicity raises
+    MissingCoverError.
     """
     if not isinstance(obj, dict):
         raise ValidationError("orbit JSON must be an object with 'orbits' and 'linking'")
@@ -193,12 +161,11 @@ def orbit_set_from_jsonable(obj: object) -> OrbitSet:
             raise ValidationError(f"bad orbit record: {_shown(item)}")
         _require_keys(item, {"label", "chern", "self_linking", "multiplicity", "cz"}, "orbit record")
         label, cz = item["label"], item["cz"]
-        orbits.append(OrbitRecord(label, item["chern"], item["self_linking"], _array_cover(cz),
-                                  item["multiplicity"]))
         if type(cz) is not list:
             raise ValidationError(f"orbit {_shown(label)}: cz array must be a list, got "
                                   f"{type(cz).__name__} {_shown(cz)}")
-        _plain_ints(cz, f"orbit {_shown(label)}: cz array")
+        orbits.append(OrbitRecord(label, item["chern"], item["self_linking"], tuple(cz),
+                                  item["multiplicity"]))
     linking_raw = obj["linking"]
     if not isinstance(linking_raw, list):
         raise ValidationError("'linking' must be a matrix (list of lists)")

@@ -119,7 +119,11 @@ def ball_capacity(a: Fraction, k: int) -> tuple[Fraction, dict]:
 
 
 class ToricCapacityResult(_Frozen):
-    """Outcome of one profile minimization, both minima recorded."""
+    """Outcome of one profile minimization, both minima recorded.
+
+    value, min_over_exact and min_over_at_least always hold one value:
+    toric_capacity_detail raises AssertionError when the two minima differ.
+    """
 
     __slots__ = _fields = ("value", "witness", "min_over_at_least", "min_over_exact",
                            "witness_at_least", "enumeration_bound", "paths_scanned")

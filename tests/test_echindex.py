@@ -94,25 +94,25 @@ class TestOrbitSets:
     def test_hyperbolic_hand_computation(self):
         # one orbit, multiplicity 2, chern 0, self-linking -1, cz(j) = 2j:
         # (4 + 2) * 0 + 4 * (-1) + (2 + 4) = 2
-        orbit = OrbitRecord("h", 0, -1, lambda j: 2 * j, 2)
+        orbit = OrbitRecord("h", 0, -1, (2, 4), 2)
         assert star_shaped_index(OrbitSet((orbit,), ((0,),))) == 2
 
     def test_pairwise_linking_counted_twice(self):
-        o1 = OrbitRecord("x", 0, 0, lambda j: 0, 1)
-        o2 = OrbitRecord("y", 0, 0, lambda j: 0, 3)
+        o1 = OrbitRecord("x", 0, 0, (0,), 1)
+        o2 = OrbitRecord("y", 0, 0, (0, 0, 0), 3)
         os_ = OrbitSet((o1, o2), ((0, 5), (5, 0)))
         assert star_shaped_index(os_) == 2 * 1 * 3 * 5
 
     def test_record_validation(self):
         with pytest.raises(ValidationError):
-            OrbitRecord("z", 1, -1, lambda j: 1, 0)
+            OrbitRecord("z", 1, -1, (1,), 0)
 
     def test_set_validation(self):
-        o = OrbitRecord("x", 1, -1, lambda j: 1, 1)
-        o2 = OrbitRecord("x", 1, -1, lambda j: 1, 1)
+        o = OrbitRecord("x", 1, -1, (1,), 1)
+        o2 = OrbitRecord("x", 1, -1, (1,), 1)
         with pytest.raises(ValidationError):
             OrbitSet((o, o2), ((0, 0), (0, 0)))
-        o3 = OrbitRecord("y", 1, -1, lambda j: 1, 1)
+        o3 = OrbitRecord("y", 1, -1, (1,), 1)
         with pytest.raises(ValidationError):
             OrbitSet((o, o3), ((0,),))
         with pytest.raises(ValidationError):
@@ -121,7 +121,7 @@ class TestOrbitSets:
     def test_both_containers_must_be_tuples(self):
         # a list was kept as it was: hash() then raised TypeError, and the set
         # compared unequal to the same set built from tuples
-        o = OrbitRecord("x", 1, -1, lambda j: 1, 1)
+        o = OrbitRecord("x", 1, -1, (1,), 1)
         built = OrbitSet((o,), ((0,),))
         assert built == OrbitSet((o,), ((0,),)) and hash(built) == hash(OrbitSet((o,), ((0,),)))
         with pytest.raises(ValidationError, match=r"^linking must be a tuple, got list \[\(0,\)\]$"):
@@ -132,94 +132,31 @@ class TestOrbitSets:
             OrbitSet({o: 0}.keys(), ((0,),))
 
     def test_missing_cover_surfaces(self):
-        bad = OrbitRecord("b", 1, -1, lambda j: [1][j - 1], 2)
-        with pytest.raises(MissingCoverError,
-                           match=_whole("orbit 'b' has no index data for cover 2")) as caught:
-            star_shaped_index(OrbitSet((bad,), ((0,),)))
-        assert type(caught.value.__cause__) is IndexError
-        fractional = OrbitRecord("f", 1, -1, lambda j: j / 2, 1)
-        with pytest.raises(MissingCoverError,
-                           match=_whole("orbit 'f' returned non-integer index for cover 1")):
-            star_shaped_index(OrbitSet((fractional,), ((0,),)))
-        boolean = OrbitRecord("t", 0, 0, lambda j: True, 3)
-        with pytest.raises(MissingCoverError,
-                           match=_whole("orbit 't' returned non-integer index for cover 1")):
-            star_shaped_index(OrbitSet((boolean,), ((0,),)))
-        with pytest.raises(MissingCoverError,
-                           match=_whole("orbit 't' returned non-integer index for cover 2")):
-            boolean.cz_sum(2, 2)
-
-    def test_unrelated_cover_error_propagates(self):
-        # only a missing cover (a lookup failure) becomes MissingCoverError
-        broken = OrbitRecord("z", 1, -1, lambda j: j // 0, 1)
-        with pytest.raises(ZeroDivisionError):
-            star_shaped_index(OrbitSet((broken,), ((0,),)))
-
-    @pytest.mark.parametrize("first, last", [(0, 0), (-3, 1)])
-    def test_both_orbit_kinds_refuse_a_cover_degree_below_one(self, first, last):
-        # an ellipsoid cover would read 2 (j p // q) + 1 at j <= 0, a cz array its tail
-        computed = ellipsoid_orbit_set(F(3, 2), F(1), 2, 3).orbits[0]
-        read = orbit_set_from_jsonable({"orbits": [{"label": "g", "chern": 1, "self_linking": -1,
-                                                    "multiplicity": 2, "cz": [1, 3]}],
-                                        "linking": [[0]]}).orbits[0]
-        for orbit in (computed, read):
-            with pytest.raises(ValidationError, match=_whole(f"cover degree must be >= 1, got {first}")):
-                orbit.cz_sum(first, last)
-
-    @pytest.mark.parametrize("first, last, shown", [
-        (1.5, 2, "float 1.5"), (F(1), 2, "Fraction Fraction(1, 1)"), (True, 2, "bool True"),
-        (1, 2.0, "float 2.0"), (1, False, "bool False"),
-    ], ids=["float-first", "fraction-first", "bool-first", "float-last", "bool-last"])
-    def test_cz_sum_refuses_bounds_that_are_not_ints(self, first, last, shown):
-        orbit = ellipsoid_orbit_set(F(3, 2), F(1), 2, 3).orbits[0]
-        with pytest.raises(ValidationError, match=_whole(f"cover degrees must be ints, got {shown}")):
-            orbit.cz_sum(first, last)
+        # a record holds an index for every cover its multiplicity needs, or is refused
+        with pytest.raises(MissingCoverError, match=_whole("orbit 'b' has no index data for cover 2")):
+            OrbitRecord("b", 1, -1, (1,), 2)
+        with pytest.raises(MissingCoverError, match=_whole("orbit 'e' has no index data for cover 1")):
+            OrbitRecord("e", 1, -1, (), 1)
+        # entries past the multiplicity are kept and not summed
+        longer = OrbitRecord("l", 0, 0, (1, 3, 5), 2)
+        assert longer.cz_indices == (1, 3, 5)
+        assert star_shaped_index(OrbitSet((longer,), ((0,),))) == 4
 
     @pytest.mark.parametrize("j", [0, -1, -2, 3])
     def test_a_cz_array_has_no_cover_below_one_or_past_its_end(self, j):
-        # j <= 0 would read the array from its tail, as a negative index does
-        read = orbit_set_from_jsonable({"orbits": [{"label": "g", "chern": 1, "self_linking": -1,
-                                                    "multiplicity": 2, "cz": [1, 3]}],
-                                        "linking": [[0]]}).orbits[0]
-        assert [read.cz_of_cover(1), read.cz_of_cover(2)] == [1, 3]
-        with pytest.raises(IndexError):
-            read.cz_of_cover(j)
-
-    def test_each_cover_is_called_once_in_order(self):
-        calls = []
-
-        def recording(label):
-            def cover(j):
-                calls.append((label, j))
-                return 2 * j + 1
-            return cover
-
-        x = OrbitRecord("x", 1, -1, recording("x"), 3)
-        y = OrbitRecord("y", 1, -1, recording("y"), 4)
-        # (12 - 9 + 15) + (20 - 16 + 24) + 2 * 3 * 4 * 1
-        assert star_shaped_index(OrbitSet((x, y), ((0, 1), (1, 0)))) == 18 + 28 + 24
-        assert calls == [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("y", 2), ("y", 3), ("y", 4)]
-
-    @pytest.mark.parametrize("failing, error", [
-        (lambda j: [][j], MissingCoverError),
-        (lambda j: {}[j], MissingCoverError),
-        (lambda j: 0.5, MissingCoverError),
-        (lambda j: True, MissingCoverError),
-        (lambda j: j // 0, ZeroDivisionError),
-    ], ids=["index-error", "key-error", "float", "bool", "unrelated-error"])
-    def test_no_cover_is_called_after_the_first_failure(self, failing, error):
-        calls = []
-
-        def cover(j):
-            calls.append(j)
-            return failing(j) if j == 3 else 2 * j + 1
-
-        later = OrbitRecord("later", 1, -1, cover, 2)
-        orbit = OrbitRecord("r", 1, -1, cover, 5)
-        with pytest.raises(error) as caught:
-            star_shaped_index(OrbitSet((orbit, later), ((0, 1), (1, 0))))
-        assert type(caught.value) is error
-        assert calls == [1, 2, 3]
+        # entry j - 1 is cover j, so a read record's covers run from 1 to the array's length:
+        # a multiplicity below 1 or past the end is refused when the file is read
+        def read(multiplicity):
+            return orbit_set_from_jsonable({"orbits": [{"label": "g", "chern": 1, "self_linking": -1,
+                                                        "multiplicity": multiplicity, "cz": [1, 3]}],
+                                            "linking": [[0]]}).orbits[0]
+        assert read(2).cz_indices == (1, 3)
+        if j > 0:
+            error, message = MissingCoverError, "orbit 'g' has no index data for cover 3"
+        else:
+            error, message = ValidationError, f"need an int orbit multiplicity >= 1, got int {j}"
+        with pytest.raises(error, match=_whole(message)):
+            read(j)
 
 
 class TestOrbitJson:
@@ -238,12 +175,11 @@ class TestOrbitJson:
         os_ = orbit_set_from_jsonable(self.ellipsoid_mirror())
         assert star_shaped_index(os_) == ellipsoid_index(F(2), F(3), 1, 1) == 8
 
-    def test_short_cz_array_fails_lazily(self):
+    def test_a_short_cz_array_fails_on_read(self):
         obj = self.ellipsoid_mirror()
         obj["orbits"][0]["multiplicity"] = 2
-        os_ = orbit_set_from_jsonable(obj)  # parse succeeds
-        with pytest.raises(MissingCoverError, match="cover 2"):
-            star_shaped_index(os_)
+        with pytest.raises(MissingCoverError, match=_whole("orbit 'g1' has no index data for cover 2")):
+            orbit_set_from_jsonable(obj)
 
     @pytest.mark.parametrize("mutate", [
         lambda o: o.pop("linking"),
@@ -400,13 +336,14 @@ def test_integer_covers_match_the_fraction_route(a, b, m1, m2):
     os_ = ellipsoid_orbit_set(a, b, m1, m2)
     for orbit in os_.orbits:
         ratio = a / b if orbit.label == "g1" else b / a
-        for j in range(1, orbit.multiplicity + 1):
+        assert len(orbit.cz_indices) == orbit.multiplicity
+        for j, cz in enumerate(orbit.cz_indices, 1):
             rot = j * ratio
             if rot.denominator == 1:
-                assert orbit.cz_sum(j, j) == 2 * rot + 1
+                assert cz == 2 * rot + 1
             else:
                 # the Conley-Zehnder index of a nondegenerate elliptic orbit
-                assert orbit.cz_sum(j, j) == floor(rot) + ceil(rot)
+                assert cz == floor(rot) + ceil(rot)
     expected = ellipsoid_index(a, b, m1, m2)
 
     def no_floor_sum(*args):

@@ -46,9 +46,9 @@ REMOVED_MEMBERS = [("LatticePath", "from_jsonable"), ("LatticePath", "is_empty")
                    ("Spectrum", "contact_volume"), ("EllipsoidSpectrum", "check_witness"),
                    ("BallSpectrum", "check_witness"), ("ToricSpectrum", "check_witness"),
                    ("UnionSpectrum", "check_witness"), ("LatticePath", "from_edges"),
-                   ("Spectrum", "scaled")]
+                   ("Spectrum", "scaled"), ("OrbitRecord", "cz_sum")]
 INSTANCES = {"LatticePath": lambda: toricspec.LatticePath(()),
-             "OrbitRecord": lambda: toricspec.OrbitRecord("g", 1, -1, lambda j: 1, 1),
+             "OrbitRecord": lambda: toricspec.OrbitRecord("g", 1, -1, (1,), 1),
              "ToricProfile": lambda: toricspec.triangle_profile(F(1), F(2)),
              "Spectrum": lambda: toricspec.BallSpectrum(toricspec.Ball(F(1))),
              "EllipsoidSpectrum": lambda: toricspec.spectrum_for(toricspec.Ellipsoid(F(1), F(2))),

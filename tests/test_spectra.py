@@ -646,6 +646,19 @@ def test_convex_spectrum_lies_between_the_triangle_and_the_rectangle(prof):
         assert _ellipsoid_value(a, b, k) <= value <= _polydisk_value(a, b, k), k
 
 
+@settings(max_examples=100, deadline=None)
+@given(prof=_toric_profiles)
+def test_a_profile_mirrored_in_the_diagonal_has_the_same_spectrum(prof):
+    """Reflection. The swap (x, y) -> (y, x) maps the region onto the mirrored
+    one, and a path with edges (p, -q) onto the mirrored path with edges
+    (q, -p) in reverse order. An edge's length, the max of dx y - dy x over
+    the region, is the same for (p, -q) on the region as for (q, -p) on its
+    mirror, and the swap maps enclosed lattice points to enclosed lattice
+    points, so lengths and counts, and hence every c_k, are kept."""
+    mirrored = validate_profile([(y, x) for x, y in reversed(prof.vertices)])
+    assert ToricSpectrum(mirrored).values(25) == ToricSpectrum(prof).values(25)
+
+
 _small_domains = st.one_of(
     st.builds(Ball, st.sampled_from([F(1), F(3, 2), F(2)])),
     st.builds(Ellipsoid, st.sampled_from([F(1), F(2), F(5, 3)]),
@@ -687,6 +700,26 @@ def test_one_part_union_gives_each_budget_to_its_part():
     entries = UnionSpectrum([ball]).entries(5)
     assert [wit["partition"] for _val, wit in entries] == [[k] for k in range(6)]
     assert [val for val, _wit in entries] == ball.values(5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(domain=st.one_of(st.builds(Ellipsoid, _axis, _axis), st.builds(Ball, _axis),
+                        convex_profiles(),
+                        st.lists(_small_domains, min_size=2, max_size=3)
+                        .map(lambda ps: DisjointUnion(tuple(ps)))))
+def test_spectra_are_sublinear(domain):
+    """Sublinearity: c_{k+l} <= c_k + c_l. For finite A, B in Z^2, listing A + B
+    in lex order gives |A + B| >= |A| + |B| - 1. On a profile, join the edge
+    multisets of the witnesses of c_k and c_l: lengths add, and the joined
+    path encloses the Minkowski sum of the two enclosed point sets, at least
+    (k + 1) + (l + 1) - 1 points. On an ellipsoid (a ball is E(a, a)) the
+    pairs (m, n) of action <= c_k and those <= c_l sum to pairs of action
+    <= c_k + c_l, again at least k + l + 1 of them. A union's best split of
+    k + l is a sum of a split of k and a split of l, part by part."""
+    values = spectrum_for(domain).values(40)
+    for k in range(21):
+        for l in range(k, 41 - k):
+            assert values[k + l] <= values[k] + values[l], (k, l)
 
 
 @settings(max_examples=25, deadline=None)

@@ -24,12 +24,18 @@ from toricspec import (
     ToricProfile,
     ValidationError,
     domains,
+    ellipsoid_orbit_set,
+    orbit_set_from_jsonable,
 )
 
 F = Fraction
 PATH = LatticePath((((0, -1), 1),))
-RECORD = OrbitRecord("g", 1, -1, abs, 2)
+RECORD = OrbitRecord("g", 1, -1, (1, 3), 2)
 ROW = IndexScanRow(0, 1, F(1), 2, 1, 2)
+ORBIT_DICT = {"orbits": [{"label": "g", "chern": 1, "self_linking": -1, "multiplicity": 2,
+                          "cz": [1, 3, 5]}], "linking": [[0]]}
+ELLIPSOID_SET = ellipsoid_orbit_set(F(3, 2), F(1), 3, 2)
+READ_SET = orbit_set_from_jsonable(ORBIT_DICT)
 
 # (class, positional fields, the same fields by keyword, today's repr)
 CASES = [
@@ -55,19 +61,28 @@ CASES = [
      "GapReport(cutoff=Fraction(1, 1), gap=None, achieving_k=None)"),
     (Approximant, ("below", 2, 1), {"side": "below", "m": 2, "n": 1},
      "Approximant(side='below', m=2, n=1)"),
-    (OrbitRecord, ("g", 1, -1, abs, 2),
-     {"label": "g", "chern": 1, "self_linking": -1, "cz_of_cover": abs, "multiplicity": 2},
-     "OrbitRecord(label='g', chern=1, self_linking=-1, cz_of_cover=<built-in function abs>, "
-     "multiplicity=2)"),
+    (OrbitRecord, ("g", 1, -1, (1, 3), 2),
+     {"label": "g", "chern": 1, "self_linking": -1, "cz_indices": (1, 3), "multiplicity": 2},
+     "OrbitRecord(label='g', chern=1, self_linking=-1, cz_indices=(1, 3), multiplicity=2)"),
     (OrbitSet, ((RECORD,), ((0,),)), {"orbits": (RECORD,), "linking": ((0,),)},
-     "OrbitSet(orbits=(OrbitRecord(label='g', chern=1, self_linking=-1, "
-     "cz_of_cover=<built-in function abs>, multiplicity=2),), linking=((0,),))"),
+     "OrbitSet(orbits=(OrbitRecord(label='g', chern=1, self_linking=-1, cz_indices=(1, 3), "
+     "multiplicity=2),), linking=((0,),))"),
     (IndexScanRow, (0, 1, F(1), 2, 1, 2),
      {"m1": 0, "m2": 1, "action": F(1), "index": 2, "rank": 1, "tangent_count": 2},
      "IndexScanRow(m1=0, m2=1, action=Fraction(1, 1), index=2, rank=1, tangent_count=2)"),
     (IndexScanReport, (F(1), F(2), 0, (ROW,)), {"a": F(1), "b": F(2), "m_max": 0, "rows": (ROW,)},
      "IndexScanReport(a=Fraction(1, 1), b=Fraction(2, 1), m_max=0, rows=(IndexScanRow(m1=0, "
      "m2=1, action=Fraction(1, 1), index=2, rank=1, tangent_count=2),))"),
+    # orbit sets the package builds, for an ellipsoid and from a JSON read
+    (OrbitSet, (ELLIPSOID_SET.orbits, ELLIPSOID_SET.linking),
+     {"orbits": ELLIPSOID_SET.orbits, "linking": ELLIPSOID_SET.linking},
+     "OrbitSet(orbits=(OrbitRecord(label='g1', chern=1, self_linking=-1, cz_indices=(3, 7, 9), "
+     "multiplicity=3), OrbitRecord(label='g2', chern=1, self_linking=-1, cz_indices=(1, 3), "
+     "multiplicity=2)), linking=((0, 1), (1, 0)))"),
+    (OrbitSet, (READ_SET.orbits, READ_SET.linking),
+     {"orbits": READ_SET.orbits, "linking": READ_SET.linking},
+     "OrbitSet(orbits=(OrbitRecord(label='g', chern=1, self_linking=-1, cz_indices=(1, 3, 5), "
+     "multiplicity=2),), linking=((0,),))"),
 ]
 IDS = [f"{cls.__name__}{i}" for i, (cls, *_rest) in enumerate(CASES)]
 
@@ -81,8 +96,8 @@ CHANGED = {
     ToricCapacityResult: (F(1), PATH, F(1), F(2), PATH, F(3), 5),
     GapReport: (F(2), F(1, 3), 3),
     Approximant: ("above", 2, 1),
-    OrbitRecord: ("h", 1, -1, abs, 2),
-    OrbitSet: ((OrbitRecord("h", 1, -1, abs, 2),), ((0,),)),
+    OrbitRecord: ("h", 1, -1, (1, 3), 2),
+    OrbitSet: ((OrbitRecord("h", 1, -1, (1, 3), 2),), ((0,),)),
     IndexScanRow: (0, 1, F(1), 2, 1, 3),
     IndexScanReport: (F(1), F(3), 0, (ROW,)),
 }
@@ -195,31 +210,31 @@ _REFUSED = [
     (lambda: Approximant("below", 1, -1), "below approximant needs m >= 1, n >= 0"),
     (lambda: Approximant("above", 0, 0), "above approximant needs n >= 1, m >= 0"),
     (lambda: Approximant("above", -1, 1), "above approximant needs n >= 1, m >= 0"),
-    (lambda: OrbitRecord("g", 1, -1, abs, 0), "need an int orbit multiplicity >= 1, got int 0"),
-    (lambda: OrbitRecord("g", 1, -1, abs, True),
+    (lambda: OrbitRecord("g", 1, -1, (1,), 0), "need an int orbit multiplicity >= 1, got int 0"),
+    (lambda: OrbitRecord("g", 1, -1, (1,), True),
      "need an int orbit multiplicity >= 1, got bool True"),
     (lambda: OrbitSet((RECORD, RECORD), ((0, 0), (0, 0))), "orbit labels must be distinct"),
     (lambda: OrbitSet((RECORD,), ((0,), (0,))), "linking matrix shape must match the orbit count"),
     (lambda: OrbitSet((RECORD,), ((0, 1),)), "linking matrix shape must match the orbit count"),
-    (lambda: OrbitSet((RECORD, OrbitRecord("h", 1, -1, abs, 1)), ((0, 1), (2, 0))),
+    (lambda: OrbitSet((RECORD, OrbitRecord("h", 1, -1, (1,), 1)), ((0, 1), (2, 0))),
      "linking matrix must be symmetric"),
     # in place of a removed case: ids stay put
     (lambda: LatticePath((((1, -1), -1),)), "multiplicities must be positive"),
     # the orbit classes check their own integers: a float Chern number gave index 5.0, a
     # bool linking entry counted as 1, and an int row raised a bare TypeError
-    (lambda: OrbitRecord("g", 2.5, -1, abs, 1),
+    (lambda: OrbitRecord("g", 2.5, -1, (1,), 1),
      "orbit 'g': chern and self_linking must be ints, got float 2.5"),
-    (lambda: OrbitRecord("g", F(1, 2), -1, abs, 1),
+    (lambda: OrbitRecord("g", F(1, 2), -1, (1,), 1),
      "orbit 'g': chern and self_linking must be ints, got Fraction Fraction(1, 2)"),
-    (lambda: OrbitRecord("g", True, -1, abs, 1),
+    (lambda: OrbitRecord("g", True, -1, (1,), 1),
      "orbit 'g': chern and self_linking must be ints, got bool True"),
-    (lambda: OrbitRecord("g", 1, 2.5, abs, 1),
+    (lambda: OrbitRecord("g", 1, 2.5, (1,), 1),
      "orbit 'g': chern and self_linking must be ints, got float 2.5"),
-    (lambda: OrbitRecord("g", 1, F(1, 2), abs, 1),
+    (lambda: OrbitRecord("g", 1, F(1, 2), (1,), 1),
      "orbit 'g': chern and self_linking must be ints, got Fraction Fraction(1, 2)"),
-    (lambda: OrbitRecord("g", 1, True, abs, 1),
+    (lambda: OrbitRecord("g", 1, True, (1,), 1),
      "orbit 'g': chern and self_linking must be ints, got bool True"),
-    (lambda: OrbitSet((RECORD, OrbitRecord("h", 1, -1, abs, 1)), ((0, True), (True, 0))),
+    (lambda: OrbitSet((RECORD, OrbitRecord("h", 1, -1, (1,), 1)), ((0, True), (True, 0))),
      "linking entries must be ints, got bool True"),
     (lambda: OrbitSet((RECORD,), ((0.5,),)), "linking entries must be ints, got float 0.5"),
     (lambda: OrbitSet((RECORD,), (5,)), "linking rows must be tuples, got int 5"),
@@ -227,8 +242,17 @@ _REFUSED = [
     (lambda: OrbitSet((RECORD,), [(0,)]), "linking must be a tuple, got list [(0,)]"),
     (lambda: OrbitSet([], ()), "orbits must be a tuple, got list []"),
     (lambda: OrbitSet((), []), "linking must be a tuple, got list []"),
-    (lambda: OrbitRecord(None, 1, -1, abs, 1), "orbit labels must be strings, got NoneType None"),
-    (lambda: OrbitRecord(1, 1, -1, abs, 1), "orbit labels must be strings, got int 1"),
+    (lambda: OrbitRecord(None, 1, -1, (1,), 1), "orbit labels must be strings, got NoneType None"),
+    (lambda: OrbitRecord(1, 1, -1, (1,), 1), "orbit labels must be strings, got int 1"),
+    # the indices are data: a tuple of plain ints, checked after the multiplicity
+    (lambda: OrbitRecord("g", 1, -1, [1], 1), "orbit 'g': cz array must be a tuple, got list [1]"),
+    (lambda: OrbitRecord("g", 1, -1, abs, 1),
+     "orbit 'g': cz array must be a tuple, got builtin_function_or_method <built-in function abs>"),
+    (lambda: OrbitRecord("g", 1, -1, (1, 0.5), 1), "orbit 'g': cz array must be ints, got float 0.5"),
+    (lambda: OrbitRecord("g", 1, -1, (True,), 1), "orbit 'g': cz array must be ints, got bool True"),
+    (lambda: OrbitRecord("g", 1, -1, (F(1),), 1),
+     "orbit 'g': cz array must be ints, got Fraction Fraction(1, 1)"),
+    (lambda: OrbitRecord("g", 1, -1, [1], 0), "need an int orbit multiplicity >= 1, got int 0"),
 ]
 
 
@@ -246,11 +270,19 @@ def test_the_checks_accept_what_they_should():
     assert LatticePath(()).edges == ()
 
 
-def test_orbit_record_methods_still_read_the_cover_callable():
-    record = OrbitRecord("g", 1, -1, lambda j: 2 * j + 1, 3)
-    assert record.cz_sum(2, 2) == 5 and record.cz_sum(1, 3) == 15
+def test_orbit_record_holds_the_indices_its_multiplicity_needs():
+    # README's replacements for cz_sum(first, last) and cz(j)
+    record = OrbitRecord("g", 1, -1, (3, 5, 7), 3)
+    assert record.cz_indices[2 - 1] == 5 and sum(record.cz_indices[1 - 1:3]) == 15
     with pytest.raises(MissingCoverError, match="^orbit 'g' has no index data for cover 4$"):
-        OrbitRecord("g", 1, -1, {1: 1, 2: 3, 3: 5}.__getitem__, 3).cz_sum(1, 4)
+        OrbitRecord("g", 1, -1, (3, 5, 7), 4)
+
+
+def test_two_reads_of_one_orbit_dict_are_equal_values():
+    first, second = orbit_set_from_jsonable(ORBIT_DICT), orbit_set_from_jsonable(ORBIT_DICT)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert ellipsoid_orbit_set(F(3, 2), F(1), 3, 2) == ELLIPSOID_SET
+    assert hash(ellipsoid_orbit_set(F(3, 2), F(1), 3, 2)) == hash(ELLIPSOID_SET)
 
 
 def test_scaled_vertices_is_computed_once(monkeypatch):
