@@ -1,15 +1,15 @@
 """Exact rational scalars and their text forms.
 
 Every quantity in this package is an exact rational; floats appear only in
-advisory display columns. The scalar type is the standard Fraction, which
-already guarantees canonical reduced form with positive denominator.
+advisory display columns. The scalar type is the standard Fraction; _fractions
+reduces a listing's values by gcd itself, and tests hold them to the constructor.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Context
 from fractions import Fraction
 from math import gcd, lcm
@@ -157,6 +157,17 @@ def _scaled(*values: Fraction) -> tuple[int, ...]:
     """
     d = lcm(*(v.denominator for v in values))
     return (*(v.numerator * (d // v.denominator) for v in values), d)
+
+
+def _fractions(nums: Iterable[int], den: int) -> Iterator[Fraction]:
+    """Each v / den (den >= 1) as a reduced Fraction, equal neighbours (ties) sharing one, built
+    as CPython's Fraction._from_coprime_ints builds results: gcd, then a bare instance's slots."""
+    last, new = None, object.__new__
+    for v in nums:
+        if v != last:
+            g, last, x = gcd(v, den), v, new(Fraction)
+            x._numerator, x._denominator = v // g, den // g
+        yield x
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:

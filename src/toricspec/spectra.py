@@ -1,11 +1,11 @@
 """Spectral invariants of toric-type domains, with witnesses.
 
-Every capacity value returned here comes with a witness that reproduces
-it: a monomial exponent pair for ellipsoids, the defining integer for
-balls, a lattice path for polygonal profiles, and a partition plus
-sub-witnesses for disjoint unions. A provider lists a prefix in integers
-(one denominator, the numerators and the witnesses); the base class checks
-it and stores those integers, and values become Fractions only on request.
+Every capacity value comes with a witness that reproduces it: a monomial
+exponent pair for ellipsoids, the defining integer for balls, a lattice path
+for polygonal profiles, and a partition plus sub-witnesses for disjoint unions.
+A provider lists a prefix in integers (one denominator, the numerators and the
+witnesses) that the base class checks and stores; values become Fractions only
+at the edge, one per distinct value, through rationals._fractions.
 One integer core on the scaled axes A, B answers every ellipsoid question:
 one floor sum counts entries, its inversion (a bisection between the count's
 area bounds, O(log(A + B)) floor sums) gives single values and the level that
@@ -38,8 +38,8 @@ from .domains import (
 )
 from .errors import UnavailableError, ValidationError
 from .paths import Edge, LatticePath, _scan_paths, _slope_key
-from .rationals import (_Frozen, _exact_int, _exact_rat, _floor_times, _positive_axes, _scaled,
-                        _shown, floor_sum)
+from .rationals import (_Frozen, _exact_int, _exact_rat, _floor_times, _fractions, _positive_axes,
+                        _scaled, _shown, floor_sum)
 
 
 def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tuple[int, int]]]:
@@ -220,13 +220,12 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
 class Spectrum:
     """Nondecreasing sequence c_0 = 0 <= c_1 <= ... with witnesses, lazily extended.
 
-    A provider implements one batch hook, _extend(k_max), which returns the
-    prefix c_0..c_{k_max} as (den, nums, witnesses), c_k = nums[k] / den.
-    entry() alone grows the store: it checks a new prefix (k_max + 1 entries,
-    nums[0] = 0, never decreasing) and keeps the triple as it is. Integer
-    readers compare numerators, and Fractions are made only for the values
-    asked for. count_le(cutoff) counts the entries <= cutoff; providers
-    that can count without listing the entries override it.
+    A provider implements one batch hook, _extend(k_max), which returns the prefix
+    c_0..c_{k_max} as (den, nums, witnesses), c_k = nums[k] / den. entry() alone grows the
+    store: it checks a new prefix (k_max + 1 entries, nums[0] = 0, never decreasing) and keeps
+    the triple as it is. Integer readers compare numerators; values become Fractions only at
+    the edge, one per distinct value, through rationals._fractions. count_le(cutoff) counts
+    the entries <= cutoff; providers that can count without listing the entries override it.
     """
 
     kind = "abstract"
@@ -259,11 +258,11 @@ class Spectrum:
 
     def entries(self, k_max: int) -> list[tuple[Fraction, object]]:
         den, nums, witnesses = self._scaled_prefix(k_max)
-        values = {v: Fraction(v, den) for v in set(nums)}  # ties share one Fraction
-        return list(zip(map(values.__getitem__, nums), witnesses))
+        return list(zip(_fractions(nums, den), witnesses))
 
     def values(self, k_max: int) -> list[Fraction]:
-        return [v for v, _w in self.entries(k_max)]
+        den, nums, _witnesses = self._scaled_prefix(k_max)
+        return list(_fractions(nums, den))
 
     def count_le(self, cutoff: Fraction) -> int:
         """Number of entries c_k <= cutoff, c_0 included.

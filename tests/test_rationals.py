@@ -1,4 +1,6 @@
+import copy
 import decimal
+import pickle
 import time
 from fractions import Fraction
 from math import floor
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from toricspec import (
     Ball,
     BallSpectrum,
+    DisjointUnion,
     Ellipsoid,
     EllipsoidSpectrum,
     LatticePath,
@@ -45,7 +48,7 @@ from toricspec import (
     weyl_report,
 )
 from toricspec.gaps import ellipsoid_close_detail
-from toricspec.rationals import _exact_rat, _floor_times, _ratio, floor_sum
+from toricspec.rationals import _exact_rat, _floor_times, _fractions, _ratio, floor_sum
 from test_paths import square
 
 F = Fraction
@@ -381,6 +384,71 @@ def test_floor_times_is_the_floor_of_the_product(x, d):
 @given(a=_positive_rats, b=_positive_rats)
 def test_ratio_is_the_reduced_quotient(a, b):
     assert _ratio(a, b) == (a / b).as_integer_ratio()
+
+
+_listing_ints = st.one_of(st.integers(0, 50), st.integers(0, 10**12), st.integers(10**319, 10**320))
+
+
+@st.composite
+def _listings(draw):
+    """A nondecreasing numerator list from 0, with ties, and a denominator >= 1 that shares a
+    factor with some numerators; den = 1 and 320-digit ints come up."""
+    common = draw(st.one_of(st.just(1), _listing_ints.filter(bool)))
+    den = common * draw(st.one_of(st.just(1), _listing_ints.filter(bool)))
+    drawn = draw(st.lists(st.tuples(_listing_ints, st.booleans(), st.integers(1, 3)), max_size=25))
+    return sorted([0, *(v * common if shared else v for v, shared, times in drawn
+                        for _ in range(times))]), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(_listings())
+def test_listing_fractions_are_the_constructors(listing):
+    # _fractions sets Fraction's slots itself; if CPython ever changes that layout, this fails
+    nums, den = listing
+    made = list(_fractions(nums, den))
+    assert len(made) == len(nums)
+    others = (F(0), F(1), F(-2, 3), F(nums[-1] + 1, den))
+    for i, (v, x) in enumerate(zip(nums, made)):
+        y = F(v, den)
+        assert type(x) is Fraction
+        assert (x == y, x.numerator, x.denominator) == (True, y.numerator, y.denominator)
+        assert (hash(x), repr(x), str(x)) == (hash(y), repr(y), str(y))
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(twin) is Fraction and twin == y and repr(twin) == repr(y)
+        assert {y: i}[x] == i
+        for z in (*others, y):
+            assert (x < z, x <= z, x > z, x >= z, x == z, z == x) == (y < z, y <= z, y > z, y >= z,
+                                                                    y == z, z == y)
+            assert (x + z, x - z, x * z, z - x, x // 1, x % 1) == (y + z, y - z, y * z, z - y,
+                                                                  y // 1, y % 1)
+            if z:
+                assert (x / z, x ** 2) == (y / z, y ** 2)
+        if i:
+            assert (x is made[i - 1]) == (v == nums[i - 1])
+
+
+def _three_parts():
+    return spectrum_for(DisjointUnion((Ball(F(1)), Ellipsoid(F(2), F(3)),
+                                       validate_profile([(0, 2), (1, F(3, 2)), (2, 0)]))))
+
+
+@pytest.mark.parametrize("make, k_max", [
+    (lambda: EllipsoidSpectrum(Ellipsoid(F(3, 5), F(267, 275))), 40),
+    (lambda: EllipsoidSpectrum(Ellipsoid(F(3, 5), F(267, 275))), 1200),
+    (lambda: EllipsoidSpectrum(Ellipsoid(F(1), F(3, 2))), 60),
+    (lambda: BallSpectrum(Ball(F(2, 3))), 50),
+    (lambda: ToricSpectrum(square()), 30),
+    (lambda: ToricSpectrum(validate_profile([(0, 2), (1, F(7, 4)), (2, 1), (F(5, 2), 0)])), 20),
+    (_three_parts, 45),
+], ids=["ellipsoid", "ellipsoid-1200", "ellipsoid-ties", "ball", "square", "toric", "union"])
+def test_listings_agree_with_single_entries(make, k_max):
+    spectrum = make()
+    listing = spectrum.entries(k_max)
+    assert make().values(k_max) == spectrum.values(k_max) == [v for v, _w in listing]
+    for k, (value, witness) in enumerate(listing):
+        assert type(value) is Fraction and (value, witness) == spectrum.entry(k)
+        if k and value == listing[k - 1][0]:
+            assert value is listing[k - 1][0]
 
 
 _SPEC23 = EllipsoidSpectrum(Ellipsoid(F(2), F(3)))

@@ -25,9 +25,9 @@ def test_every_smoke_digest_holds(case):
     assert hashlib.sha256(out).hexdigest() == case["sha256"]
 
 
-def test_the_table_holds_sixteen_named_cases():
-    assert len(CASES) == 16
-    assert len({case["name"] for case in CASES}) == 16
+def test_the_table_holds_seventeen_named_cases():
+    assert len(CASES) == 17
+    assert len({case["name"] for case in CASES}) == 17
     for case in CASES:
         assert len(case["sha256"]) == 64 and int(case["sha256"], 16) >= 0
         for cmd in case["commands"]:
