@@ -19,8 +19,7 @@ _EXPORTS = {
     "echindex": """IndexScanReport IndexScanRow OrbitRecord OrbitSet ellipsoid_action
         ellipsoid_index ellipsoid_orbit_set index_action_scan orbit_set_from_jsonable
         path_index_bounds star_shaped_index""",
-    "errors": """ConsistencyError MissingCoverError PreconditionError ToricSpecError
-        UnavailableError ValidationError""",
+    "errors": "MissingCoverError PreconditionError ToricSpecError ValidationError",
     "gaps": """Approximant GapReport best_approx_above best_approx_below
         close_gap_consistency ellipsoid_close gap_asymptotics spectral_gap""",
     "paths": "LatticePath enumerate_paths lattice_count_direct lattice_count_pick",

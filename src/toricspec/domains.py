@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 from .errors import ValidationError, _open_text
@@ -54,7 +53,8 @@ class Ball(_Frozen):
 class ToricProfile(_Frozen):
     """Validated convex chain from (0, b) to (a, 0); vertices are exact pairs."""
 
-    _fields = ("vertices",)  # no __slots__: scaled_vertices is cached in __dict__
+    __slots__ = ("vertices", "scaled_vertices")  # scaled_vertices is no field: ==, hash skip it
+    _fields = ("vertices",)
 
     def __init__(self, vertices: tuple[tuple[Fraction, Fraction], ...]) -> None:
         if len(vertices) < 2:
@@ -80,12 +80,9 @@ class ToricProfile(_Frozen):
                                       else "profile slopes must strictly decrease")
             last = cur
         self._set("vertices", vertices)
-
-    @cached_property
-    def scaled_vertices(self) -> tuple[tuple[tuple[int, int], ...], int]:
-        """(vertices as integer pairs over the least common denominator D, D)."""
-        *flat, den = _scaled(*(c for vertex in self.vertices for c in vertex))
-        return tuple(zip(flat[::2], flat[1::2])), den
+        # (the vertices as integer pairs over their least common denominator D, D)
+        *flat, den = _scaled(*(c for vertex in vertices for c in vertex))
+        self._set("scaled_vertices", (tuple(zip(flat[::2], flat[1::2])), den))
 
     def to_jsonable(self) -> dict:
         return {

@@ -1,11 +1,14 @@
-"""Exception hierarchy shared across the package, and the opener of the files a command names."""
+"""The package's refusals, and the opener of the files a command names.
+
+A ToricSpecError refuses what the caller asked for, and the CLI exits 2 with its message;
+two routes that disagree, or any other broken invariant, raise AssertionError."""
 
 import errno
 from typing import IO
 
 
 class ToricSpecError(Exception):
-    """Base class for all package errors."""
+    """Base class of the refusals."""
 
 
 class ValidationError(ToricSpecError):
@@ -16,16 +19,8 @@ class PreconditionError(ToricSpecError):
     """Input is well formed but outside an operation's stated range."""
 
 
-class MissingCoverError(ToricSpecError):
+class MissingCoverError(ValidationError):
     """An orbit record cannot supply a required iterate's index data."""
-
-
-class UnavailableError(ToricSpecError):
-    """A spectrum entry cannot be produced by its provider."""
-
-
-class ConsistencyError(ToricSpecError):
-    """Two routes that must agree produced different values."""
 
 
 def _open_text(path: str, mode: str) -> IO[str]:

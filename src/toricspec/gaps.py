@@ -28,7 +28,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import ConsistencyError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .rationals import _Frozen, _exact_rat, _floor_times, _positive_axes, _scaled, _shown
 from .spectra import EllipsoidSpectrum, Spectrum, _count_scaled
 from .domains import Ellipsoid
@@ -216,10 +216,11 @@ def best_approx_above(a: Fraction, b: Fraction, cutoff: Fraction) -> Approximant
 
 def close_gap_consistency(a: Fraction, b: Fraction,
                           cutoffs: Sequence[Fraction]) -> list[dict]:
-    """Check close <= gap at each cutoff; raise with a counterexample otherwise.
+    """Check close <= gap at each cutoff, the closing bound against the gap scan.
 
     Returns rows (cutoff, close, gap, margin). An infinite gap satisfies
-    the inequality vacuously and is reported with gap None.
+    the inequality vacuously and is reported with gap None. A close past the
+    gap is a broken route, not bad input: AssertionError names it.
     """
     a, b = _positive_axes(a, b)
     cutoffs = [_check_cutoff(a, b, cutoff) for cutoff in cutoffs]
@@ -227,7 +228,7 @@ def close_gap_consistency(a: Fraction, b: Fraction,
     for report in _gap_scan(EllipsoidSpectrum(Ellipsoid(a, b)), cutoffs):
         cutoff, close = report.cutoff, ellipsoid_close(a, b, report.cutoff)
         if report.gap is not None and close > report.gap:
-            raise ConsistencyError(
+            raise AssertionError(
                 f"close {close} exceeds gap {report.gap} at cutoff {cutoff} "
                 f"for axes ({a}, {b})")
         margin = None if report.gap is None else report.gap - close

@@ -36,7 +36,7 @@ from .domains import (
     _edge_cost,
     contact_volume,
 )
-from .errors import UnavailableError, ValidationError
+from .errors import ValidationError
 from .paths import Edge, LatticePath, _scan_paths, _slope_key
 from .rationals import (_Frozen, _exact_int, _exact_rat, _floor_times, _fractions, _positive_axes,
                         _scaled, _shown, floor_sum)
@@ -220,7 +220,8 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
 class Spectrum:
     """Nondecreasing sequence c_0 = 0 <= c_1 <= ... with witnesses, lazily extended.
 
-    A provider implements one batch hook, _extend(k_max), which returns the prefix
+    Each of the four kinds (ellipsoid, ball, toric, union) sets kind, defines domain()
+    and implements one batch hook, _extend(k_max), which returns the prefix
     c_0..c_{k_max} as (den, nums, witnesses), c_k = nums[k] / den. entry() alone grows the
     store: it checks a new prefix (k_max + 1 entries, nums[0] = 0, never decreasing) and keeps
     the triple as it is. Integer readers compare numerators; values become Fractions only at
@@ -228,11 +229,7 @@ class Spectrum:
     the entries <= cutoff; providers that can count without listing the entries override it.
     """
 
-    kind = "abstract"
     _prefix: tuple[int, Sequence[int], Sequence[object]] = (1, (), ())  # checked c_0..c_K
-
-    def _extend(self, k_max: int) -> tuple[int, Sequence[int], Sequence[object]]:
-        raise UnavailableError(f"no rule lists the entries of a {self.kind} spectrum")
 
     def entry(self, k: int) -> tuple[Fraction, object]:
         k = _exact_int(k)
@@ -276,9 +273,6 @@ class Spectrum:
             j += 1 + j // 8
         den, nums, _witnesses = prefix
         return bisect_right(nums, _floor_times(cutoff, den))
-
-    def domain(self) -> Domain:
-        raise NotImplementedError
 
 
 class EllipsoidSpectrum(Spectrum):
@@ -419,12 +413,7 @@ class UnionSpectrum(Spectrum):
         self._parts = list(parts)
 
     def _extend(self, k_max: int) -> tuple[int, list[int], list[dict]]:
-        prefixes = []
-        for idx, p in enumerate(self._parts):
-            try:
-                prefixes.append(p._scaled_prefix(k_max))
-            except UnavailableError as exc:
-                raise UnavailableError(f"union part {idx} ({p.kind}): {exc}") from exc
+        prefixes = [p._scaled_prefix(k_max) for p in self._parts]
         # dp[j]: the best total of the parts so far at budget j; splits[j]: its partition
         d = lcm(*(den for den, _nums, _wits in prefixes))
         dp, splits = [0], [[]]  # before any part, only budget 0 is spent

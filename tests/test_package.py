@@ -24,8 +24,7 @@ PUBLIC = {
                  "ellipsoid_action", "ellipsoid_index", "ellipsoid_orbit_set",
                  "index_action_scan", "orbit_set_from_jsonable", "path_index_bounds",
                  "star_shaped_index"],
-    "errors": ["ConsistencyError", "MissingCoverError", "PreconditionError", "ToricSpecError",
-               "UnavailableError", "ValidationError"],
+    "errors": ["MissingCoverError", "PreconditionError", "ToricSpecError", "ValidationError"],
     "gaps": ["Approximant", "GapReport", "best_approx_above", "best_approx_below",
              "close_gap_consistency", "ellipsoid_close", "gap_asymptotics", "spectral_gap"],
     "paths": ["LatticePath", "enumerate_paths", "lattice_count_direct", "lattice_count_pick"],
@@ -38,7 +37,8 @@ PUBLIC = {
 PAIRS = [(mod, name) for mod, names in PUBLIC.items() for name in names]
 # public once; README's "Removed public names" gives each one's replacement
 REMOVED = ["DegenerateRotationError", "Rat", "conformal_scale", "cz_from_rotation", "dual_norm",
-           "enclosed_area", "square_profile", "toric_capacity", "scale_domain"]
+           "enclosed_area", "square_profile", "toric_capacity", "scale_domain",
+           "UnavailableError", "ConsistencyError"]
 # members of the value classes that nothing called, listed there too
 REMOVED_MEMBERS = [("LatticePath", "from_jsonable"), ("LatticePath", "is_empty"),
                    ("LatticePath", "degenerate"), ("LatticePath", "empty"), ("OrbitRecord", "cz"),
@@ -67,7 +67,7 @@ ARGV_CALLERS = ["tests/test_acceptance.py", "perfbench/*.py", "scripts/*.py"]
 
 
 def test_public_names_are_the_frozen_list():
-    assert len(PAIRS) == 59
+    assert len(PAIRS) == 57
     assert sorted(name for _mod, name in PAIRS) == sorted(toricspec.__all__)
     assert set(toricspec.__all__) <= set(dir(toricspec))
 
@@ -206,6 +206,29 @@ def _unused_options(root: Path) -> list[str]:
 
 def test_every_cli_option_has_a_caller():
     assert _unused_options(ROOT) == []
+
+
+# the failure rule: a ToricSpecError refuses what the caller asked for, and a broken route or
+# invariant raises AssertionError; besides those, only the file opener's OSError, the
+# AttributeError of the frozen values and the lazy module, and argparse's type error
+REFUSALS = {"ToricSpecError": "Exception", "ValidationError": "ToricSpecError",
+            "PreconditionError": "ToricSpecError", "MissingCoverError": "ValidationError"}
+RAISED = {"ValidationError", "PreconditionError", "MissingCoverError", "AssertionError",
+          "OSError", "AttributeError", "argparse.ArgumentTypeError"}
+
+
+def test_src_raises_only_refusals_and_assertions():
+    raised = {}  # the exception a raise statement names -> the files it is raised in
+    for path in _files(ROOT, ["src/toricspec/*.py"]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:  # a bare raise re-raises
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.setdefault(ast.unparse(exc), set()).add(path.name)
+    assert {name: files for name, files in raised.items() if name not in RAISED} == {}
+    errors = ast.parse((ROOT / "src/toricspec/errors.py").read_text(encoding="utf-8"))
+    classes = {node.name: ", ".join(map(ast.unparse, node.bases)) for node in errors.body
+               if isinstance(node, ast.ClassDef)}
+    assert classes == REFUSALS
 
 
 def test_readme_quick_tour_gives_the_results_its_comments_state():

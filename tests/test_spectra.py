@@ -2,7 +2,7 @@
 union convolution, scaling, Weyl diagnostics."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import ceil, floor, gcd, isqrt
 from operator import le
 
@@ -18,7 +18,6 @@ from toricspec import (
     LatticePath,
     Spectrum,
     ToricSpectrum,
-    UnavailableError,
     UnionSpectrum,
     ValidationError,
     ball_capacity,
@@ -472,22 +471,6 @@ class TestUnion:
         assert val == parts[0].value(ks[0]) + parts[1].value(ks[1])
         assert wit["parts"][0] == parts[0].entry(ks[0])[1]
 
-    def test_unavailable_part_is_named(self):
-        class _Opaque(Spectrum):
-            kind = "opaque"
-
-            def _compute(self, k):
-                raise UnavailableError("no rule for this shape")
-
-            def domain(self):
-                return Ball(F(1))
-
-        union = UnionSpectrum([BallSpectrum(Ball(F(1))), _Opaque()])
-        with pytest.raises(UnavailableError, match=r"part 1 \(opaque\)"):
-            union.value(0)
-        with pytest.raises(UnavailableError, match=r"part 1 \(opaque\)"):
-            union.value(2)
-
     def test_empty_parts_rejected(self):
         with pytest.raises(ValidationError):
             UnionSpectrum([])
@@ -722,6 +705,47 @@ def test_spectra_are_sublinear(domain):
             assert values[k + l] <= values[k] + values[l], (k, l)
 
 
+# the laws of the disjoint union hold on values; on ties the partitions follow the part order
+_union_parts = st.lists(_small_domains, min_size=2, max_size=3).map(
+    lambda ds: [spectrum_for(d) for d in ds])
+
+
+@settings(max_examples=30, deadline=None)
+@given(parts=_union_parts)
+def test_union_values_do_not_depend_on_the_order_of_the_parts(parts):
+    """Commutativity. c_k(X_1 + ... + X_m) is the max over k_1 + ... + k_m = k of
+    the sum of the c_{k_i}(X_i) (Hutchings, arXiv:2201.03143); permuting the parts
+    permutes the partitions and the terms of each sum, so the max is the same."""
+    values = UnionSpectrum(parts).values(40)
+    for order in permutations(parts):
+        assert UnionSpectrum(list(order)).values(40) == values, order
+
+
+@settings(max_examples=30, deadline=None)
+@given(parts=_union_parts)
+def test_grouping_the_parts_of_a_union_keeps_its_values(parts):
+    """Associativity. A partition of k over all the parts is a partition j + (k - j)
+    between a group and the rest followed by a partition of j within the group, so the
+    max over all partitions is the max over j of the group's c_j plus the rest's."""
+    values = UnionSpectrum(parts).values(40)
+    assert UnionSpectrum([UnionSpectrum(parts[:2]), *parts[2:]]).values(40) == values
+    assert UnionSpectrum([parts[0], UnionSpectrum(parts[1:])]).values(40) == values
+
+
+@settings(max_examples=30, deadline=None)
+@given(parts=_union_parts)
+def test_a_union_is_at_least_every_split_between_a_part_and_the_rest(parts):
+    """Disjoint union: c_k(X + R) >= c_j(X) + c_{k-j}(R) for every j, with R the
+    union of the other parts. A partition of j over X and one of k - j over R
+    together partition k over all the parts, and c_k is the max over those."""
+    values = UnionSpectrum(parts).values(40)
+    for i, part in enumerate(parts):
+        own = part.values(40)
+        others = UnionSpectrum(parts[:i] + parts[i + 1:]).values(40)
+        for k in range(41):
+            assert all(values[k] >= own[j] + others[k - j] for j in range(k + 1)), (i, k)
+
+
 @settings(max_examples=25, deadline=None)
 @given(domain=st.one_of(_small_domains,
                         st.lists(_small_domains, min_size=1, max_size=3)
@@ -770,35 +794,6 @@ def test_every_provider_is_conformal(sized, r):
     entries = spectrum_for(domain).entries(k_max)
     assert spectrum_for(dilate(domain, r)).entries(k_max) == \
         [(r * value, witness) for value, witness in entries]
-
-
-def test_provider_without_a_rule_is_unavailable():
-    class _Bare(Spectrum):
-        kind = "bare"
-
-        def domain(self):
-            return Ball(F(1))
-
-    spec = _Bare()
-    with pytest.raises(UnavailableError, match="bare"):
-        spec.entry(0)
-    with pytest.raises(UnavailableError, match="bare"):
-        spec.entry(1)
-
-
-def test_unavailable_batch_extension_is_named_in_a_union():
-    class _Opaque(Spectrum):
-        kind = "opaque"
-
-        def _extend(self, k_max):
-            raise UnavailableError("no rule for this shape")
-
-        def domain(self):
-            return Ball(F(1))
-
-    union = UnionSpectrum([BallSpectrum(Ball(F(1))), _Opaque()])
-    with pytest.raises(UnavailableError, match=r"part 1 \(opaque\): no rule for this shape"):
-        union.entries(3)
 
 
 def _swept_count(domain, cutoff):
