@@ -15,9 +15,12 @@ mutant is killed.
 
 A second route added to the package adds its mutant here. A mutant that no
 test kills is a missing test, or an equivalent or perf-only mutant, named
-here with its reason instead of entered in the table. One is left out so:
-the toric sweep's polydisk start cut to `range(1)` keeps every value and
-only makes the scan do more work, which no test bounds yet.
+here with its reason instead of entered in the table. Two are left out so,
+as they keep every value and only add work, which no test bounds yet: the
+toric sweep's polydisk start cut to `range(1)`, which makes the scan do more
+work, and the union convolution keeping every t as a plateau start
+(`if not t or v > dp[t - 1]` made always true), which makes each budget try
+every split.
 """
 
 from __future__ import annotations
@@ -35,14 +38,27 @@ ROOT = Path(__file__).resolve().parent.parent
 SPECTRA, GAPS, PATHS = "src/toricspec/spectra.py", "src/toricspec/gaps.py", "src/toricspec/paths.py"
 MUTANTS = [
     {"name": "union-ties-to-the-largest-budget", "file": SPECTRA,
-     "old": "t = row.index(best := max(row))",
-     "new": "t = len(row) - 1 - row[::-1].index(best := max(row))",
+     "old": "if (total := v + vals[j - t]) > best:",
+     "new": "if (total := v + vals[j - t]) >= best:",
      "tests": ["tests/test_spectra.py::test_union_matches_brute_force_partitions"]},
     {"name": "union-drops-the-split-to-the-new-part", "file": SPECTRA,
-     "old": "row = list(map(add, dp, vals[j::-1]))",
-     "new": "row = list(map(add, dp[:j] or dp, vals[j::-1]))",
+     "old": "if t > j:",
+     "new": "if t >= j > 0:",  # t = 0 stays at j = 0
      "tests": [
          "tests/test_spectra.py::test_a_union_is_at_least_every_split_between_a_part_and_the_rest"]},
+    {"name": "union-keeps-plateau-ends", "file": SPECTRA,
+     "old": "if not t or v > dp[t - 1]]",
+     "new": "if t == len(dp) - 1 or v < dp[t + 1]]",
+     "tests": ["tests/test_spectra.py::test_union_ties_in_every_stage_follow_the_brute_force_rule",
+               "tests/test_spectra.py::test_union_matches_the_full_split_convolution"]},
+    {"name": "union-lcm-factor-one-too-high", "file": SPECTRA,
+     "old": "vals = [v * (d // den) for v in nums]",
+     "new": "vals = [v * (d // den + 1) for v in nums]",
+     "tests": ["tests/test_spectra.py::test_union_matches_brute_force_partitions"]},
+    {"name": "union-lcm-is-the-first-denominator", "file": SPECTRA,
+     "old": "d = lcm(*(den for den, _nums, _wits in prefixes))",
+     "new": "d = prefixes[0][0]",
+     "tests": ["tests/test_spectra.py::test_union_matches_brute_force_partitions"]},
     {"name": "count-le-misses-entries-at-the-cutoff", "file": SPECTRA,
      "old": "return bisect_right(nums, _floor_times(cutoff, den))",
      "new": "return bisect_right(nums, _floor_times(cutoff, den) - 1)",  # bisect_left on ints

@@ -24,7 +24,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
-from operator import add, le
+from operator import le
 from typing import Optional, Sequence
 
 from .domains import (
@@ -400,10 +400,12 @@ class ToricSpectrum(Spectrum):
 
 class UnionSpectrum(Spectrum):
     """c_k(X_1 + ... + X_m) = max over k_1 + ... + k_m = k of the sum of the
-    c_{k_i}(X_i) (Hutchings, arXiv:2201.03143): one max-plus convolution on the
-    parts' integer prefixes, rescaled to the lcm of their denominators. The
-    table carries each budget's partition; ties go to the smallest budget for
-    the earlier parts."""
+    c_{k_i}(X_i) (Hutchings, arXiv:2201.03143): one max-plus convolution on the parts'
+    integer prefixes, rescaled to the lcm of their denominators. Each budget tries only
+    the plateau starts t of the running union dp (t = 0 or dp[t] > dp[t - 1]): where
+    dp[t] == dp[t - 1], t - 1 does as well, as the next part never decreases. That is
+    O(m K V) work, V <= K + 1 the running union's distinct values. The table carries
+    each budget's partition; ties go to the smallest budget for the earlier parts."""
 
     kind = "union"
 
@@ -419,12 +421,17 @@ class UnionSpectrum(Spectrum):
         dp, splits = [0], [[]]  # before any part, only budget 0 is spent
         for den, nums, _wits in prefixes:
             vals = [v * (d // den) for v in nums]
+            starts = [(t, v) for t, v in enumerate(dp) if not t or v > dp[t - 1]]
             nxt, nxt_splits = [], []
             for j in range(k_max + 1):
-                row = list(map(add, dp, vals[j::-1]))  # dp[t] + vals[j - t]
-                t = row.index(best := max(row))  # the smallest t on ties
+                best = -1
+                for t, v in starts:
+                    if t > j:
+                        break
+                    if (total := v + vals[j - t]) > best:  # the smallest t on ties
+                        best, arg = total, t
                 nxt.append(best)
-                nxt_splits.append(splits[t] + [j - t])
+                nxt_splits.append(splits[arg] + [j - arg])
             dp, splits = nxt, nxt_splits
         return d, dp, [{"partition": ks, "parts": [w[ki] for (_d, _n, w), ki in zip(prefixes, ks)]}
                        for ks in splits]

@@ -3,8 +3,8 @@ union convolution, scaling, Weyl diagnostics."""
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import ceil, floor, gcd, isqrt
-from operator import le
+from math import ceil, floor, gcd, isqrt, lcm
+from operator import add, le
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -683,6 +683,52 @@ def test_one_part_union_gives_each_budget_to_its_part():
     entries = UnionSpectrum([ball]).entries(5)
     assert [wit["partition"] for _val, wit in entries] == [[k] for k in range(6)]
     assert [val for val, _wit in entries] == ball.values(5)
+
+
+def _full_split_union(prefixes, k_max):
+    """The union convolution trying every split t <= j of every budget j, O(m K^2), on
+    the parts' prefixes (den, nums, witnesses): the large-K oracle for the package's
+    rule, which tries only the plateau starts of the running union."""
+    d = lcm(*(den for den, _nums, _wits in prefixes))
+    dp, splits = [0], [[]]
+    for den, nums, _wits in prefixes:
+        vals = [v * (d // den) for v in nums]
+        nxt, nxt_splits = [], []
+        for j in range(k_max + 1):
+            row = list(map(add, dp, vals[j::-1]))  # dp[t] + vals[j - t]
+            t = row.index(best := max(row))  # the smallest t on ties
+            nxt.append(best)
+            nxt_splits.append(splits[t] + [j - t])
+        dp, splits = nxt, nxt_splits
+    return [(F(v, d), {"partition": ks, "parts": [w[ki] for (_d, _n, w), ki in zip(prefixes, ks)]})
+            for v, ks in zip(dp, splits)]
+
+
+def _assert_union_is_the_full_split(parts, k_max):
+    prefixes = [p._scaled_prefix(k_max) for p in parts]
+    assert UnionSpectrum(parts).entries(k_max) == _full_split_union(prefixes, k_max)
+
+
+# long plateaus in the running union: many ties between parts, many repeated values
+_tie_heavy_domains = st.one_of(
+    st.builds(Ball, st.sampled_from([F(1), F(3, 2), F(2)])),
+    st.builds(lambda a, r: Ellipsoid(a, a * r), st.sampled_from([F(1), F(3, 2), F(2)]),
+              st.sampled_from([F(1), F(3, 2), F(2), F(89, 55)])),
+    _toric_profiles)
+
+
+@settings(max_examples=30, deadline=None)
+@given(domains=st.lists(_tie_heavy_domains, min_size=2, max_size=4), k_max=st.integers(0, 120))
+def test_union_matches_the_full_split_convolution(domains, k_max):
+    _assert_union_is_the_full_split([spectrum_for(d) for d in domains], k_max)
+
+
+@pytest.mark.parametrize("domains", [
+    (Ellipsoid(F(1), F(2)), Ball(F(3, 2)), Ellipsoid(F(2, 3), F(5, 7))),
+    (Ellipsoid(F(89, 55), F(1)), Ball(F(1))),  # every value of the first part distinct
+], ids=["three-parts", "nothing-skipped"])
+def test_union_at_k_1000_matches_the_full_split_convolution(domains):
+    _assert_union_is_the_full_split([spectrum_for(d) for d in domains], 1000)
 
 
 @settings(max_examples=100, deadline=None)
