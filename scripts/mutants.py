@@ -109,6 +109,18 @@ MUTANTS = [
      "new": "close > report.gap + 1",
      "tests": [
          "tests/test_gaps.py::TestClosingBound::test_a_close_past_the_gap_raises_assertion_error"]},
+    {"name": "iterate-index-loses-its-odd-bit", "file": "src/toricspec/echindex.py",
+     "old": "w // v | 1 for w in",
+     "new": "w // v for w in",
+     "tests": ["tests/test_echindex.py::test_iterate_indices_are_the_comprehension"]},
+    {"name": "chain-sum-drops-the-b-quotient", "file": "src/toricspec/rationals.py",
+     "old": "total += qb * n",
+     "new": "total += 0",
+     "tests": ["tests/test_rationals.py::test_one_chain_serves_every_n_and_b"]},
+    {"name": "scan-tangent-count-below-the-action", "file": "src/toricspec/echindex.py",
+     "old": "tangent = _chain_count(chain, an, v)",
+     "new": "tangent = _chain_count(chain, an, v - 1)",
+     "tests": ["tests/test_echindex.py::TestIndexActionScan::test_generic_integer_pair"]},
 ]
 
 

@@ -16,18 +16,29 @@ from itertools import accumulate
 from .domains import _require_keys
 from .errors import MissingCoverError, PreconditionError, ValidationError
 from .paths import LatticePath, _chain_twice_area
-from .rationals import (_Frozen, _exact_int, _plain_ints, _positive_axes, _ratio, _scaled, _shown,
-                        floor_sum)
-from .spectra import _count_scaled
+from .rationals import (_Frozen, _chain_sum, _exact_int, _floor_chain, _fractions, _plain_ints,
+                        _positive_axes, _ratio, _scaled, _shown)
+from .spectra import _chain_count
+
+SCAN_ROW_LIMIT = 100_000  # index_action_scan refuses a grid of more rows before any work
 
 
 def ellipsoid_index(a: Fraction, b: Fraction, m1: int, m2: int) -> int:
-    """Closed form: 2 (m1 + m2 + m1 m2 + sum floor(j a / b) + sum floor(j b / a))."""
+    """Closed form: 2 (m1 + m2 + m1 m2 + sum floor(j a / b) + sum floor(j b / a)).
+
+    With a / b = p / q in lowest terms the two sums are floor sums on the Euclid
+    chains of (q, p) and (p, q), and those are one chain: each is the other after
+    one step, so it is built once.
+    """
     a, b = _positive_axes(a, b)
     p, q = _ratio(a, b)
     m1, m2 = _exact_int(m1, "m1"), _exact_int(m2, "m2")
-    # a / b = p / q in lowest terms; the sums over 1 <= j <= m start at j = 0 here
-    return 2 * (m1 + m2 + m1 * m2 + floor_sum(m1 + 1, q, p, 0) + floor_sum(m2 + 1, p, q, 0))
+    chain = _floor_chain(q, p)
+    # (q, 0, p) leads the chain of (q, p) when p < q, and (p, 0, q) that of (p, q) when p > q;
+    # at p = q = 1 the extra link adds 0
+    flipped = chain[1:] if p < q else [(p, 0, q), *chain]
+    # the sums over 1 <= j <= m start at j = 0 here
+    return 2 * (m1 + m2 + m1 * m2 + _chain_sum(chain, m1 + 1, 0) + _chain_sum(flipped, m2 + 1, 0))
 
 
 def ellipsoid_action(a: Fraction, b: Fraction, m1: int, m2: int) -> Fraction:
@@ -122,16 +133,17 @@ def ellipsoid_orbit_set(a: Fraction, b: Fraction, m1: int, m2: int) -> OrbitSet:
     Both generators have chern number 1 and self-linking -1, they link
     once, and the iterate indices are 2 floor(j a / b) + 1 for the short
     generator and 2 floor(j b / a) + 1 for the long one. With a / b = p / q
-    in lowest terms, they are 2 (j p // q) + 1 (and 2 (j q // p) + 1) in
-    plain integers, so the set takes O(m) integer steps and calls no floor
-    sum. Multiplicity-zero generators are omitted from the set.
+    in lowest terms, 2 (j p // q) + 1 = (2 j p // q) | 1, as floor(2 x) is
+    2 floor(x) or one more, so each tuple takes one integer division per
+    iterate over the multiples 2 j p of 2 p (and 2 j q of 2 q): O(m) integer
+    steps and no floor sum. Multiplicity-zero generators are omitted from the set.
     """
     a, b = _positive_axes(a, b)
     if _exact_int(m1, "m1") + _exact_int(m2, "m2") == 0:
         raise ValidationError("need multiplicities m1, m2 not both zero")
     p, q = _ratio(a, b)
     orbits = tuple(
-        OrbitRecord(label, 1, -1, tuple([2 * (j * u // v) + 1 for j in range(1, m + 1)]), m)
+        OrbitRecord(label, 1, -1, tuple([w // v | 1 for w in range(2 * u, 2 * u * (m + 1), 2 * u)]), m)
         for label, m, u, v in (("g1", m1, p, q), ("g2", m2, q, p)) if m > 0)
     n = len(orbits)
     linking = tuple(tuple(0 if i == j else 1 for j in range(n)) for i in range(n))
@@ -223,9 +235,13 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
     m_max, and all actions up to (a + b) m_max must be pairwise distinct.
     With a / b = p / q in lowest terms, the first collisions are j = q,
     j = p and the pairs (0, p), (q, 0); violations raise PreconditionError
-    naming the collision. The index comes from running sums of j p // q and
-    j q // p, O(m_max) steps for the whole grid, and rank and the tangent
-    count from floor sums: the identity compares two routes sharing no code.
+    naming the collision. A grid of more than SCAN_ROW_LIMIT rows is then
+    refused with ValidationError before any work. The index comes from
+    running sums of j p // q and j q // p, O(m_max) steps for the whole
+    grid, and rank and the tangent count from pair counts on the one Euclid
+    chain of the scaled axes (spectra._chain_count): the identity compares
+    two routes sharing no code. The row actions are made by
+    rationals._fractions.
     """
     a, b = _positive_axes(a, b)
     m_max = _exact_int(m_max, "m_max")
@@ -238,19 +254,23 @@ def index_action_scan(a: Fraction, b: Fraction, m_max: int) -> IndexScanReport:
     if a * q <= (a + b) * m_max:
         raise PreconditionError(
             f"action collision: pairs (0, {ps}) and ({qs}, 0) share action {_shown(a * q, str)}")
+    if (m_max + 1) ** 2 > SCAN_ROW_LIMIT:
+        raise ValidationError(f"index scan of {_shown((m_max + 1) ** 2, str)} rows exceeds the "
+                              f"limit of {SCAN_ROW_LIMIT} rows")
     an, bn, d = _scaled(a, b)
+    chain = _floor_chain(bn, an)
     s1 = list(accumulate(j * p // q for j in range(m_max + 1)))
     s2 = list(accumulate(j * q // p for j in range(m_max + 1)))
+    cells = [(m1, m2) for m1 in range(m_max + 1) for m2 in range(m_max + 1)]
+    actions = [an * m1 + bn * m2 for m1, m2 in cells]
     rows = []
-    for m1 in range(m_max + 1):
-        for m2 in range(m_max + 1):
-            v = an * m1 + bn * m2
-            idx = 2 * (m1 + m2 + m1 * m2 + s1[m1] + s2[m2])
-            rank = _count_scaled(an, bn, v - 1)
-            tangent = _count_scaled(an, bn, v)
-            if idx != 2 * rank:
-                raise AssertionError(f"index {idx} != 2 * rank {rank} at (m1, m2) = ({m1}, {m2})")
-            if idx != 2 * (tangent - 1):
-                raise AssertionError(f"index {idx} != 2 * (tangent count - 1) at ({m1}, {m2})")
-            rows.append(IndexScanRow(m1, m2, Fraction(v, d), idx, rank, tangent))
+    for (m1, m2), v, action in zip(cells, actions, _fractions(actions, d)):
+        idx = 2 * (m1 + m2 + m1 * m2 + s1[m1] + s2[m2])
+        rank = _chain_count(chain, an, v - 1)
+        tangent = _chain_count(chain, an, v)
+        if idx != 2 * rank:
+            raise AssertionError(f"index {idx} != 2 * rank {rank} at (m1, m2) = ({m1}, {m2})")
+        if idx != 2 * (tangent - 1):
+            raise AssertionError(f"index {idx} != 2 * (tangent count - 1) at ({m1}, {m2})")
+        rows.append(IndexScanRow(m1, m2, action, idx, rank, tangent))
     return IndexScanReport(a, b, m_max, tuple(rows))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from decimal import Context
 from fractions import Fraction
 from math import gcd, lcm
@@ -124,8 +124,13 @@ def _exact_int(k: object, what: str = "k", least: int = 0) -> int:
     return k
 
 
-def _plain_ints(values: Iterable[object], what: str) -> None:
-    """Refuse anything but plain ints: a bool is an int and would pass as 0 or 1."""
+def _plain_ints(values: Sequence[object], what: str) -> None:
+    """Refuse anything but plain ints: a bool is an int and would pass as 0 or 1.
+
+    The types are counted in one C-level pass; only a refusal walks the values,
+    to name the first offender."""
+    if list(map(type, values)).count(int) == len(values):
+        return
     for v in values:
         if type(v) is not int:
             raise ValidationError(f"{what} must be ints, got {type(v).__name__} {_shown(v)}")
@@ -146,8 +151,9 @@ def _floor_times(x: Fraction, d: int) -> int:
 
 def _ratio(a: Fraction, b: Fraction) -> tuple[int, int]:
     """Lowest-terms p, q of a / b for a, b > 0: cancel the numerators' and denominators' gcds."""
-    g, h = gcd(a.numerator, b.numerator), gcd(a.denominator, b.denominator)
-    return a.numerator // g * (b.denominator // h), b.numerator // g * (a.denominator // h)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    g, h = gcd(an, bn), gcd(ad, bd)
+    return an // g * (bd // h), bn // g * (ad // h)
 
 
 def _scaled(*values: Fraction) -> tuple[int, ...]:
@@ -155,8 +161,8 @@ def _scaled(*values: Fraction) -> tuple[int, ...]:
 
     Lets hot loops compare and add exact rationals as plain integers.
     """
-    d = lcm(*(v.denominator for v in values))
-    return (*(v.numerator * (d // v.denominator) for v in values), d)
+    d = lcm(*[v.denominator for v in values])
+    return (*[v.numerator * (d // v.denominator) for v in values], d)
 
 
 def _fractions(nums: Iterable[int], den: int) -> Iterator[Fraction]:
@@ -172,21 +178,42 @@ def _fractions(nums: Iterable[int], den: int) -> Iterator[Fraction]:
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of floor((a i + b) / m) over 0 <= i < n, for n >= 0, m >= 1 and any
-    integers a, b, in O(log m) Euclid-style steps: reduce a and b modulo m,
-    then count the lattice points under the line from the other axis."""
-    if n < 0 or m < 1:
-        raise ValidationError(f"floor_sum needs n >= 0 and m >= 1, got n={_shown(n, str)}, "
-                              f"m={_shown(m, str)}")
+    integers a, b, in O(log m) Euclid-style steps: the Euclid chain of (m, a),
+    evaluated at (n, b). Callers that take many sums on one (m, a) build the
+    chain once with _floor_chain and evaluate it with _chain_sum."""
+    return _chain_sum(_floor_chain(m, a), n, b)
+
+
+def _floor_chain(m: int, a: int) -> list[tuple[int, int, int]]:
+    """The Euclid chain of (m, a), m >= 1: one (m, a // m, a % m) link per step of
+    floor_sum, where each step's (m, a) is the last step's (a % m, m); the last
+    link has a % m = 0. It depends on neither n nor b."""
+    if m < 1:
+        raise ValidationError(f"floor_sum needs m >= 1, got m={_shown(m, str)}")
+    chain = []
+    while m:
+        qa = a // m
+        a, m = m, a - qa * m
+        chain.append((a, qa, m))
+    return chain
+
+
+def _chain_sum(chain: list[tuple[int, int, int]], n: int, b: int) -> int:
+    """floor_sum(n, m, a, b) on the chain of (m, a), for n >= 0: at each link reduce
+    b modulo m, then count the lattice points under the line from the other axis."""
+    if n < 0:
+        raise ValidationError(f"floor_sum needs n >= 0, got n={_shown(n, str)}")
     total = 0
-    while True:
-        qa, a = divmod(a, m)
-        qb, b = divmod(b, m)
-        total += qa * (n * (n - 1) // 2) + qb * n
+    for m, qa, a in chain:
+        if not 0 <= b < m:
+            qb, b = divmod(b, m)
+            total += qb * n
+        total += qa * (n * (n - 1) // 2)
         y_max = a * n + b
-        if y_max < m:
+        if y_max < m:  # always so at the last link, where a = 0
             return total
-        n, b = divmod(y_max, m)
-        m, a = a, m
+        n = y_max // m
+        b = y_max - n * m
 
 
 def to_string(x: Fraction) -> str:

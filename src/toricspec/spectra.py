@@ -38,8 +38,8 @@ from .domains import (
 )
 from .errors import ValidationError
 from .paths import Edge, LatticePath, _scan_paths, _slope_key
-from .rationals import (_Frozen, _exact_int, _exact_rat, _floor_times, _fractions, _positive_axes,
-                        _scaled, _shown, floor_sum)
+from .rationals import (_Frozen, _chain_sum, _exact_int, _exact_rat, _floor_chain, _floor_times,
+                        _fractions, _positive_axes, _scaled, _shown)
 
 
 def nk_sequence(a: Fraction, b: Fraction, k_max: int) -> list[tuple[Fraction, tuple[int, int]]]:
@@ -84,13 +84,15 @@ def nk_via_lattice(a: Fraction, b: Fraction, k: int) -> Fraction:
 
 def _nk_scaled(an: int, bn: int, k: int) -> int:
     """The least integer level L with at least k + 1 pairs of action <= L, in O(log(an + bn))
-    floor sums: the pair count lies between the area bounds L^2 / 2 an bn and
-    (L + an + bn)^2 / 2 an bn, so r - an - bn <= L <= r for r = ceil(sqrt(2 an bn (k + 1)))."""
+    pair counts on one Euclid chain: the pair count lies between the area bounds
+    L^2 / 2 an bn and (L + an + bn)^2 / 2 an bn, so r - an - bn <= L <= r for
+    r = ceil(sqrt(2 an bn (k + 1)))."""
     r = isqrt(2 * an * bn * (k + 1) - 1) + 1
     lo, hi = max(0, r - an - bn), min(r, k * min(an, bn))  # the multiples 0..k of the shorter axis fit
+    chain = _floor_chain(bn, an)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _count_scaled(an, bn, mid) >= k + 1:
+        if _chain_count(chain, an, mid) >= k + 1:
             hi = mid
         else:
             lo = mid + 1
@@ -98,11 +100,18 @@ def _nk_scaled(an: int, bn: int, k: int) -> int:
 
 
 def _count_scaled(an: int, bn: int, ln: int) -> int:
-    # pairs with an m + bn n <= ln: row m = top - i holds (an i + ln - an top) // bn + 1
+    """Pairs (m, n) >= 0 with an m + bn n <= ln, for an, bn >= 1: one floor sum."""
+    return _chain_count(_floor_chain(bn, an), an, ln)
+
+
+def _chain_count(chain: list[tuple[int, int, int]], an: int, ln: int) -> int:
+    """_count_scaled(an, bn, ln) on the Euclid chain of (bn, an), which callers that
+    count many levels on one axis pair build once."""
+    # row m = top - i holds (an i + ln - an top) // bn + 1
     if ln < 0:
         return 0
     top = ln // an
-    return top + 1 + floor_sum(top + 1, bn, an, ln - an * top)
+    return top + 1 + _chain_sum(chain, top + 1, ln - an * top)
 
 
 def ball_capacity(a: Fraction, k: int) -> tuple[Fraction, dict]:

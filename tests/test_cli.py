@@ -316,6 +316,15 @@ class TestIndexCommand:
         code, _, err = run(capsys, "index", "--a", "1", "--b", "1", "--scan", "2")
         assert code == 2 and "ratio collision" in err
 
+    def test_an_oversized_scan_exits_2_quickly(self, capsys):
+        # collision free, so only the row limit stops its 100001^2 rows
+        start = time.perf_counter()
+        code, out, err = run(capsys, "index", "--a", "100000007/100000000", "--b", "1",
+                             "--scan", "100000")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert "10000200001 rows" in err and "limit of 100000 rows" in err
+
     def test_orbit_file(self, capsys, tmp_path):
         obj = {"orbits": [
                    {"label": "g1", "chern": 1, "self_linking": -1,

@@ -1,6 +1,7 @@
 """Index formulas: closed form vs first principles, orbit set plumbing,
 path bounds, the index-action scan."""
 
+import pickle
 import re
 import time
 from fractions import Fraction
@@ -347,9 +348,9 @@ def test_integer_covers_match_the_fraction_route(a, b, m1, m2):
     expected = ellipsoid_index(a, b, m1, m2)
 
     def no_floor_sum(*args):
-        raise AssertionError("star_shaped_index must not call floor_sum")
+        raise AssertionError("star_shaped_index must not take a floor sum")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(echindex, "floor_sum", no_floor_sum)
+        mp.setattr(echindex, "_chain_sum", no_floor_sum)
         assert star_shaped_index(ellipsoid_orbit_set(a, b, m1, m2)) == expected
 
 
@@ -395,6 +396,59 @@ def test_index_is_twice_rank_at_large_multiplicities():
         assert ellipsoid_index(a, b, m1, m2) == 2 * (count_action_pairs(a, b, action) - 1)
 
 
+def _comprehension_orbit_set(a, b, m1, m2):
+    """The orbit set as ellipsoid_orbit_set built it from 2 (j p // q) + 1 per iterate, the oracle."""
+    p, q = (a / b).as_integer_ratio()
+    orbits = tuple(
+        OrbitRecord(label, 1, -1, tuple([2 * (j * u // v) + 1 for j in range(1, m + 1)]), m)
+        for label, m, u, v in (("g1", m1, p, q), ("g2", m2, q, p)) if m > 0)
+    n = len(orbits)
+    return OrbitSet(orbits, tuple(tuple(0 if i == j else 1 for j in range(n)) for i in range(n)))
+
+
+_FIBONACCI = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181]
+# 8-digit generic p / q against 1 as index-count draws them, Fibonacci ratios, integer
+# ratios (q = 1), and a whole axis against 1 / n, which puts 1 in the other generator's place
+_iterate_axes = st.one_of(
+    st.tuples(st.builds(F, st.integers(10**7, 2 * 10**7), st.integers(10**7, 2 * 10**7)),
+              st.just(F(1))),
+    st.integers(1, len(_FIBONACCI) - 1).map(lambda i: (F(_FIBONACCI[i]), F(_FIBONACCI[i - 1]))),
+    st.tuples(st.integers(1, 10**6).map(F), st.just(F(1))),
+    st.tuples(st.just(F(1)), st.integers(1, 10**6).map(lambda n: F(1, n))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes=_iterate_axes, m1=st.integers(0, 400), m2=st.integers(0, 400), swap=st.booleans())
+def test_iterate_indices_are_the_comprehension(axes, m1, m2, swap):
+    # (2 j p // q) | 1 == 2 (j p // q) + 1: floor(2 x) is 2 floor(x) or one more
+    a, b = reversed(axes) if swap else axes
+    if m1 + m2 == 0:
+        m2 = 1
+    made = ellipsoid_orbit_set(a, b, m1, m2)
+    assert made == _comprehension_orbit_set(a, b, m1, m2)
+    assert pickle.loads(pickle.dumps(made)) == made
+
+
+@pytest.mark.parametrize("a, b", [(F(14286547, 10000001), F(1)), (F(89), F(55)), (F(7), F(1)),
+                                  (F(1), F(1, 3))])
+def test_iterate_indices_at_multiplicity_5000(a, b):
+    made = ellipsoid_orbit_set(a, b, 5000, 5000)
+    assert made == _comprehension_orbit_set(a, b, 5000, 5000)
+    assert pickle.loads(pickle.dumps(made)) == made
+    assert star_shaped_index(made) == ellipsoid_index(a, b, 5000, 5000)
+
+
+@pytest.mark.parametrize("bad, shown", [(True, "bool True"), (2.5, "float 2.5")])
+def test_a_non_int_deep_in_a_long_cz_array_is_named_first(bad, shown):
+    # the one-pass type count only decides; the walk that names the offender is the old one
+    cz = (1,) * 4000 + (bad,) + (3,) * 100 + (F(1, 2),)
+    with pytest.raises(ValidationError, match=_whole(f"orbit 'g': cz array must be ints, got {shown}")):
+        OrbitRecord("g", 1, -1, cz, 4000)
+    with pytest.raises(ValidationError, match=_whole(f"linking entries must be ints, got {shown}")):
+        OrbitSet((OrbitRecord("g", 1, -1, (1,), 1),), ((0,) * 3000 + (bad,),))
+
+
 _coprime_pair = st.tuples(st.integers(1000, 2000), st.integers(1000, 2000)).filter(
     lambda pq: gcd(*pq) == 1)
 
@@ -419,7 +473,7 @@ def test_scan_index_calls_no_floor_sum(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("the scan's index must come from its running sums")
-    monkeypatch.setattr(echindex, "floor_sum", refuse)
+    monkeypatch.setattr(echindex, "_chain_sum", refuse)
     assert index_action_scan(F(1297, 1595), F(1), 14) == expected
 
 
@@ -430,11 +484,26 @@ def test_scan_index_calls_no_floor_sum(monkeypatch):
 def test_both_scan_identities_are_checked_on_the_last_row(monkeypatch, off_by, message):
     # a / b = 1297 / 1595 scales to the integer axes (1297, 1595), so the last row's
     # rank counts the pairs of scaled action <= 2892 * 14 - 1, its tangent count <= 2892 * 14
-    count = echindex._count_scaled
+    count = echindex._chain_count
     last = 2892 * 14
 
-    def skewed(an, bn, ln):
-        return count(an, bn, ln) + (ln == last - off_by)
-    monkeypatch.setattr(echindex, "_count_scaled", skewed)
+    def skewed(chain, an, ln):
+        return count(chain, an, ln) + (ln == last - off_by)
+    monkeypatch.setattr(echindex, "_chain_count", skewed)
     with pytest.raises(AssertionError, match=message):
         index_action_scan(F(1297, 1595), F(1), 14)
+
+
+def test_a_scan_past_the_row_limit_is_refused_before_any_work(monkeypatch):
+    # collision free up to 10^8, so only the row count stops (m_max + 1)^2 = 10^10 + ... rows
+    with pytest.raises(ValidationError, match=_whole(
+            "index scan of 10000200001 rows exceeds the limit of 100000 rows")):
+        index_action_scan(F(100000007, 100000000), F(1), 100000)
+    # the collision checks come first
+    with pytest.raises(PreconditionError, match="ratio collision"):
+        index_action_scan(F(1), F(1), 10**6)
+    monkeypatch.setattr(echindex, "SCAN_ROW_LIMIT", 16)
+    assert len(index_action_scan(F(89), F(55), 3).rows) == 16
+    with pytest.raises(ValidationError, match="index scan of 25 rows exceeds the limit of 16 rows"):
+        index_action_scan(F(89), F(55), 4)
+

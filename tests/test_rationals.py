@@ -48,7 +48,8 @@ from toricspec import (
     weyl_report,
 )
 from toricspec.gaps import ellipsoid_close_detail
-from toricspec.rationals import _exact_rat, _floor_times, _fractions, _ratio, floor_sum
+from toricspec.rationals import (_chain_sum, _exact_rat, _floor_chain, _floor_times, _fractions,
+                                 _plain_ints, _ratio, floor_sum)
 from test_paths import square
 
 F = Fraction
@@ -353,6 +354,73 @@ def test_floor_sum_edges():
 def test_floor_sum_rejects_bad_ranges(n, m):
     with pytest.raises(ValidationError, match="floor_sum"):
         floor_sum(n, m, 1, 1)
+
+
+def _loop_floor_sum(n, m, a, b):
+    """floor_sum as one loop over (n, m, a, b), before the chain split it in two: the oracle."""
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 60), a=st.integers(-300, 300),
+       nbs=st.lists(st.tuples(st.integers(0, 80), st.integers(-300, 300)), min_size=1, max_size=40))
+def test_one_chain_serves_every_n_and_b(m, a, nbs):
+    # a and b run past m and below 0, so every reduction step runs; n = 0 is drawn too
+    chain = _floor_chain(m, a)
+    for n, b in nbs:
+        expected = sum((a * i + b) // m for i in range(n))
+        assert _chain_sum(chain, n, b) == _loop_floor_sum(n, m, a, b) == expected
+    assert chain == _floor_chain(m, a)  # evaluation leaves the chain as it was
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(10**319, 10**320 - 1), a=st.integers(-10**320, 10**320),
+       n=st.integers(0, 10**320), b=st.integers(-10**320, 10**320))
+def test_chain_sum_at_320_digits_matches_the_loop(m, a, n, b):
+    assert _chain_sum(_floor_chain(m, a), n, b) == floor_sum(n, m, a, b) == _loop_floor_sum(n, m, a, b)
+
+
+def test_chain_links_follow_euclid():
+    # (m, a // m, a % m) per step, the next step on (a % m, m), down to a zero remainder
+    assert _floor_chain(55, 89) == [(55, 1, 34), (34, 1, 21), (21, 1, 13), (13, 1, 8), (8, 1, 5),
+                                    (5, 1, 3), (3, 1, 2), (2, 1, 1), (1, 2, 0)]
+    assert _floor_chain(7, -3) == [(7, -1, 4), (4, 1, 3), (3, 1, 1), (1, 3, 0)]
+    assert _floor_chain(1, 10**40) == [(1, 10**40, 0)]
+    assert _chain_sum(_floor_chain(7, 100), 0, 100) == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _floor_chain(0, 1), "floor_sum needs m >= 1, got m=0"),
+    (lambda: _floor_chain(-5, 1), "floor_sum needs m >= 1, got m=-5"),
+    (lambda: _chain_sum(_floor_chain(3, 1), -1, 1), "floor_sum needs n >= 0, got n=-1"),
+    (lambda: floor_sum(-1, 0, 1, 1), "floor_sum needs m >= 1, got m=0"),
+], ids=["m-zero", "m-negative", "n-negative", "m-checked-first"])
+def test_chain_refusals(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad, shown", [(True, "bool True"), (False, "bool False"),
+                                        (2.0, "float 2.0")])
+@pytest.mark.parametrize("at", [0, 4999, 9999])
+def test_plain_ints_names_the_first_offender_anywhere_in_a_long_tuple(bad, shown, at):
+    values = [7] * 10_000 + ["later"]
+    values[at] = bad
+    with pytest.raises(ValidationError) as info:
+        _plain_ints(tuple(values), "entries")
+    assert str(info.value) == f"entries must be ints, got {shown}"
+    _plain_ints((7,) * 10_000, "entries")
+    _plain_ints((), "entries")
 
 
 class _FractionSubclass(Fraction):

@@ -163,11 +163,14 @@ def test_area_bounds_bracket_the_level(axes, k):
 @pytest.mark.parametrize("an, bn, k", [(1, 1, 10**12), (55, 89, 10**6), (7, 7, 0),
                                        (10**30 + 57, 10**30, 10**9), (3, 10**30, 10**12)])
 def test_inversion_takes_log_of_the_axes_floor_sums(monkeypatch, an, bn, k):
-    calls = []
-    monkeypatch.setattr(spectra, "_count_scaled", lambda *args: calls.append(args) or _count_scaled(*args))
-    assert spectra._nk_scaled(an, bn, k) == _nk_full_range(an, bn, k)
-    # a bisection over a window of width <= an + bn probes at most bit_length(an + bn) levels
+    expected, calls = _nk_full_range(an, bn, k), []
+    count = spectra._chain_count
+    monkeypatch.setattr(spectra, "_chain_count", lambda *args: calls.append(args) or count(*args))
+    assert spectra._nk_scaled(an, bn, k) == expected
+    # a bisection over a window of width <= an + bn probes at most bit_length(an + bn) levels,
+    # every one on the same Euclid chain of the axes
     assert len(calls) <= (an + bn).bit_length()
+    assert len({id(chain) for chain, _an, _ln in calls}) <= 1
 
 
 class TestCountActionPairs:
