@@ -56,9 +56,17 @@ MUTANTS = [
      "new": "vals = [v * (d // den + 1) for v in nums]",
      "tests": ["tests/test_spectra.py::test_union_matches_brute_force_partitions"]},
     {"name": "union-lcm-is-the-first-denominator", "file": SPECTRA,
-     "old": "d = lcm(*(den for den, _nums, _wits in prefixes))",
+     "old": "d = lcm(*(den for den, _nums in prefixes))",
      "new": "d = prefixes[0][0]",
      "tests": ["tests/test_spectra.py::test_union_matches_brute_force_partitions"]},
+    {"name": "ellipsoid-tie-step-is-one", "file": SPECTRA,
+     "old": "m = m + q if v == last",
+     "new": "m = m + 1 if v == last",
+     "tests": ["tests/test_spectra.py::TestEllipsoidSequence::test_tie_witnesses_in_lex_order"]},
+    {"name": "store-skips-the-monotonicity-check", "file": SPECTRA,
+     "old": "if not all(map(le, nums, islice(nums, 1, None))):",
+     "new": "if False:",
+     "tests": ["tests/test_spectra.py::test_entry_refuses_a_bad_provider_prefix"]},
     {"name": "count-le-misses-entries-at-the-cutoff", "file": SPECTRA,
      "old": "return bisect_right(nums, _floor_times(cutoff, den))",
      "new": "return bisect_right(nums, _floor_times(cutoff, den) - 1)",  # bisect_left on ints

@@ -3,16 +3,16 @@
 Every capacity value comes with a witness that reproduces it: a monomial
 exponent pair for ellipsoids, the defining integer for balls, a lattice path
 for polygonal profiles, and a partition plus sub-witnesses for disjoint unions.
-A provider lists a prefix in integers (one denominator, the numerators and the
-witnesses) that the base class checks and stores; values become Fractions only
-at the edge, one per distinct value, through rationals._fractions.
+A provider lists a prefix of values in integers (one denominator and the
+numerators) that the base class checks and stores; witnesses are built from the
+store when one is first read, and values become Fractions only at the edge.
 One integer core on the scaled axes A, B answers every ellipsoid question:
 one floor sum counts entries, its inversion (a bisection between the count's
 area bounds, O(log(A + B)) floor sums) gives single values and the level that
-bounds a sweep, and a sweep sorts the pairs (m, n) under that level as one list
-of int keys v M + m, v = A m + B n the action and M past every m; each key
-gives back v and m, and n = (v - A m) / B. A ball is E(a, a) on that core, its
-witness d = v / A, with the closed form ball_capacity as its second route.
+bounds a sweep, and a sweep sorts the plain int actions v = A m + B n under that
+level; a run of ties at v lists m = m0, m0 + B / gcd(A, B), ..., so a witness
+follows from its value and its rank in the run. A ball is E(a, a) on that core,
+its witness d = v / A, with the closed form ball_capacity as its second route.
 Profiles have two routes as well (one path scan per sweep in ToricSpectrum,
 its budget falling to c_{k_max}, and the fixed-budget per-k scan
 toric_capacity_detail); tests hold each pair to exact agreement.
@@ -229,45 +229,51 @@ def toric_capacity_detail(profile: ToricProfile, k: int) -> ToricCapacityResult:
 class Spectrum:
     """Nondecreasing sequence c_0 = 0 <= c_1 <= ... with witnesses, lazily extended.
 
-    Each of the four kinds (ellipsoid, ball, toric, union) sets kind, defines domain()
-    and implements one batch hook, _extend(k_max), which returns the prefix
-    c_0..c_{k_max} as (den, nums, witnesses), c_k = nums[k] / den. entry() alone grows the
-    store: it checks a new prefix (k_max + 1 entries, nums[0] = 0, never decreasing) and keeps
-    the triple as it is. Integer readers compare numerators; values become Fractions only at
-    the edge, one per distinct value, through rationals._fractions. count_le(cutoff) counts
-    the entries <= cutoff; providers that can count without listing the entries override it.
+    Each kind (ellipsoid, ball, toric, union) sets kind and defines domain() and two hooks:
+    _extend(k_max) gives the values c_0..c_{k_max} as (den, nums), c_k = nums[k] / den, and
+    _witnesses() the witnesses of the whole store. _scaled_prefix alone grows the store, once
+    the prefix checks out (k_max + 1 entries, nums[0] = 0, never decreasing); entry() and
+    entries() build the witnesses on first need. Value readers read (den, nums) alone.
     """
 
-    _prefix: tuple[int, Sequence[int], Sequence[object]] = (1, (), ())  # checked c_0..c_K
+    _prefix: tuple[int, Sequence[int]] = (1, ())  # checked c_0..c_K
+    _witness_store: Sequence[object] = ()  # witnesses of c_0..c_K; () until read, or once it grows
+
+    def _scaled_prefix(self, k_max: int) -> tuple[int, Sequence[int]]:
+        """(den, nums), c_k = nums[k] / den for k <= k_max, from the store, grown if short."""
+        den, nums = self._prefix
+        if _exact_int(k_max) >= len(nums):
+            den, nums = self._extend(k_max)
+            if len(nums) != k_max + 1 or nums[0] != 0:
+                raise AssertionError(f"a prefix up to k={k_max} must hold k + 1 entries from c_0 = 0")
+            if not all(map(le, nums, islice(nums, 1, None))):
+                bad = next(j for j in range(1, k_max + 1) if nums[j] < nums[j - 1])
+                raise AssertionError(f"spectrum not nondecreasing at k={bad}")
+            self._prefix, self._witness_store = (den, nums), ()
+        return den, nums[: k_max + 1]
+
+    def _witnessed(self) -> Sequence[object]:
+        if not self._witness_store:
+            witnesses, count = self._witnesses(), len(self._prefix[1])
+            if len(witnesses) != count:
+                raise AssertionError(f"one witness per entry: {len(witnesses)} for {count} entries")
+            self._witness_store = witnesses
+        return self._witness_store
 
     def entry(self, k: int) -> tuple[Fraction, object]:
-        k = _exact_int(k)
-        den, nums, witnesses = self._prefix
-        if k >= len(nums):
-            den, nums, witnesses = self._extend(k)
-            if len(nums) != k + 1 or len(witnesses) != k + 1 or nums[0] != 0:
-                raise AssertionError(f"a prefix up to k={k} must hold k + 1 entries from c_0 = 0")
-            if not all(map(le, nums, islice(nums, 1, None))):
-                bad = next(j for j in range(1, k + 1) if nums[j] < nums[j - 1])
-                raise AssertionError(f"spectrum not nondecreasing at k={bad}")
-            self._prefix = den, nums, witnesses
-        return Fraction(nums[k], den), witnesses[k]
-
-    def _scaled_prefix(self, k_max: int) -> tuple[int, Sequence[int], Sequence[object]]:
-        """(den, nums, witnesses), c_k = nums[k] / den for k <= k_max, read from the store."""
-        self.entry(k_max)
-        den, nums, witnesses = self._prefix
-        return den, nums[: k_max + 1], witnesses[: k_max + 1]
+        den, nums = self._scaled_prefix(k)
+        return Fraction(nums[k], den), self._witnessed()[k]
 
     def value(self, k: int) -> Fraction:
-        return self.entry(k)[0]
+        den, nums = self._scaled_prefix(k)
+        return Fraction(nums[k], den)
 
     def entries(self, k_max: int) -> list[tuple[Fraction, object]]:
-        den, nums, witnesses = self._scaled_prefix(k_max)
-        return list(zip(_fractions(nums, den), witnesses))
+        den, nums = self._scaled_prefix(k_max)
+        return list(zip(_fractions(nums, den), self._witnessed()))
 
     def values(self, k_max: int) -> list[Fraction]:
-        den, nums, _witnesses = self._scaled_prefix(k_max)
+        den, nums = self._scaled_prefix(k_max)
         return list(_fractions(nums, den))
 
     def count_le(self, cutoff: Fraction) -> int:
@@ -280,7 +286,7 @@ class Spectrum:
         j = 1
         while (prefix := self._scaled_prefix(j))[1][j] <= _floor_times(cutoff, prefix[0]):
             j += 1 + j // 8
-        den, nums, _witnesses = prefix
+        den, nums = prefix
         return bisect_right(nums, _floor_times(cutoff, den))
 
 
@@ -295,10 +301,6 @@ class EllipsoidSpectrum(Spectrum):
         self._ellipsoid = ellipsoid
         self._an, self._bn, self._d = _scaled(ellipsoid.a, ellipsoid.b)
 
-    def _witnesses(self, nums: list[int], ms: list[int]) -> list[object]:
-        an, bn = self._an, self._bn
-        return [{"m": m, "n": (v - an * m) // bn} for v, m in zip(nums, ms)]
-
     def value(self, k: int) -> Fraction:
         """c_k by counting inversion, in O(log) floor sums; the store is neither read nor grown."""
         return Fraction(_nk_scaled(self._an, self._bn, _exact_int(k)), self._d)
@@ -306,25 +308,33 @@ class EllipsoidSpectrum(Spectrum):
     def count_le(self, cutoff: Fraction) -> int:
         return _count_scaled(self._an, self._bn, _floor_times(_exact_rat(cutoff, "cutoff"), self._d))
 
-    def _extend(self, k_max: int) -> tuple[int, list[int], list[object]]:
-        # Every pair (m, n) of integer action v = an m + bn n <= the level of
-        # c_{k_max}, as the one int key v M + m with M past every m, so the keys
-        # sort in (v, m, n) order and n follows from v and m. The level only
-        # bounds the listing: too low a level leaves fewer than k_max + 1 pairs,
-        # which is refused.
+    def _extend(self, k_max: int) -> tuple[int, list[int]]:
+        # The actions v = an m + bn n <= the level of c_{k_max}, one range per m. The level
+        # only bounds the listing: too few pairs under it (<= k_max) are refused.
         an, bn, d = self._an, self._bn, self._d
         level = _nk_scaled(an, bn, k_max)
-        radix = level // an + 1
-        top, step = level * radix + 1, bn * radix
-        keys: list[int] = []
-        for m in range(radix):
-            keys.extend(range(an * m * radix + m, top + m, step))
-        if len(keys) <= k_max:
-            raise AssertionError(f"level {Fraction(level, d)} holds only {len(keys)} pairs, k={k_max}")
-        keys.sort()
-        del keys[k_max + 1:]
-        nums = [key // radix for key in keys]
-        return d, nums, self._witnesses(nums, [key % radix for key in keys])
+        nums: list[int] = []
+        for m in range(level // an + 1):
+            nums.extend(range(an * m, level + 1, bn))
+        if len(nums) <= k_max:
+            raise AssertionError(f"level {Fraction(level, d)} holds only {len(nums)} pairs, k={k_max}")
+        nums.sort()
+        del nums[k_max + 1:]
+        return d, nums
+
+    def _witnesses(self) -> list[object]:
+        # A run of ties at action v lists m = m0, m0 + q, ... (g = gcd(an, bn), q = bn / g),
+        # m0 = (v / g)(an / g)^-1 mod q the least m with an m = v mod bn, and n = (v - an m) / bn.
+        an, bn = self._an, self._bn
+        g = gcd(an, bn)
+        q = bn // g
+        inverse = pow(an // g, -1, q)
+        witnesses, last = [], None
+        for v in self._prefix[1]:
+            m = m + q if v == last else v // g * inverse % q
+            last = v
+            witnesses.append({"m": m, "n": (v - an * m) // bn})
+        return witnesses
 
     def domain(self) -> Domain:
         return self._ellipsoid
@@ -341,9 +351,9 @@ class BallSpectrum(EllipsoidSpectrum):
         self._ball = ball
         super().__init__(Ellipsoid(ball.a, ball.a))
 
-    def _witnesses(self, nums: list[int], ms: list[int]) -> list[object]:
+    def _witnesses(self) -> list[object]:
         an = self._an  # on E(a, a) the action is an d
-        return [{"d": v // an} for v in nums]
+        return [{"d": v // an} for v in self._prefix[1]]
 
     def domain(self) -> Domain:
         return self._ball
@@ -357,7 +367,7 @@ class ToricSpectrum(Spectrum):
             raise ValidationError("ToricSpectrum needs a ToricProfile")
         self._profile = profile
 
-    def _extend(self, k_max: int) -> tuple[int, list[int], list[LatticePath]]:
+    def _extend(self, k_max: int) -> tuple[int, list[int]]:
         """Every c_k up to k_max from one inclusive scan whose budget falls to c_{k_max}.
 
         The budget starts at the shorter of the greedy path and the polydisk
@@ -389,7 +399,11 @@ class ToricSpectrum(Spectrum):
                 raise AssertionError(
                     f"corner rounding failed at k={k}: min over >= is {Fraction(at_least, den)}, "
                     f"min over == is {Fraction(lens[k], den)}")
-        return den, lens[:over], [LatticePath._canonical(paths[k]) for k in range(over)]
+        self._paths = paths[:over]  # the stack snapshots that _witnesses makes paths
+        return den, lens[:over]
+
+    def _witnesses(self) -> list[LatticePath]:
+        return [LatticePath._canonical(path) for path in self._paths]
 
     def count_le(self, cutoff: Fraction) -> int:
         """The most lattice points a path of length <= cutoff encloses.
@@ -421,14 +435,16 @@ class UnionSpectrum(Spectrum):
     def __init__(self, parts: Sequence[Spectrum]) -> None:
         if not parts:
             raise ValidationError("union needs at least one part spectrum")
+        if others := [part for part in parts if not isinstance(part, Spectrum)]:
+            raise ValidationError(f"a union part must be a Spectrum, got {_shown(others[0])}")
         self._parts = list(parts)
 
-    def _extend(self, k_max: int) -> tuple[int, list[int], list[dict]]:
+    def _extend(self, k_max: int) -> tuple[int, list[int]]:
         prefixes = [p._scaled_prefix(k_max) for p in self._parts]
         # dp[j]: the best total of the parts so far at budget j; splits[j]: its partition
-        d = lcm(*(den for den, _nums, _wits in prefixes))
+        d = lcm(*(den for den, _nums in prefixes))
         dp, splits = [0], [[]]  # before any part, only budget 0 is spent
-        for den, nums, _wits in prefixes:
+        for den, nums in prefixes:
             vals = [v * (d // den) for v in nums]
             starts = [(t, v) for t, v in enumerate(dp) if not t or v > dp[t - 1]]
             nxt, nxt_splits = [], []
@@ -442,8 +458,12 @@ class UnionSpectrum(Spectrum):
                 nxt.append(best)
                 nxt_splits.append(splits[arg] + [j - arg])
             dp, splits = nxt, nxt_splits
-        return d, dp, [{"partition": ks, "parts": [w[ki] for (_d, _n, w), ki in zip(prefixes, ks)]}
-                       for ks in splits]
+        self._splits = splits
+        return d, dp
+
+    def _witnesses(self) -> list[dict]:
+        parts = [p._witnessed() for p in self._parts]  # the DP grew each part's store this far
+        return [{"partition": ks, "parts": [w[ki] for w, ki in zip(parts, ks)]} for ks in self._splits]
 
     def domain(self) -> Domain:
         return DisjointUnion(tuple(p.domain() for p in self._parts))

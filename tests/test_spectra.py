@@ -1,6 +1,7 @@
 """Spectral sequences: both ellipsoid routes, closed forms, path minima,
 union convolution, scaling, Weyl diagnostics."""
 
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import ceil, floor, gcd, isqrt, lcm
@@ -27,6 +28,7 @@ from toricspec import (
     nk_sequence,
     nk_via_lattice,
     omega_length,
+    spectral_gap,
     spectrum_for,
     toric_capacity_detail,
     triangle_profile,
@@ -279,7 +281,7 @@ class TestBall:
         for a in (F(1), F(5, 4), F(2, 9)):
             ball = BallSpectrum(Ball(a))
             assert ball.value(k) == ball_capacity(a, k)[0]
-            assert ball._prefix == (1, (), ())  # the store is still empty after random access
+            assert ball._prefix == (1, ())  # the store is still empty after random access
 
     @pytest.mark.parametrize("a", [F(1), F(5, 4), F(2, 9)])
     def test_count_le_matches_closed_form(self, a):
@@ -416,9 +418,12 @@ class TestSpectrumProviders:
         (EllipsoidSpectrum, Ball(F(1)), "EllipsoidSpectrum needs an Ellipsoid"),
         (BallSpectrum, Ellipsoid(F(1), F(1)), "BallSpectrum needs a Ball"),
         (ToricSpectrum, Ellipsoid(F(1), F(2)), "ToricSpectrum needs a ToricProfile"),
-    ], ids=["ellipsoid", "ball", "toric"])
+        (UnionSpectrum, [Ellipsoid(F(1), F(2))],
+         "a union part must be a Spectrum, got 'Ellipsoid(a=Fraction(1, '... (45 characters)"),
+        (UnionSpectrum, [1, 2], "a union part must be a Spectrum, got 1"),
+    ], ids=["ellipsoid", "ball", "toric", "union-of-a-domain", "union-of-ints"])
     def test_each_provider_refuses_another_domain_kind(self, provider, domain, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             provider(domain)
 
     def test_prefix_caching_is_stable(self):
@@ -688,13 +693,16 @@ def test_one_part_union_gives_each_budget_to_its_part():
     assert [val for val, _wit in entries] == ball.values(5)
 
 
-def _full_split_union(prefixes, k_max):
+def _full_split_union(parts, k_max):
     """The union convolution trying every split t <= j of every budget j, O(m K^2), on
-    the parts' prefixes (den, nums, witnesses): the large-K oracle for the package's
-    rule, which tries only the plateau starts of the running union."""
-    d = lcm(*(den for den, _nums, _wits in prefixes))
+    the parts' prefixes (den, nums), with the part witnesses read from their entries:
+    the large-K oracle for the package's rule, which tries only the plateau starts of
+    the running union."""
+    prefixes = [p._scaled_prefix(k_max) for p in parts]
+    witnesses = [[w for _v, w in p.entries(k_max)] for p in parts]
+    d = lcm(*(den for den, _nums in prefixes))
     dp, splits = [0], [[]]
-    for den, nums, _wits in prefixes:
+    for den, nums in prefixes:
         vals = [v * (d // den) for v in nums]
         nxt, nxt_splits = [], []
         for j in range(k_max + 1):
@@ -703,13 +711,12 @@ def _full_split_union(prefixes, k_max):
             nxt.append(best)
             nxt_splits.append(splits[t] + [j - t])
         dp, splits = nxt, nxt_splits
-    return [(F(v, d), {"partition": ks, "parts": [w[ki] for (_d, _n, w), ki in zip(prefixes, ks)]})
+    return [(F(v, d), {"partition": ks, "parts": [w[ki] for w, ki in zip(witnesses, ks)]})
             for v, ks in zip(dp, splits)]
 
 
 def _assert_union_is_the_full_split(parts, k_max):
-    prefixes = [p._scaled_prefix(k_max) for p in parts]
-    assert UnionSpectrum(parts).entries(k_max) == _full_split_union(prefixes, k_max)
+    assert UnionSpectrum(parts).entries(k_max) == _full_split_union(parts, k_max)
 
 
 # long plateaus in the running union: many ties between parts, many repeated values
@@ -799,10 +806,20 @@ def test_a_union_is_at_least_every_split_between_a_part_and_the_rest(parts):
 @given(domain=st.one_of(_small_domains,
                         st.lists(_small_domains, min_size=1, max_size=3)
                         .map(lambda ps: DisjointUnion(tuple(ps)))),
-       k1=st.integers(0, 7), k2=st.integers(0, 7))
-def test_extending_a_prefix_matches_a_fresh_sweep(domain, k1, k2):
+       k1=st.integers(0, 7), k2=st.integers(0, 7),
+       first_read=st.sampled_from(["entries", "values", "count_le"]))
+def test_extending_a_prefix_matches_a_fresh_sweep(domain, k1, k2, first_read):
+    # a value-only first read leaves a store, longer or shorter than k2, with no
+    # witnesses yet: the ones built from it later (the toric sweep's snapshots, the
+    # union's splits) must be those of a fresh listing
     spec = spectrum_for(domain)
-    first = spec.entries(k1)
+    first = spectrum_for(domain).entries(k1)
+    if first_read == "entries":
+        assert spec.entries(k1) == first
+    elif first_read == "values":
+        assert spec.values(k1) == [v for v, _w in first]
+    else:
+        assert spec.count_le(first[-1][0]) >= k1 + 1
     assert spec.entries(k2) == spectrum_for(domain).entries(k2)
     assert spec.entries(k1) == first
 
@@ -821,14 +838,14 @@ def test_entries_are_the_integer_prefix_over_its_denominator(sized, data):
     domain, k_max = sized
     fresh = spectrum_for(domain)
     entries = fresh.entries(k_max)
-    den, nums, witnesses = fresh._scaled_prefix(k_max)
+    den, nums = fresh._scaled_prefix(k_max)
     assert [v for v, _w in entries] == [F(n, den) for n in nums]
     # equal values share one Fraction
     assert all((x is y) == (x == y) for (x, _), (y, _) in zip(entries, entries[1:]))
     extended = spectrum_for(domain)
     extended.entries(data.draw(st.integers(0, k_max)))
     assert extended.entries(k_max) == entries
-    assert extended._scaled_prefix(k_max) == (den, nums, witnesses)
+    assert extended._scaled_prefix(k_max) == (den, nums)
 
 
 @settings(max_examples=60, deadline=None)
@@ -886,7 +903,7 @@ def test_random_access_values_match_the_sorted_listing(spec):
     assert [spec.value(k) for k in range(3001)] == listed
     far = spec.value(10**15)  # the least value with more than 10^15 entries up to it
     assert spec.count_le(far) > 10**15 >= spec.count_le(far - F(1, 10**9))
-    assert spec._prefix == (1, (), ())  # the store is still empty after random access
+    assert spec._prefix == (1, ())  # the store is still empty after random access
     with pytest.raises(ValidationError):
         spec.value(-1)
 
@@ -906,25 +923,31 @@ def test_the_level_only_bounds_the_ellipsoid_listing(monkeypatch, spec_type, dom
     assert spec_type(domain).entries(k) == expected
 
 
-@pytest.mark.parametrize("den, nums, witnesses, message",
-                         [(1, [1, 2, 3], [None] * 3, r"from c_0 = 0"),
-                          (1, [0, 2, 1], [None] * 3, r"not nondecreasing at k=2"),
-                          (1, [0, 1], [None] * 2, r"hold k \+ 1 entries"),
-                          (1, [0, 1, 2], [None] * 2, r"hold k \+ 1 entries"),
-                          (7, [0, 5, 4], [None] * 3, r"not nondecreasing at k=2")],
+@pytest.mark.parametrize("den, nums, witnesses, message, store",
+                         [(1, [1, 2, 3], [None] * 3, r"from c_0 = 0", (1, ())),
+                          (1, [0, 2, 1], [None] * 3, r"not nondecreasing at k=2", (1, ())),
+                          (1, [0, 1], [None] * 2, r"hold k \+ 1 entries", (1, ())),
+                          (1, [0, 1, 2], [None] * 2,
+                           r"^one witness per entry: 2 for 3 entries$",
+                           (1, [0, 1, 2])),
+                          (7, [0, 5, 4], [None] * 3, r"not nondecreasing at k=2", (1, ()))],
                          ids=["nonzero-c0", "decreasing", "short", "witness-count",
                               "decreasing-over-den"])
-def test_entry_refuses_a_bad_provider_prefix(den, nums, witnesses, message):
+def test_entry_refuses_a_bad_provider_prefix(den, nums, witnesses, message, store):
     class _Listed(Spectrum):
         kind = "listed"
 
         def _extend(self, k_max):
-            return den, nums, witnesses
+            return den, nums
+
+        def _witnesses(self):
+            return witnesses
 
     spec = _Listed()
     with pytest.raises(AssertionError, match=message):
         spec.entry(2)
-    assert spec._prefix == (1, (), ())  # a refused prefix leaves the store as it was
+    # a refused prefix leaves the store as it was; refused witnesses are not kept
+    assert spec._prefix == store and spec._witness_store == ()
 
 
 def test_zero_entries_carry_the_empty_witnesses():
@@ -945,9 +968,10 @@ def _holds_no_fraction(obj):
 
 
 def _assert_integer_store(spec):
-    den, nums, witnesses = spec._prefix
+    den, nums = spec._prefix
     assert type(den) is int and den >= 1
     assert type(nums) is list and all(type(n) is int for n in nums)
+    witnesses = spec._witness_store
     assert len(witnesses) == len(nums) and _holds_no_fraction(witnesses)
 
 
@@ -965,6 +989,8 @@ def test_close_gap_consistency_keeps_an_integer_store(monkeypatch):
     monkeypatch.setattr(gaps, "_gap_scan", recording_scan)
     close_gap_consistency(F(3, 2), F(267, 110), [F(5), F(40), F(180)])
     assert len(scanned) == 1 and len(scanned[0]._prefix[1]) > 4000
+    assert scanned[0]._witness_store == ()  # the gap scan reads values only
+    scanned[0].entries(100)
     _assert_integer_store(scanned[0])
 
 
@@ -974,6 +1000,20 @@ def test_union_extension_keeps_integer_stores():
     for spec in (union, *union._parts):
         assert len(spec._prefix[1]) == 21
         _assert_integer_store(spec)
+
+
+@pytest.mark.parametrize("domain", [_three_parts[2], DisjointUnion(_three_parts),
+                                    DisjointUnion((Ellipsoid(F(1), F(89, 55)), Ball(F(3, 2))))],
+                         ids=["triangle", "ball-ellipsoid-triangle", "golden-ball"])
+def test_value_readers_build_no_witness(domain):
+    spec = spectrum_for(domain)
+    top = spec.values(30)[-1]
+    assert spec.count_le(top) >= 31 and spectral_gap(spec, top).achieving_k is not None
+    assert weyl_report(spec, [1, 30])[-1]["value"] == top
+    for reader in (spec, *getattr(spec, "_parts", ())):  # a union's parts too
+        assert len(reader._prefix[1]) >= 31
+        assert reader._witness_store == ()  # the store still holds no witness
+    assert [v for v, _w in spec.entries(30)] == spectrum_for(domain).values(30)
 
 
 def _cutoffs_between_entries(values, den):
